@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-smoke fuzz-smoke examples-smoke \
+.PHONY: all build test check bench relbench-smoke fuzz-smoke examples-smoke \
 	trace-smoke daemond-smoke autopilot-smoke zdd-smoke sweep-smoke clean
 
 all: build
@@ -17,23 +17,15 @@ check:
 bench:
 	dune exec bench/main.exe
 
-# Small pinned slice of the benchmark suite, suitable for CI: runs the
-# engine per-step statistics section (which exercises the lattice-native
-# R/Rbar pipeline end to end and rewrites BENCH_relim.json) plus the
-# ZDD Delta-wall scaling section, and checks that the hand-assembled
-# JSON dump is well-formed, carries the environment meta block
-# (domains, OCaml version, dune profile) and the roundelimd
-# load-generator section, and that the "zdd" section upholds the
-# engine contract (statuses, engine modes, byte-identity flags,
-# node counts monotone within each ladder rung, a recorded
-# explicit-budget/zdd-ok wall instance, and the mis3_autopilot
-# parity record).
-bench-smoke:
-	dune build bench
-	dune exec bench/main.exe -- relim_perf
-	dune exec bench/main.exe -- zdd
-	dune exec bench/validate_json.exe -- --require-meta --require-daemon --require-zdd BENCH_relim.json
-	dune exec bench/validate_trace.exe -- BENCH_trace.jsonl
+# One pass of each workload of the repository benchmark (relbench/):
+# the engine steps, the certified autopilot searches, and roundelimd
+# over a cold then a warm store.  relbench exits non-zero when any
+# operation's outcome differs from relbench/reference.json.  It refuses
+# to start with a RELIM_* engine variable set, so run it without one.
+relbench-smoke:
+	sh relbench/run.sh --workload steps --seed 1 --seconds 0 --trace 0
+	sh relbench/run.sh --workload autopilot --seed 1 --seconds 0 --trace 0
+	sh relbench/run.sh --workload daemon --seed 1 --seconds 0 --trace 0
 
 # End-to-end smoke of the round-elimination daemon and its
 # certificate-gated result store: cold batch, garbage rejection, kill -9,
@@ -58,14 +50,10 @@ trace-smoke:
 
 # Autopilot smoke: rediscover the sinkless-orientation fixed point
 # through the certified relaxation search (CLI, with the certifier
-# hooks on), then run the autopilot benchmark section — the SO
-# rediscovery plus the Pi(5,4,2) budget-wall upper bound — and check
-# that its section landed in BENCH_relim.json.
+# hooks on).
 autopilot-smoke:
-	dune build bin bench
+	dune build bin
 	dune exec bin/roundelim.exe -- autopilot -p so -d 3 --certify
-	dune exec bench/main.exe -- autopilot
-	dune exec bench/validate_json.exe -- --require-autopilot BENCH_relim.json
 
 # Differential fuzzing smoke, pinned and CI-sized (well under 30s): 500
 # random problems through the optimized pipeline with every output
@@ -96,17 +84,16 @@ zdd-smoke:
 # crossing both engines and the certifier, then every recovery path —
 # deterministic interruption, a real kill -9, and a torn trailing
 # record — each resumed to a byte-identical journal; finally a
-# real-clock sweep analyzed into the "sweep" section of a bench file
-# and gated by validate_json --require-sweep.  The journal is kept as
+# real-clock sweep whose analysis must find its grid fully covered
+# (analyze_sweep exits 1 otherwise).  The journal is kept as
 # sweep_smoke.jsonl for the CI artifact upload.
 sweep-smoke:
-	dune build bin scripts bench
+	dune build bin scripts
 	sh scripts/sweep_smoke.sh
 	dune exec bin/relimsweep.exe -- --out sweep_smoke.jsonl -q \
 	  --families mis,so,col --deltas 2 --label-counts 2 \
 	  --engine-zdd both --certify both --ap-steps 1 --ap-beam 2
-	dune exec scripts/analyze_sweep.exe -- sweep_smoke.jsonl --bench BENCH_relim.json > /dev/null
-	dune exec bench/validate_json.exe -- --require-sweep BENCH_relim.json
+	dune exec scripts/analyze_sweep.exe -- sweep_smoke.jsonl --md > /dev/null
 
 # Compile and run the examples (they also run under `dune runtest`; this
 # target gives CI an explicit, separately-reported leg).

@@ -810,919 +810,6 @@ let bechamel_suite () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* P2: engine per-step statistics, dumped to BENCH_relim.json          *)
-(* ------------------------------------------------------------------ *)
-
-(* One row per R̄∘R application: label counts, wall time, and the
-   engine's internal counters (closed sets visited by R, join
-   candidates, right-closed sets enumerated, boxes emitted/pruned and
-   the dominance-filter breakdown on the R̄ side). *)
-type step_row = {
-  step : int;
-  labels_in : int;
-  labels_out : int;
-  wall_s : float;
-  r_time_s : float;
-  rbar_time_s : float;
-  maxbox_time_s : float;
-  closures_visited : int;
-  closure_joins : int;
-  closure_revisits : int;
-  rc_sets : int;
-  boxes_emitted : int;
-  boxes_pruned : int;
-  box_dom_checks : int;
-  box_dom_cheap_skips : int;
-  box_transport_calls : int;
-  transport_cache_hits : int;
-}
-
-let measure_steps ?pool name p ~max_steps =
-  result "%s:@." name;
-  let rows = ref [] in
-  let rec go q i =
-    if i <= max_steps then begin
-      Relim.Rounde.reset_stats ();
-      let t0 = Unix.gettimeofday () in
-      match Relim.Rounde.step ?pool q with
-      | { Relim.Rounde.problem = next; _ } ->
-          let wall_s = Unix.gettimeofday () -. t0 in
-          let s = Relim.Rounde.stats in
-          let row =
-            {
-              step = i;
-              labels_in = Relim.Problem.label_count q;
-              labels_out = Relim.Problem.label_count next;
-              wall_s;
-              r_time_s = s.Relim.Rounde.r_time_s;
-              rbar_time_s = s.Relim.Rounde.rbar_time_s;
-              maxbox_time_s = s.Relim.Rounde.maxbox_time_s;
-              closures_visited = s.Relim.Rounde.closures_visited;
-              closure_joins = s.Relim.Rounde.closure_joins;
-              closure_revisits = s.Relim.Rounde.closure_revisits;
-              rc_sets = s.Relim.Rounde.rc_sets;
-              boxes_emitted = s.Relim.Rounde.boxes_emitted;
-              boxes_pruned = s.Relim.Rounde.boxes_pruned;
-              box_dom_checks = s.Relim.Rounde.box_dom_checks;
-              box_dom_cheap_skips = s.Relim.Rounde.box_dom_cheap_skips;
-              box_transport_calls = s.Relim.Rounde.box_transport_calls;
-              transport_cache_hits = s.Relim.Rounde.transport_cache_hits;
-            }
-          in
-          rows := row :: !rows;
-          result
-            "  step %d: %2d -> %2d labels  %9.3f ms wall (R %.3f ms, Rbar %.3f \
-             ms, maxbox %.3f ms)  %d closed sets (%d joins), %d rc sets, %d \
-             boxes (+%d pruned), dominance %d pairs (%d cheap skips, %d \
-             transport, %d memo hits)@."
-            i row.labels_in row.labels_out (1e3 *. wall_s)
-            (1e3 *. row.r_time_s) (1e3 *. row.rbar_time_s)
-            (1e3 *. row.maxbox_time_s) row.closures_visited row.closure_joins
-            row.rc_sets row.boxes_emitted row.boxes_pruned row.box_dom_checks
-            row.box_dom_cheap_skips row.box_transport_calls
-            row.transport_cache_hits;
-          go (Relim.Simplify.normalize next) (i + 1)
-      | exception Relim.Budget.Budget_exceeded { budget; limit } ->
-          result "  step %d: stopped — %s@." i
-            (Relim.Budget.message ~budget ~limit)
-      | exception Failure msg ->
-          result "  step %d: stopped — %s@." i msg
-    end
-  in
-  go p 1;
-  (name, List.rev !rows)
-
-(* ------------------------------------------------------------------ *)
-(* P3: roundelimd load generator                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Thousands of pipelined mixed requests against an in-process daemon,
-   cold (empty store: every distinct problem runs the engine and is
-   admitted with its certificate) and warm (fresh daemon over the
-   populated store: first occurrences re-validate and serve from
-   disk).  Responses are checked for success and for warm/cold byte
-   identity modulo the "cached" flag. *)
-let daemon_bench () =
-  let base =
-    let f = Filename.temp_file "relimd-bench" "" in
-    Sys.remove f;
-    Unix.mkdir f 0o700;
-    f
-  in
-  let sock = Filename.concat base "d.sock" in
-  let store_dir = Filename.concat base "store" in
-  let text p = Relim.Serialize.to_string p in
-  let trivial = Relim.Parse.problem ~name:"t" ~node:"A A" ~edge:"A A" in
-  let presets =
-    [
-      ("step", text (Lcl.Encodings.mis ~delta:3));
-      ("step", text (Lcl.Encodings.sinkless_orientation ~delta:3));
-      ("step", text (Core.Family.pi { Core.Family.delta = 4; a = 3; x = 1 }));
-      ("step", text trivial);
-      ("fixed-point", text (Lcl.Encodings.sinkless_orientation ~delta:3));
-      ("fixed-point", text trivial);
-    ]
-  in
-  let total = 2048 and conns_n = 32 in
-  let request_line i =
-    let op, problem = List.nth presets (i mod List.length presets) in
-    Store.Json.(
-      to_string
-        (Obj
-           [
-             ("id", Int i); ("op", String op); ("problem", String problem);
-           ]))
-  in
-  let spawn () =
-    let stop = Atomic.make false in
-    let config =
-      {
-        Store.Daemon.default_config with
-        Store.Daemon.listen = [ Store.Daemon.Unix_socket sock ];
-        store_dir = Some store_dir;
-      }
-    in
-    ( Domain.spawn (fun () ->
-          Store.Daemon.serve ~stop:(fun () -> Atomic.get stop) config),
-      stop )
-  in
-  let connect () =
-    match Store.Client.connect ~retries:200 (`Unix sock) with
-    | Ok c -> c
-    | Error m -> failwith ("daemon bench: cannot connect: " ^ m)
-  in
-  let run_workload () =
-    let conns = Array.init conns_n (fun _ -> connect ()) in
-    let responses = Array.make total "" in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to total - 1 do
-      match Store.Client.send_line conns.(i mod conns_n) (request_line i) with
-      | Ok () -> ()
-      | Error m -> failwith ("daemon bench: send: " ^ m)
-    done;
-    for i = 0 to total - 1 do
-      match Store.Client.recv_line conns.(i mod conns_n) with
-      | Ok r -> responses.(i) <- r
-      | Error m -> failwith ("daemon bench: recv: " ^ m)
-    done;
-    let wall_s = Unix.gettimeofday () -. t0 in
-    Array.iter Store.Client.close conns;
-    let contains sub s =
-      let n = String.length sub and m = String.length s in
-      let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-      go 0
-    in
-    let ok =
-      Array.fold_left
-        (fun acc r -> if contains "\"ok\":true" r then acc + 1 else acc)
-        0 responses
-    in
-    (wall_s, ok, responses)
-  in
-  (* Store counters as the daemon reports them over the wire. *)
-  let store_counters c =
-    match Store.Client.request c {|{"id":"stats","op":"stats"}|} with
-    | Error m -> failwith ("daemon bench: stats: " ^ m)
-    | Ok line -> (
-        match Store.Json.of_string line with
-        | Error m -> failwith ("daemon bench: stats response: " ^ m)
-        | Ok j ->
-            let get k =
-              Option.bind (Store.Json.member "result" j) (fun r ->
-                  Option.bind (Store.Json.member "store" r) (fun s ->
-                      Option.bind (Store.Json.member k s) Store.Json.int_opt))
-              |> Option.value ~default:(-1)
-            in
-            (get "hits", get "misses", get "admitted"))
-  in
-  let lifetime () =
-    let d, _stop = spawn () in
-    let wall_s, ok, responses = run_workload () in
-    let c = connect () in
-    let hits, misses, admitted = store_counters c in
-    (match Store.Client.request c {|{"id":"bye","op":"shutdown"}|} with
-    | Ok _ -> ()
-    | Error m -> failwith ("daemon bench: shutdown: " ^ m));
-    Store.Client.close c;
-    Domain.join d;
-    (wall_s, ok, responses, (hits, misses, admitted))
-  in
-  let cold_wall, cold_ok, cold_resp, (cold_hits, cold_misses, cold_admitted) =
-    lifetime ()
-  in
-  let warm_wall, warm_ok, warm_resp, (warm_hits, warm_misses, warm_admitted) =
-    lifetime ()
-  in
-  (* Byte identity modulo the cache flag. *)
-  let uncache s =
-    let sub = "\"cached\":true" and rep = "\"cached\":false" in
-    let n = String.length sub in
-    let rec find i =
-      if i + n > String.length s then None
-      else if String.sub s i n = sub then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | Some i ->
-        String.sub s 0 i ^ rep ^ String.sub s (i + n) (String.length s - i - n)
-    | None -> s
-  in
-  let byte_identical = ref true in
-  Array.iteri
-    (fun i cold ->
-      if uncache cold <> uncache warm_resp.(i) then byte_identical := false)
-    cold_resp;
-  let rate wall = float_of_int total /. wall in
-  result
-    "@.roundelimd load generator: %d requests (%d distinct problems) over %d \
-     connections@."
-    total (List.length presets) conns_n;
-  result
-    "  cold store: %8.3f ms wall  %9.0f req/s  %d ok  store %d hits / %d \
-     misses / %d admitted@."
-    (1e3 *. cold_wall) (rate cold_wall) cold_ok cold_hits cold_misses
-    cold_admitted;
-  result
-    "  warm store: %8.3f ms wall  %9.0f req/s  %d ok  store %d hits / %d \
-     misses / %d admitted@."
-    (1e3 *. warm_wall) (rate warm_wall) warm_ok warm_hits warm_misses
-    warm_admitted;
-  result
-    "  warm speedup %.2fx; warm byte-identical to cold (modulo cache flag): \
-     %b@."
-    (cold_wall /. warm_wall) !byte_identical;
-  Printf.sprintf
-    "  \"daemon\": { \"requests\": %d, \"connections\": %d, \
-     \"distinct_problems\": %d,\n\
-    \    \"cold\": { \"wall_s\": %.6f, \"req_per_s\": %.1f, \"ok\": %d, \
-     \"store_hits\": %d, \"store_misses\": %d, \"store_admitted\": %d },\n\
-    \    \"warm\": { \"wall_s\": %.6f, \"req_per_s\": %.1f, \"ok\": %d, \
-     \"store_hits\": %d, \"store_misses\": %d, \"store_admitted\": %d },\n\
-    \    \"warm_speedup\": %.3f, \"warm_byte_identical\": %b },\n"
-    total conns_n (List.length presets) cold_wall (rate cold_wall) cold_ok
-    cold_hits cold_misses cold_admitted warm_wall (rate warm_wall) warm_ok
-    warm_hits warm_misses warm_admitted (cold_wall /. warm_wall)
-    !byte_identical
-
-let relim_perf () =
-  section "P2" "Engine per-step statistics (R closed-set enumeration + memoized driver)";
-  let mis = measure_steps "MIS (Delta=3)" (Lcl.Encodings.mis ~delta:3) ~max_steps:4 in
-  let so_rows =
-    measure_steps "SO (Delta=3)"
-      (Lcl.Encodings.sinkless_orientation ~delta:3)
-      ~max_steps:2
-  in
-  let pi4 =
-    measure_steps "Pi(4,3,1)"
-      (Core.Family.pi { Core.Family.delta = 4; a = 3; x = 1 })
-      ~max_steps:2
-  in
-  let pi5 =
-    measure_steps "Pi(5,4,2)"
-      (Core.Family.pi { Core.Family.delta = 5; a = 4; x = 2 })
-      ~max_steps:2
-  in
-  let problems = [ mis; so_rows; pi4; pi5 ] in
-  (* A 30-label problem far beyond the seed's hard caps (rbar refused
-     > 20 labels, right_closed_sets > 22): the node diagram is a chain,
-     so the order-ideal enumeration sees just 30 right-closed sets and
-     R̄ finishes in microseconds where the subset filter would have
-     visited 2^30 subsets. *)
-  let chain_n = 30 in
-  let chain =
-    let name i = Printf.sprintf "l%d" i in
-    let names = List.init chain_n name in
-    let all = String.concat " " names in
-    let node =
-      String.concat "\n"
-        (List.init chain_n (fun i ->
-             (* single-name brackets would be scanned as char labels *)
-             match List.filteri (fun j _ -> i + j >= chain_n - 1) names with
-             | [ only ] -> Printf.sprintf "%s %s" (name i) only
-             | partners ->
-                 Printf.sprintf "%s [%s]" (name i)
-                   (String.concat " " partners)))
-    in
-    Relim.Parse.problem
-      ~name:(Printf.sprintf "chain%d" chain_n)
-      ~node
-      ~edge:(Printf.sprintf "[%s] [%s]" all all)
-  in
-  Relim.Rounde.reset_stats ();
-  let t0 = Unix.gettimeofday () in
-  let { Relim.Rounde.problem = chain_out; _ } = Relim.Rounde.rbar chain in
-  let chain_wall_s = Unix.gettimeofday () -. t0 in
-  let cs = Relim.Rounde.stats in
-  let chain_boxes =
-    List.length (Relim.Constr.lines chain_out.Relim.Problem.node)
-  in
-  result
-    "@.Rbar beyond the seed caps: chain%d (%d labels)  %9.3f ms wall  %d rc \
-     sets, %d boxes emitted -> %d maximal, dominance %d pairs (%d cheap \
-     skips, %d transport)@."
-    chain_n chain_n (1e3 *. chain_wall_s) cs.Relim.Rounde.rc_sets
-    cs.Relim.Rounde.boxes_emitted chain_boxes cs.Relim.Rounde.box_dom_checks
-    cs.Relim.Rounde.box_dom_cheap_skips cs.Relim.Rounde.box_transport_calls;
-  let chain_stats =
-    ( cs.Relim.Rounde.rc_sets,
-      cs.Relim.Rounde.boxes_emitted,
-      chain_boxes,
-      cs.Relim.Rounde.box_dom_checks,
-      cs.Relim.Rounde.box_dom_cheap_skips,
-      cs.Relim.Rounde.box_transport_calls,
-      chain_wall_s,
-      cs.Relim.Rounde.maxbox_time_s )
-  in
-  (* 0-round decider: the Bron–Kerbosch clique enumeration replaced the
-     seed's 2^n subset sweep. *)
-  Relim.Zeroround.reset_stats ();
-  List.iter
-    (fun p -> ignore (Relim.Zeroround.solvable_arbitrary_ports p))
-    [
-      Lcl.Encodings.mis ~delta:3;
-      Lcl.Encodings.sinkless_orientation ~delta:3;
-      Core.Family.pi { Core.Family.delta = 5; a = 4; x = 2 };
-      chain;
-    ]
-  |> ignore;
-  let zs = Relim.Zeroround.stats in
-  result
-    "0-round decider (4 problems incl. chain%d): %d maximal cliques over %d \
-     BK expansions in %.3f ms@."
-    chain_n zs.Relim.Zeroround.maximal_cliques zs.Relim.Zeroround.bk_expansions
-    (1e3 *. zs.Relim.Zeroround.clique_time_s);
-  let zr_stats =
-    ( zs.Relim.Zeroround.clique_calls,
-      zs.Relim.Zeroround.maximal_cliques,
-      zs.Relim.Zeroround.bk_expansions,
-      zs.Relim.Zeroround.clique_time_s )
-  in
-  (* Fixed-point driver memo cache: the second detection of the same
-     problem replays entirely from the cache. *)
-  let so = Lcl.Encodings.sinkless_orientation ~delta:3 in
-  Relim.Fixedpoint.clear_cache ();
-  Relim.Fixedpoint.reset_stats ();
-  ignore (Relim.Fixedpoint.detect so);
-  let fp = Relim.Fixedpoint.stats in
-  let first =
-    (fp.Relim.Fixedpoint.steps_applied, fp.Relim.Fixedpoint.cache_hits,
-     fp.Relim.Fixedpoint.cache_misses, fp.Relim.Fixedpoint.step_time_s,
-     fp.Relim.Fixedpoint.normalize_time_s)
-  in
-  ignore (Relim.Fixedpoint.detect so);
-  let steps1, hits1, misses1, time1, norm1 = first in
-  let second =
-    (fp.Relim.Fixedpoint.steps_applied - steps1,
-     fp.Relim.Fixedpoint.cache_hits - hits1,
-     fp.Relim.Fixedpoint.cache_misses - misses1,
-     fp.Relim.Fixedpoint.step_time_s -. time1,
-     fp.Relim.Fixedpoint.normalize_time_s -. norm1)
-  in
-  let steps2, hits2, misses2, time2, norm2 = second in
-  result
-    "@.fixed-point memo on SO (Delta=3): first detect %d steps (%d hits, %d \
-     misses, %.3f ms of which %.3f ms normalize); repeat %d steps (%d hits, \
-     %d misses, %.3f ms)@."
-    steps1 hits1 misses1 (1e3 *. time1) (1e3 *. norm1) steps2 hits2 misses2
-    (1e3 *. time2);
-  Relim.Fixedpoint.clear_cache ();
-  (* Parallel speedup: the first speedup step of Pi(5,4,2) — the
-     heaviest single step above — with a 1-domain vs a 4-domain pool,
-     best of 3 runs each.  Besides the timings we assert the
-     determinism contract: identical serialized output and identical
-     integer counters (times and the per-worker memo hit counter
-     excluded — see Rounde's interface). *)
-  let speedup_domains = 4 in
-  let speedup_runs = 3 in
-  let pi5_first = Core.Family.pi { Core.Family.delta = 5; a = 4; x = 2 } in
-  let counters () =
-    let s = Relim.Rounde.stats in
-    [
-      s.Relim.Rounde.r_calls; s.Relim.Rounde.closures_visited;
-      s.Relim.Rounde.closure_joins; s.Relim.Rounde.closure_revisits;
-      s.Relim.Rounde.rbar_calls; s.Relim.Rounde.rc_sets;
-      s.Relim.Rounde.boxes_emitted; s.Relim.Rounde.boxes_pruned;
-      s.Relim.Rounde.box_dom_checks; s.Relim.Rounde.box_dom_cheap_skips;
-      s.Relim.Rounde.box_transport_calls;
-    ]
-  in
-  let timed_step pool =
-    let best = ref infinity and out = ref None in
-    for _ = 1 to speedup_runs do
-      Relim.Rounde.reset_stats ();
-      let t0 = Unix.gettimeofday () in
-      let { Relim.Rounde.problem = next; _ } =
-        Relim.Rounde.step ~pool pi5_first
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      out := Some next
-    done;
-    (!best, Relim.Serialize.to_string (Option.get !out), counters ())
-  in
-  let pool_n = Parallel.Pool.create ~domains:speedup_domains in
-  let wall_1, out_1, counters_1 = timed_step Parallel.Pool.sequential in
-  let wall_n, out_n, counters_n = timed_step pool_n in
-  Parallel.Pool.shutdown pool_n;
-  let identical_output = String.equal out_1 out_n in
-  let identical_counters = counters_1 = counters_n in
-  let cores_available = Domain.recommended_domain_count () in
-  result
-    "@.parallel speedup on step 1 of Pi(5,4,2) (best of %d): 1 domain %.3f \
-     ms, %d domains %.3f ms -> %.2fx (%d core(s) available); identical \
-     output: %b, identical counters: %b@."
-    speedup_runs (1e3 *. wall_1) speedup_domains (1e3 *. wall_n)
-    (wall_1 /. wall_n) cores_available identical_output identical_counters;
-  (* Certifier overhead: the Pi(5,4,2) pipeline run (step 1 plus the
-     budget-stopped step 2) with the independent certificate checkers
-     (lib/certify) re-deriving every R / Rbar output from the
-     definitions, vs the plain engine run. *)
-  let certified_pipeline () =
-    let rec go q i =
-      if i <= 2 then
-        match Relim.Rounde.step ~pool:Parallel.Pool.sequential q with
-        | d -> go (Relim.Simplify.normalize d.Relim.Rounde.problem) (i + 1)
-        | exception (Relim.Budget.Budget_exceeded _ | Failure _) -> ()
-    in
-    go pi5_first 1
-  in
-  let t0 = Unix.gettimeofday () in
-  certified_pipeline ();
-  let plain_s = Unix.gettimeofday () -. t0 in
-  Certify.Check.reset_stats ();
-  let t0 = Unix.gettimeofday () in
-  Certify.Hooks.with_hooks certified_pipeline;
-  let certified_s = Unix.gettimeofday () -. t0 in
-  let cert = Certify.Check.stats in
-  result
-    "@.certifier overhead on the Pi(5,4,2) pipeline: plain %.3f ms, \
-     certified %.3f ms (%.2fx); %d R + %d Rbar certificates, %d sub-check(s) \
-     skipped on budget, %.3f ms inside the checkers@."
-    (1e3 *. plain_s) (1e3 *. certified_s)
-    (certified_s /. plain_s)
-    cert.Certify.Check.r_certified cert.Certify.Check.rbar_certified
-    cert.Certify.Check.skipped_subchecks
-    (1e3 *. cert.Certify.Check.time_s);
-  (* Tracing overhead: the same Pi(5,4,2) step with the lib/trace sink
-     disabled vs enabled (spans + counter samples to BENCH_trace.jsonl,
-     validated by `make bench-smoke`).  The disabled path is a single
-     atomic load per span, so [trace_off_s] must stay within noise of
-     [wall_1] — the untraced sequential measurement of the exact same
-     workload above. *)
-  let trace_runs = 5 in
-  let timed_traced () =
-    let best = ref infinity in
-    for _ = 1 to trace_runs do
-      let t0 = Unix.gettimeofday () in
-      ignore (Relim.Rounde.step ~pool:Parallel.Pool.sequential pi5_first);
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let trace_off_s = timed_traced () in
-  Trace.enable ~path:"BENCH_trace.jsonl" ~format:Trace.Jsonl;
-  (* Fresh counters inside the trace window, so the emitted samples
-     reconcile with the spans (validate_trace checks this). *)
-  Relim.Rounde.reset_stats ();
-  let trace_on_s = timed_traced () in
-  Trace.close ();
-  result
-    "@.tracing overhead on step 1 of Pi(5,4,2) (best of %d): disabled %.3f \
-     ms (untraced baseline %.3f ms, ratio %.3f), enabled %.3f ms (%.2fx); \
-     wrote BENCH_trace.jsonl@."
-    trace_runs (1e3 *. trace_off_s) (1e3 *. wall_1)
-    (trace_off_s /. wall_1)
-    (1e3 *. trace_on_s)
-    (trace_on_s /. trace_off_s);
-  (* Daemon load generator (P3): measured here so the numbers land in
-     the same BENCH_relim.json dump. *)
-  let daemon_json = daemon_bench () in
-  (* JSON dump. *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"bench\": \"relim\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"meta\": { \"domains\": %d, \"cores_available\": %d, \
-        \"ocaml_version\": %S, \"dune_profile\": %S },\n"
-       (Relim.Parctl.domains_from_env ())
-       cores_available Sys.ocaml_version
-       (Option.value ~default:"dev" (Sys.getenv_opt "DUNE_PROFILE")));
-  Buffer.add_string buf "  \"problems\": [\n";
-  List.iteri
-    (fun pi (name, rows) ->
-      if pi > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"name\": %S, \"steps\": [\n" name);
-      List.iteri
-        (fun ri row ->
-          if ri > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      { \"step\": %d, \"labels_in\": %d, \"labels_out\": %d, \
-                \"wall_s\": %.6f, \"r_time_s\": %.6f, \"rbar_time_s\": %.6f, \
-                \"maxbox_time_s\": %.6f, \"closures_visited\": %d, \
-                \"closure_joins\": %d, \"closure_revisits\": %d, \
-                \"rc_sets\": %d, \"boxes_emitted\": %d, \"boxes_pruned\": %d, \
-                \"box_dom_checks\": %d, \"box_dom_cheap_skips\": %d, \
-                \"box_transport_calls\": %d, \"transport_cache_hits\": %d }"
-               row.step row.labels_in row.labels_out row.wall_s row.r_time_s
-               row.rbar_time_s row.maxbox_time_s row.closures_visited
-               row.closure_joins row.closure_revisits row.rc_sets
-               row.boxes_emitted row.boxes_pruned row.box_dom_checks
-               row.box_dom_cheap_skips row.box_transport_calls
-               row.transport_cache_hits))
-        rows;
-      Buffer.add_string buf "\n    ] }")
-    problems;
-  Buffer.add_string buf "\n  ],\n";
-  (let rc, emitted, maximal, dom, cheap, transport, wall, maxbox =
-     chain_stats
-   in
-   Buffer.add_string buf
-     (Printf.sprintf
-        "  \"chain_rbar\": { \"labels\": %d, \"rc_sets\": %d, \
-         \"boxes_emitted\": %d, \"maximal_boxes\": %d, \"box_dom_checks\": \
-         %d, \"box_dom_cheap_skips\": %d, \"box_transport_calls\": %d, \
-         \"wall_s\": %.6f, \"maxbox_time_s\": %.6f },\n"
-        chain_n rc emitted maximal dom cheap transport wall maxbox));
-  (let calls, cliques, expansions, time_s = zr_stats in
-   Buffer.add_string buf
-     (Printf.sprintf
-        "  \"zeroround_cliques\": { \"clique_calls\": %d, \
-         \"maximal_cliques\": %d, \"bk_expansions\": %d, \"clique_time_s\": \
-         %.6f },\n"
-        calls cliques expansions time_s));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"parallel_speedup\": { \"problem\": \"Pi(5,4,2) step 1\", \
-        \"runs\": %d, \"domains\": %d, \"wall_1_s\": %.6f, \"wall_n_s\": \
-        %.6f, \"speedup\": %.3f, \"identical_output\": %b, \
-        \"identical_counters\": %b },\n"
-       speedup_runs speedup_domains wall_1 wall_n (wall_1 /. wall_n)
-       identical_output identical_counters);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"certifier_overhead\": { \"problem\": \"Pi(5,4,2) pipeline\", \
-        \"plain_s\": %.6f, \"certified_s\": %.6f, \"overhead_factor\": %.3f, \
-        \"r_certified\": %d, \"rbar_certified\": %d, \"skipped_subchecks\": \
-        %d, \"check_time_s\": %.6f },\n"
-       plain_s certified_s
-       (certified_s /. plain_s)
-       cert.Certify.Check.r_certified cert.Certify.Check.rbar_certified
-       cert.Certify.Check.skipped_subchecks cert.Certify.Check.time_s);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"fixedpoint_cache_so_delta3\": {\n\
-       \    \"first\": { \"steps_applied\": %d, \"cache_hits\": %d, \
-        \"cache_misses\": %d, \"step_time_s\": %.6f, \"normalize_time_s\": \
-        %.6f },\n\
-       \    \"second\": { \"steps_applied\": %d, \"cache_hits\": %d, \
-        \"cache_misses\": %d, \"step_time_s\": %.6f, \"normalize_time_s\": \
-        %.6f }\n\
-       \  },\n"
-       steps1 hits1 misses1 time1 norm1 steps2 hits2 misses2 time2 norm2);
-  Buffer.add_string buf daemon_json;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"trace_overhead\": { \"problem\": \"Pi(5,4,2) step 1\", \"runs\": \
-        %d, \"disabled_s\": %.6f, \"untraced_baseline_s\": %.6f, \
-        \"disabled_vs_baseline\": %.4f, \"enabled_s\": %.6f, \
-        \"overhead_factor\": %.3f, \"trace_file\": \"BENCH_trace.jsonl\" }\n}\n"
-       trace_runs trace_off_s wall_1 (trace_off_s /. wall_1) trace_on_s
-       (trace_on_s /. trace_off_s));
-  let oc = open_out "BENCH_relim.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  result "@.wrote BENCH_relim.json@."
-
-(* ------------------------------------------------------------------ *)
-(* AP: autopilot — certified relaxation search                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The two reference runs of EXPERIMENTS.md's AUTOPILOT section: the
-   sinkless-orientation rediscovery (a certified relaxed fixed point)
-   and the Pi(5,4,2) budget-wall run (a certified 2-round upper bound
-   reached through a quotient cover where the plain speedup step trips
-   its budget).  The results are merged into BENCH_relim.json as an
-   "autopilot" object, preserving whatever `relim_perf` wrote there —
-   the two sections can run in either order. *)
-let autopilot_bench () =
-  section "AP" "Autopilot: certified relaxation search (quotient covers)";
-  let tight =
-    {
-      Autopilot.default_limits with
-      Autopilot.expand_limit = 50_000.;
-      rc_limit = 4_000;
-      beam = 12;
-      max_steps = 4;
-    }
-  in
-  let runs =
-    [
-      ( "SO(Delta=3)",
-        Lcl.Encodings.sinkless_orientation ~delta:3,
-        Autopilot.default_limits );
-      ("Pi(5,4,2)", Core.Family.pi { Core.Family.delta = 5; a = 4; x = 2 }, tight);
-    ]
-  in
-  let reports =
-    List.map
-      (fun (name, p, limits) ->
-        let r = Autopilot.search ~limits p in
-        result
-          "  %-12s %-24s %d step(s), %d candidate(s), %d budget-skipped, %d \
-           certified, %.2f s@."
-          name
-          (Autopilot.verdict_string r.Autopilot.verdict)
-          (List.length r.Autopilot.steps)
-          r.Autopilot.candidates_explored r.Autopilot.budget_skips
-          r.Autopilot.certified_steps r.Autopilot.wall_s;
-        (name, r))
-      runs
-  in
-  let open Store.Json in
-  let problem_objs =
-    List.map
-      (fun (name, r) ->
-        let extras =
-          match r.Autopilot.verdict with
-          | Autopilot.Fixed_point { period; _ } -> [ ("period", Int period) ]
-          | Autopilot.Upper_bound { steps } ->
-              [ ("upper_bound_rounds", Int steps) ]
-          | Autopilot.Exhausted _ -> []
-        in
-        Obj
-          ([
-             ("name", String name);
-             ("verdict", String (Autopilot.verdict_string r.Autopilot.verdict));
-             ("steps", Int (List.length r.Autopilot.steps));
-             ("candidates_explored", Int r.Autopilot.candidates_explored);
-             ("budget_skips", Int r.Autopilot.budget_skips);
-             ("certified_steps", Int r.Autopilot.certified_steps);
-             ("wall_s", Float r.Autopilot.wall_s);
-           ]
-          @ extras))
-      reports
-  in
-  let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 reports in
-  let ap =
-    Obj
-      [
-        ("problems", List problem_objs);
-        ( "candidates_explored",
-          Int (sum (fun r -> r.Autopilot.candidates_explored)) );
-        ("budget_skips", Int (sum (fun r -> r.Autopilot.budget_skips)));
-        ("certified_steps", Int (sum (fun r -> r.Autopilot.certified_steps)));
-        ( "wall_s",
-          Float
-            (List.fold_left
-               (fun acc (_, r) -> acc +. r.Autopilot.wall_s)
-               0. reports) );
-      ]
-  in
-  let existing =
-    if Sys.file_exists "BENCH_relim.json" then begin
-      let ic = open_in_bin "BENCH_relim.json" in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match of_string s with
-      | Ok (Obj members) -> List.filter (fun (k, _) -> k <> "autopilot") members
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
-  let members =
-    if existing = [] then [ ("bench", String "relim") ] else existing
-  in
-  let oc = open_out "BENCH_relim.json" in
-  output_string oc (to_string (Obj (members @ [ ("autopilot", ap) ])));
-  output_char oc '\n';
-  close_out oc;
-  result "@.merged \"autopilot\" section into BENCH_relim.json@."
-
-(* ------------------------------------------------------------------ *)
-(* ZDD: breaking the Δ wall with the hash-consed family engine         *)
-(* ------------------------------------------------------------------ *)
-
-(* Scaling study on the col_k family (complete-graph k-coloring): the
-   node diagram is a k-antichain, so the right-closed family has
-   2^k - 1 members but a k-node ZDD, and R̄(col_k) = col_k.  The
-   explicit path hits its budgets around k = 11 (box-enumeration work,
-   then the right-closed-set budget from k = 17); the ZDD path runs
-   the same search on the compressed family — fully symbolically while
-   the slot encoding fits (each instance records which rung ran in
-   "zdd_mode") — and completes through k = 20.  Wherever both paths
-   finish, the serialized step outputs are compared byte for byte.
-   The results are merged into BENCH_relim.json as a "zdd" object
-   (preserving the other sections, like the autopilot merge), in the
-   exact shape `validate_json --require-zdd` keys on: per-instance
-   statuses and modes, monotone zdd_nodes, identity flags, and the
-   "mis3_autopilot" regression record. *)
-let zdd_bench () =
-  section "ZDD" "Breaking the Delta wall: hash-consed right-closed families";
-  let col_problem k =
-    let name i = Printf.sprintf "c%d" i in
-    let node =
-      String.concat "\n"
-        (List.init k (fun i ->
-             Printf.sprintf "%s %s %s" (name i) (name i) (name i)))
-    in
-    let edge =
-      String.concat "\n"
-        (List.concat_map
-           (fun i ->
-             List.filter_map
-               (fun j ->
-                 if i < j then Some (Printf.sprintf "%s %s" (name i) (name j))
-                 else None)
-               (List.init k Fun.id))
-           (List.init k Fun.id))
-    in
-    Relim.Parse.problem ~name:(Printf.sprintf "col%d" k) ~node ~edge
-  in
-  let run ~zdd p =
-    Relim.Rounde.reset_stats ();
-    let n0 = Zdd.stats.Zdd.nodes in
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      match Relim.Rounde.rbar ~zdd p with
-      | { Relim.Rounde.problem; denotations } ->
-          `Ok (Relim.Serialize.to_string problem, denotations)
-      | exception Relim.Budget.Budget_exceeded { budget; _ } -> `Budget budget
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    (* Which rung of the zdd ladder ran: the [maxbox_*] counters move
-       only on the fully symbolic path (PR 10), so a nonzero tuple
-       count after the run identifies it. *)
-    let mode =
-      if Relim.Rounde.stats.Relim.Rounde.maxbox_tuples > 0 then "symbolic"
-      else "streaming"
-    in
-    ( outcome,
-      wall,
-      Relim.Rounde.stats.Relim.Rounde.rc_sets,
-      Zdd.stats.Zdd.nodes - n0,
-      Zdd.stats.Zdd.peak_unique,
-      mode )
-  in
-  let ks = [ 6; 8; 10; 12; 14; 16; 18; 19; 20; 21 ] in
-  let rows =
-    List.map
-      (fun k ->
-        let p = col_problem k in
-        let explicit, e_wall, _, _, _, _ = run ~zdd:false p in
-        let zdd, z_wall, z_rc, z_nodes, z_peak, z_mode = run ~zdd:true p in
-        let status = function `Ok _ -> "ok" | `Budget _ -> "budget" in
-        let identical =
-          match (explicit, zdd) with
-          | `Ok a, `Ok b -> Some (a = b)
-          | _ -> None
-        in
-        result
-          "  col%-3d explicit %-6s %7.3fs   zdd %-6s %-9s %7.3fs  rc=%-8d \
-           nodes=%-7d identical=%s@."
-          k (status explicit) e_wall (status zdd) z_mode z_wall z_rc z_nodes
-          (match identical with
-          | Some b -> string_of_bool b
-          | None -> "n/a");
-        (k, explicit, e_wall, zdd, z_wall, z_rc, z_nodes, z_peak, z_mode,
-         identical))
-      ks
-  in
-  let open Store.Json in
-  let instance_objs =
-    List.map
-      (fun ( k, explicit, e_wall, zdd, z_wall, z_rc, z_nodes, z_peak, z_mode,
-             identical )
-         ->
-        let status = function `Ok _ -> "ok" | `Budget _ -> "budget" in
-        let budget = function
-          | `Ok _ -> Null
-          | `Budget b -> String b
-        in
-        Obj
-          [
-            ("name", String (Printf.sprintf "col%d" k));
-            ("k", Int k);
-            ("rc_sets", Int z_rc);
-            ("explicit_status", String (status explicit));
-            ("explicit_budget", budget explicit);
-            ("explicit_wall_s", Float e_wall);
-            ("zdd_status", String (status zdd));
-            ("zdd_budget", budget zdd);
-            ("zdd_mode", String z_mode);
-            ("zdd_wall_s", Float z_wall);
-            ("zdd_nodes", Int z_nodes);
-            ("zdd_peak_unique", Int z_peak);
-            ( "identical",
-              match identical with Some b -> Bool b | None -> Null );
-          ])
-      rows
-  in
-  let first_budget =
-    List.find_map
-      (fun (k, explicit, _, _, _, _, _, _, _, _) ->
-        match explicit with `Budget _ -> Some k | `Ok _ -> None)
-      rows
-  in
-  let zdd_max_ok =
-    List.fold_left
-      (fun acc (k, _, _, zdd, _, _, _, _, _, _) ->
-        match zdd with `Ok _ -> max acc k | `Budget _ -> acc)
-      0 rows
-  in
-  let symbolic_max_ok =
-    List.fold_left
-      (fun acc (k, _, _, zdd, _, _, _, _, z_mode, _) ->
-        match zdd with
-        | `Ok _ when z_mode = "symbolic" -> max acc k
-        | _ -> acc)
-      0 rows
-  in
-  (* The honest cost of the compressed engine on a workload it does
-     NOT accelerate: the full mis Δ=3 sweep cell (step + fixed point +
-     autopilot relaxation search).  Before the PR 10 scan-work budget
-     this cell ran 26x slower under --zdd (the autopilot's monster R̄
-     candidates — 46-label alphabets, past the slotted filter's
-     Δ·n <= 62 envelope — burned minutes in an uncharged quadratic
-     dominance scan before a width budget discarded them anyway); the
-     recorded ratio pins that the gap stays closed. *)
-  let mis3_gap =
-    let cell z =
-      {
-        Sweep.family = Sweep.Mis;
-        delta = 3;
-        a = 0;
-        x = 0;
-        labels = 0;
-        engine = { Sweep.zdd = z; domains = 1; certify = false };
-      }
-    in
-    let budgets = Sweep.default_budgets in
-    let time z =
-      let t0 = Unix.gettimeofday () in
-      ignore (Sweep.run_cell ~budgets (cell z));
-      Unix.gettimeofday () -. t0
-    in
-    let e_wall = time false in
-    let z_wall = time true in
-    result
-      "  mis d=3 sweep cell (autopilot incl.): explicit %7.3fs   zdd %7.3fs  \
-       ratio=%.2fx@."
-      e_wall z_wall (z_wall /. e_wall);
-    Obj
-      [
-        ("cell", String "mis delta=3 full sweep cell (autopilot included)");
-        ("explicit_wall_s", Float e_wall);
-        ("zdd_wall_s", Float z_wall);
-        ("zdd_over_explicit", Float (z_wall /. e_wall));
-      ]
-  in
-  let zdd_obj =
-    Obj
-      [
-        ("family", String "col_k: complete-graph k-coloring, Rbar = identity");
-        ("instances", List instance_objs);
-        ( "wall",
-          Obj
-            [
-              ( "explicit_first_budget_k",
-                match first_budget with Some k -> Int k | None -> Null );
-              ("zdd_completes_k", Int zdd_max_ok);
-              ("symbolic_completes_k", Int symbolic_max_ok);
-            ] );
-        ("mis3_autopilot", mis3_gap);
-      ]
-  in
-  (match first_budget with
-  | Some k when zdd_max_ok >= k ->
-      result
-        "@.the wall moved: explicit path first trips at k = %d, the ZDD path \
-         completes through k = %d@."
-        k zdd_max_ok
-  | _ -> result "@.WARNING: no explicit budget wall observed in this range@.");
-  let existing =
-    if Sys.file_exists "BENCH_relim.json" then begin
-      let ic = open_in_bin "BENCH_relim.json" in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match of_string s with
-      | Ok (Obj members) -> List.filter (fun (k, _) -> k <> "zdd") members
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
-  let members =
-    if existing = [] then [ ("bench", String "relim") ] else existing
-  in
-  let oc = open_out "BENCH_relim.json" in
-  output_string oc (to_string (Obj (members @ [ ("zdd", zdd_obj) ])));
-  output_char oc '\n';
-  close_out oc;
-  result "merged \"zdd\" section into BENCH_relim.json@."
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [
@@ -1748,9 +835,6 @@ let all_sections =
     ("ruling_sets", ruling_sets);
     ("views", views);
     ("congest", congest);
-    ("relim_perf", relim_perf);
-    ("autopilot", autopilot_bench);
-    ("zdd", zdd_bench);
     ("bechamel", bechamel_suite);
   ]
 

@@ -1,7 +1,7 @@
-(* Dependency-free schema validator for the execution traces emitted by
-   lib/trace (the repo deliberately has no JSON library).  Used by
-   `make trace-smoke` and the CI trace leg to guarantee that the traces
-   roundelim writes stay well-formed and internally consistent:
+(* Schema validator for the execution traces emitted by lib/trace, read
+   through lib/store's JSON parser.  Used by `make trace-smoke`, the CI
+   trace leg and test/cli to guarantee that the traces roundelim writes
+   stay well-formed and internally consistent:
 
    - every line (JSONL) / traceEvents element (--chrome) parses as JSON
      with the expected fields;
@@ -22,183 +22,16 @@
    usage errors.  Failure messages name the file, the line (JSONL) or
    event index (--chrome), and the violated property. *)
 
-(* ---- minimal JSON parser (value AST, RFC 8259 grammar) ---- *)
+module Json = Store.Json
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+let member = Json.member
 
-exception Bad of int * string
-
-let parse (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, found %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, found end of input" c)
-  in
-  let skip_ws () =
-    while
-      match peek () with Some (' ' | '\t' | '\n' | '\r') -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let literal word = String.iter expect word in
-  let string_body () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              let code = ref 0 in
-              for _ = 1 to 4 do
-                (match peek () with
-                | Some ('0' .. '9' as c) ->
-                    code := (!code * 16) + (Char.code c - Char.code '0')
-                | Some ('a' .. 'f' as c) ->
-                    code := (!code * 16) + (Char.code c - Char.code 'a' + 10)
-                | Some ('A' .. 'F' as c) ->
-                    code := (!code * 16) + (Char.code c - Char.code 'A' + 10)
-                | _ -> fail "bad \\u escape");
-                advance ()
-              done;
-              (* The traces only escape control characters; keep them
-                 byte-for-byte when they fit, '?' otherwise. *)
-              Buffer.add_char buf
-                (if !code < 0x100 then Char.chr !code else '?');
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let saw = ref false in
-      while match peek () with Some '0' .. '9' -> true | _ -> false do
-        saw := true;
-        advance ()
-      done;
-      if not !saw then fail "expected digit"
-    in
-    (match peek () with
-    | Some '0' -> advance ()
-    | Some '1' .. '9' -> digits ()
-    | _ -> fail "bad number");
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (string_body ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let members = ref [] in
-          let rec go () =
-            skip_ws ();
-            let key = string_body () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            members := (key, v) :: !members;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); go ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected , or } in object"
-          in
-          go ();
-          Obj (List.rev !members)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let elements = ref [] in
-          let rec go () =
-            let v = value () in
-            elements := v :: !elements;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); go ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected , or ] in array"
-          in
-          go ();
-          Arr (List.rev !elements)
-        end
-    | Some 't' -> literal "true"; Bool true
-    | Some 'f' -> literal "false"; Bool false
-    | Some 'n' -> literal "null"; Null
-    | Some ('-' | '0' .. '9') -> Num (number ())
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-    | None -> fail "empty input"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage after the JSON value";
-  v
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
+(* lib/trace prints gauge values (JSONL "g" events, Chrome "C" events)
+   with %.6g, so a number may parse as either an Int or a Float. *)
+let as_int = function
+  | Some (Json.Int i) -> Some i
+  | Some (Json.Float f) -> Some (int_of_float f)
   | _ -> None
-
-let as_int = function Some (Num f) -> Some (int_of_float f) | _ -> None
-
-let as_str = function Some (Str s) -> Some s | _ -> None
-
-(* ---- validation ---- *)
 
 (* One normalized event, whichever format it came from. *)
 type ev =
@@ -215,7 +48,7 @@ let failf where fmt =
   Printf.ksprintf (fun msg -> raise (Invalid (where ^ ": " ^ msg))) fmt
 
 let need_str where what v =
-  match as_str v with
+  match Option.bind v Json.string_opt with
   | Some s -> s
   | None -> failf where "missing or non-string %s" what
 
@@ -226,10 +59,9 @@ let need_int where what v =
 
 let norm_jsonl ~where line =
   let j =
-    match parse line with
-    | j -> j
-    | exception Bad (pos, msg) ->
-        failf where "invalid JSON at byte %d: %s" pos msg
+    match Json.of_string line with
+    | Ok j -> j
+    | Error msg -> failf where "invalid JSON: %s" msg
   in
   let dom = need_int where "\"dom\"" (member "dom" j) in
   let ts = need_int where "\"ts\"" (member "ts" j) in
@@ -241,13 +73,12 @@ let norm_jsonl ~where line =
     | "i" -> Instant (name ())
     | "g" ->
         ignore (name ());
-        (match member "value" j with
-        | Some (Num _) -> ()
-        | _ -> failf where "gauge event without numeric \"value\"");
+        if as_int (member "value" j) = None then
+          failf where "gauge event without numeric \"value\"";
         Instant "gauge"
     | "c" -> (
         match member "counters" j with
-        | Some (Obj kvs) ->
+        | Some (Json.Obj kvs) ->
             Counter
               (List.map
                  (fun (k, v) ->
@@ -270,9 +101,9 @@ let norm_chrome ~where j =
     | "C" -> (
         match member "args" j with
         | Some args -> (
-            match member "value" args with
-            | Some (Num v) -> Counter [ (name, int_of_float v) ]
-            | _ -> failf where "counter event without args.value")
+            match as_int (member "value" args) with
+            | Some v -> Counter [ (name, v) ]
+            | None -> failf where "counter event without args.value")
         | None -> failf where "counter event without args")
     | "M" -> Instant name  (* metadata: tolerated, not checked *)
     | other -> failf where "unknown phase %S" other
@@ -412,13 +243,12 @@ let events_of_jsonl path =
 
 let events_of_chrome path =
   let j =
-    match parse (read_file path) with
-    | j -> j
-    | exception Bad (pos, msg) ->
-        raise (Invalid (Printf.sprintf "%s: invalid JSON at byte %d: %s" path pos msg))
+    match Json.of_string (read_file path) with
+    | Ok j -> j
+    | Error msg -> failf path "invalid JSON: %s" msg
   in
   match member "traceEvents" j with
-  | Some (Arr items) ->
+  | Some (Json.List items) ->
       List.mapi
         (fun i item ->
           norm_chrome ~where:(Printf.sprintf "%s: event %d" path i) item)

@@ -1,5 +1,5 @@
 (** Minimal blocking JSON-lines client for [roundelimd], shared by the
-    tests, the load-generator bench and the CLI client mode. *)
+    tests and the CLI client mode. *)
 
 type t
 

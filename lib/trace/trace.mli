@@ -6,9 +6,8 @@
     {e counter samples} ({!counters}, {!Counter}) and float-valued
     {e gauges} ({!Gauge}).  All of it is disabled by default: every
     entry point first reads one atomic flag and returns immediately, so
-    an untraced run pays only that load (measured well under 1% on the
-    engine benches — see the trace_overhead section of
-    BENCH_relim.json).
+    an untraced run pays only that load (see the TRACE section of
+    EXPERIMENTS.md).
 
     {2 Per-domain attribution}
 

@@ -1,16 +1,15 @@
-(* analyze_sweep — fold a relimsweep journal into the benchmark file
-   and the experiment tables.
+(* analyze_sweep — fold a relimsweep journal into the experiment
+   tables.
 
    Usage:
-     analyze_sweep JOURNAL [--bench BENCH_relim.json] [--md] [--n N]
+     analyze_sweep JOURNAL [--md] [--n N]
 
    Verifies the journal covers its declared grid completely, then
    produces (a) a bound-curve table juxtaposing Theorem 1 / Corollary 2
    lower bounds with Localsim-measured upper bounds per Δ, (b) an
    engine-comparison table (explicit vs zdd walls, certify overhead)
-   and (c) per-cell verdicts — merged as the "sweep" section of the
-   benchmark JSON (other sections are preserved untouched), or printed
-   as markdown with --md.  Exit 1 on coverage gaps, 2 on malformed
+   and (c) per-cell verdicts — printed as one JSON object on stdout,
+   or as markdown with --md.  Exit 1 on coverage gaps, 2 on malformed
    input.  No dependencies beyond the repo's own libraries: JSON goes
    through lib/store's parser. *)
 
@@ -223,31 +222,6 @@ let sweep_section ~n ~journal_path j =
       ("engine_comparison", engine_comparison j.records);
     ]
 
-(* Same merge idiom as the autopilot/zdd bench sections: preserve every
-   other section byte-for-byte, replace only "sweep". *)
-let merge_bench ~bench section =
-  let existing =
-    if Sys.file_exists bench then begin
-      let ic = open_in_bin bench in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Store.Json.of_string s with
-      | Ok (Store.Json.Obj members) ->
-          List.filter (fun (k, _) -> k <> "sweep") members
-      | Ok _ | Error _ -> []
-    end
-    else []
-  in
-  let members =
-    if existing = [] then [ ("bench", Store.Json.String "relim") ]
-    else existing
-  in
-  let oc = open_out bench in
-  output_string oc
-    (Store.Json.to_string (Store.Json.Obj (members @ [ ("sweep", section) ])));
-  output_char oc '\n';
-  close_out oc
-
 (* ---- markdown ----------------------------------------------------- *)
 
 let md_of_section section =
@@ -331,14 +305,10 @@ let md_of_section section =
 
 let () =
   let journal = ref None in
-  let bench = ref None in
   let md = ref false in
   let n = ref 512 in
   let rec parse = function
     | [] -> ()
-    | "--bench" :: path :: rest ->
-        bench := Some path;
-        parse rest
     | "--md" :: rest ->
         md := true;
         parse rest
@@ -357,18 +327,10 @@ let () =
   let journal_path =
     match !journal with
     | Some p -> p
-    | None ->
-        fail "usage: analyze_sweep JOURNAL [--bench FILE] [--md] [--n N]"
+    | None -> fail "usage: analyze_sweep JOURNAL [--md] [--n N]"
   in
   let j = load journal_path in
   check_coverage j;
   let section = sweep_section ~n:!n ~journal_path j in
-  (match !bench with
-  | Some bench ->
-      merge_bench ~bench section;
-      Printf.printf "analyze_sweep: merged \"sweep\" section (%d cells) into %s\n"
-        (List.length j.records) bench
-  | None -> ());
-  if !md then print_string (md_of_section section);
-  if !bench = None && not !md then
-    print_string (Store.Json.to_string section ^ "\n")
+  if !md then print_string (md_of_section section)
+  else print_string (Store.Json.to_string section ^ "\n")

@@ -1,12 +1,17 @@
 (* End-to-end tests of the roundelim binary's tracing interface,
    driving the real executable (path in $ROUNDELIM, set by the dune
-   stanza).  The key regression: an unwritable --trace path must abort
-   with a clear error and exit code 2 before any engine work runs. *)
+   stanza) and checking the traces it writes with the schema validator
+   ($VALIDATE_TRACE).  The key regression: an unwritable --trace path
+   must abort with a clear error and exit code 2 before any engine work
+   runs. *)
 
-let roundelim =
-  match Sys.getenv_opt "ROUNDELIM" with
+let exe var =
+  match Sys.getenv_opt var with
   | Some p -> p
-  | None -> Alcotest.fail "ROUNDELIM not set (run via dune runtest)"
+  | None -> Alcotest.fail (var ^ " not set (run via dune runtest)")
+
+let roundelim = exe "ROUNDELIM"
+let validate_trace = exe "VALIDATE_TRACE"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -15,8 +20,9 @@ let read_file path =
   close_in ic;
   s
 
-(* Runs [roundelim args], returning (exit code, stdout, stderr). *)
-let run ?(env = []) args =
+(* Runs [bin args] (roundelim by default), returning (exit code, stdout,
+   stderr). *)
+let run ?(env = []) ?(bin = roundelim) args =
   let out = Filename.temp_file "cli_out" ".txt" in
   let err = Filename.temp_file "cli_err" ".txt" in
   let env_prefix =
@@ -24,7 +30,7 @@ let run ?(env = []) args =
       (List.map (fun (k, v) -> Printf.sprintf "%s=%s " k (Filename.quote v)) env)
   in
   let cmd =
-    Printf.sprintf "%s%s %s > %s 2> %s" env_prefix (Filename.quote roundelim)
+    Printf.sprintf "%s%s %s > %s 2> %s" env_prefix (Filename.quote bin)
       args (Filename.quote out) (Filename.quote err)
   in
   let code = Sys.command cmd in
@@ -65,12 +71,29 @@ let test_trace_jsonl_written () =
   in
   Alcotest.(check int) "exit code 0" 0 code;
   let trace = read_file path in
+  let vcode, _, verr = run ~bin:validate_trace (Filename.quote path) in
   Sys.remove path;
+  Alcotest.(check int) ("validate_trace accepts it: " ^ verr) 0 vcode;
   Alcotest.(check bool) "jsonl object lines" true
     (String.length trace > 0 && trace.[0] = '{');
   Alcotest.(check bool) "engine spans recorded" true
     (contains ~sub:"\"rounde.step\"" trace
-    && contains ~sub:"\"rounde.r_calls\"" trace)
+    && contains ~sub:"\"rounde.r_calls\"" trace);
+  (* The same trace with its last line cut in half, as a killed writer
+     leaves it, must be refused. *)
+  let last = String.rindex_from trace (String.length trace - 2) '\n' + 1 in
+  let cut = last + ((String.length trace - last) / 2) in
+  let torn = Filename.temp_file "cli_trace_torn" ".jsonl" in
+  let oc = open_out_bin torn in
+  output_string oc (String.sub trace 0 cut);
+  close_out oc;
+  let tcode, _, terr = run ~bin:validate_trace (Filename.quote torn) in
+  Sys.remove torn;
+  Alcotest.(check int) "torn trace exits 1" 1 tcode;
+  Alcotest.(check bool)
+    ("names the file and the bad JSON: " ^ terr)
+    true
+    (contains ~sub:torn terr && contains ~sub:"invalid JSON" terr)
 
 let test_trace_chrome_written () =
   let path = Filename.temp_file "cli_trace" ".json" in
@@ -81,7 +104,11 @@ let test_trace_chrome_written () =
   in
   Alcotest.(check int) "exit code 0" 0 code;
   let trace = read_file path in
+  let vcode, _, verr =
+    run ~bin:validate_trace ("--chrome " ^ Filename.quote path)
+  in
   Sys.remove path;
+  Alcotest.(check int) ("validate_trace --chrome accepts it: " ^ verr) 0 vcode;
   Alcotest.(check bool) "trace_event wrapper" true
     (contains ~sub:"{\"traceEvents\":[" trace
     && contains ~sub:"\"displayTimeUnit\":\"ms\"" trace);

@@ -25,11 +25,11 @@
       explicit vs ZDD — "engine_counters"; across domain counts only
       engine_counters.transport_cache_hits may differ).
 
-   4. End-to-end CLI tests driving the real relimsweep, analyze_sweep
-      and validate_json executables (paths in $RELIMSWEEP etc., set by
-      the dune stanza): journal -> merged bench section ->
-      --require-sweep validation, plus the unknown-section passthrough
-      contract of the validator. *)
+   4. End-to-end CLI tests driving the real relimsweep and
+      analyze_sweep executables (paths in $RELIMSWEEP and
+      $ANALYZE_SWEEP, set by the dune stanza): journal -> analyzed
+      "sweep" section, checked against the sweep contract, and a
+      partial journal refused. *)
 
 module J = Store.Json
 
@@ -569,7 +569,7 @@ let test_cross_engine_identity () =
     identity_cells
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: CLI end-to-end (relimsweep / analyze_sweep / validate_json) *)
+(* Part 4: CLI end-to-end (relimsweep / analyze_sweep)                 *)
 (* ------------------------------------------------------------------ *)
 
 let exe name =
@@ -596,33 +596,15 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let replace ~sub ~by s =
-  let n = String.length s and m = String.length sub in
-  let buf = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    if !i + m <= n && String.sub s !i m = sub then begin
-      Buffer.add_string buf by;
-      i := !i + m
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
 let cli_grid_args =
   "--families so,col --deltas 2 --label-counts 2 --ap-steps 1 --ap-beam 2 \
    --fixed-clock -q"
 
-(* One fixed-clock CLI sweep + its merged bench section, shared by the
-   CLI tests below: (journal bytes, bench text). *)
+(* One fixed-clock CLI sweep and its analysis, shared by the CLI tests
+   below: (the "sweep" section analyze_sweep prints, its markdown). *)
 let cli_artifacts =
   lazy
     (let journal = Filename.temp_file "cli_sweep" ".jsonl" in
-     let bench = Filename.temp_file "cli_bench" ".json" in
-     Sys.remove bench;
      let code, _, err =
        run_cmd (exe "RELIMSWEEP")
          (Printf.sprintf "--out %s %s" (Filename.quote journal) cli_grid_args)
@@ -640,14 +622,16 @@ let cli_artifacts =
      let second = read_file journal in
      if not (String.equal first second) then
        Alcotest.fail "relimsweep re-run modified a completed journal";
-     let code3, _, err3 =
-       run_cmd (exe "ANALYZE_SWEEP")
-         (Printf.sprintf "%s --bench %s" (Filename.quote journal)
-            (Filename.quote bench))
+     let code3, json, err3 =
+       run_cmd (exe "ANALYZE_SWEEP") (Filename.quote journal)
      in
      if code3 <> 0 then
        Alcotest.failf "analyze_sweep failed (exit %d): %s" code3 err3;
-     let bench_text = read_file bench in
+     let section =
+       match J.of_string json with
+       | Ok j -> j
+       | Error e -> Alcotest.failf "analyze_sweep printed invalid JSON: %s" e
+     in
      let code4, md, err4 =
        run_cmd (exe "ANALYZE_SWEEP")
          (Printf.sprintf "%s --md" (Filename.quote journal))
@@ -655,21 +639,51 @@ let cli_artifacts =
      if code4 <> 0 then
        Alcotest.failf "analyze_sweep --md failed (exit %d): %s" code4 err4;
      Sys.remove journal;
-     Sys.remove bench;
-     (first, bench_text, md))
+     (section, md))
 
-let with_temp_json text f =
-  let path = Filename.temp_file "sweep_bench" ".json" in
-  write_file path text;
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let test_cli_pipeline_validates () =
-  let _, bench_text, _ = Lazy.force cli_artifacts in
-  with_temp_json bench_text (fun path ->
-      let code, _, err =
-        run_cmd (exe "VALIDATE_JSON") ("--require-sweep " ^ Filename.quote path)
+(* The sweep contract on analyze_sweep's section: the journal covered
+   its whole grid, the status tallies and the per-cell rows both
+   account for every expected cell, and a row names a budget exactly
+   when its status is "budget". *)
+let test_cli_sweep_contract () =
+  let section, _ = Lazy.force cli_artifacts in
+  let int_of what = function
+    | J.Int i -> i
+    | j -> Alcotest.failf "%s is not an integer: %s" what (J.to_string j)
+  in
+  Alcotest.(check bool)
+    "complete" true
+    (member "complete" section = J.Bool true);
+  let expected =
+    int_of "grid.expected_cells"
+      (member "expected_cells" (member "grid" section))
+  in
+  let tally s =
+    int_of ("statuses." ^ s) (member s (member "statuses" section))
+  in
+  Alcotest.(check int)
+    "ok + budget + skipped = expected_cells" expected
+    (tally "ok" + tally "budget" + tally "skipped");
+  let rows =
+    match member "cells" section with
+    | J.List rows -> rows
+    | j -> Alcotest.failf "cells is not a list: %s" (J.to_string j)
+  in
+  Alcotest.(check int) "one cells row per expected cell" expected
+    (List.length rows);
+  List.iter
+    (fun row ->
+      let tag = J.to_string (member "cell" row) in
+      let status =
+        match member "status" row with
+        | J.String ("ok" | "budget" | "skipped" as s) -> s
+        | j -> Alcotest.failf "%s: unknown status %s" tag (J.to_string j)
       in
-      Alcotest.(check int) ("validator accepts the merged bench: " ^ err) 0 code)
+      Alcotest.(check bool)
+        (tag ^ ": budget is null exactly when status is not budget")
+        (status <> "budget")
+        (member "budget" row = J.Null))
+    rows
 
 let test_cli_interrupted_exit_code () =
   let journal = Filename.temp_file "cli_partial" ".jsonl" in
@@ -679,10 +693,15 @@ let test_cli_interrupted_exit_code () =
       (Printf.sprintf "--out %s --max-cells 1 %s" (Filename.quote journal)
          cli_grid_args)
   in
-  Alcotest.(check int) "incomplete sweep exits 3" 3 code
+  Alcotest.(check int) "incomplete sweep exits 3" 3 code;
+  let code, _, err = run_cmd (exe "ANALYZE_SWEEP") (Filename.quote journal) in
+  Alcotest.(check int) "analyze_sweep refuses the partial journal" 1 code;
+  Alcotest.(check bool)
+    "names the coverage gap" true
+    (contains ~sub:"does not cover its grid" err)
 
 let test_cli_markdown () =
-  let _, _, md = Lazy.force cli_artifacts in
+  let _, md = Lazy.force cli_artifacts in
   Alcotest.(check bool) "bound-curve table" true (contains ~sub:"Bound curve" md);
   Alcotest.(check bool)
     "engine-comparison table" true
@@ -691,59 +710,6 @@ let test_cli_markdown () =
   Alcotest.(check bool)
     "escapes pipes inside cell ids" true
     (contains ~sub:"\\|" md)
-
-let test_validator_rejects_incomplete () =
-  let _, bench_text, _ = Lazy.force cli_artifacts in
-  let broken =
-    replace ~sub:"\"complete\":true" ~by:"\"complete\":false" bench_text
-  in
-  Alcotest.(check bool)
-    "corruption applied" true
-    (not (String.equal broken bench_text));
-  with_temp_json broken (fun path ->
-      let code, _, err =
-        run_cmd (exe "VALIDATE_JSON") ("--require-sweep " ^ Filename.quote path)
-      in
-      Alcotest.(check int) "incomplete sweep rejected" 1 code;
-      Alcotest.(check bool)
-        "error names completeness" true
-        (contains ~sub:"complete" err))
-
-let test_validator_requires_sweep () =
-  with_temp_json "{\"bench\":\"relim\"}\n" (fun path ->
-      let code, _, err =
-        run_cmd (exe "VALIDATE_JSON") ("--require-sweep " ^ Filename.quote path)
-      in
-      Alcotest.(check int) "missing sweep section rejected" 1 code;
-      Alcotest.(check bool) "error names the section" true
-        (contains ~sub:"sweep" err);
-      (* Without the flag the same file is fine. *)
-      let code2, _, _ = run_cmd (exe "VALIDATE_JSON") (Filename.quote path) in
-      Alcotest.(check int) "no flag, no requirement" 0 code2)
-
-(* The validator must pass unknown top-level sections through
-   untouched: future bench sections must not break old validators. *)
-let test_validator_unknown_section_passthrough () =
-  let _, bench_text, _ = Lazy.force cli_artifacts in
-  let widened =
-    replace ~sub:"{\"bench\":\"relim\""
-      ~by:
-        "{\"bench\":\"relim\",\"mystery\":{\"a\":[1,2,{\"deep\":null}],\"b\":\"x \
-         y\"}"
-      bench_text
-  in
-  Alcotest.(check bool)
-    "unknown section spliced in" true
-    (not (String.equal widened bench_text));
-  with_temp_json widened (fun path ->
-      let code, _, err = run_cmd (exe "VALIDATE_JSON") (Filename.quote path) in
-      Alcotest.(check int) ("unknown section tolerated: " ^ err) 0 code;
-      let code2, _, err2 =
-        run_cmd (exe "VALIDATE_JSON") ("--require-sweep " ^ Filename.quote path)
-      in
-      Alcotest.(check int)
-        ("unknown section + --require-sweep: " ^ err2)
-        0 code2)
 
 (* ------------------------------------------------------------------ *)
 
@@ -778,15 +744,9 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "sweep -> analyze -> validate" `Quick
-            test_cli_pipeline_validates;
+            test_cli_sweep_contract;
           Alcotest.test_case "interrupted sweep exits 3" `Quick
             test_cli_interrupted_exit_code;
           Alcotest.test_case "markdown tables" `Quick test_cli_markdown;
-          Alcotest.test_case "validator rejects complete=false" `Quick
-            test_validator_rejects_incomplete;
-          Alcotest.test_case "validator --require-sweep" `Quick
-            test_validator_requires_sweep;
-          Alcotest.test_case "unknown-section passthrough" `Quick
-            test_validator_unknown_section_passthrough;
         ] );
     ]

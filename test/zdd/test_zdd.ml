@@ -384,7 +384,7 @@ let test_rbar_parity_families () =
         ~what:(Printf.sprintf "col%d rbar" k)
         (fun ~zdd p -> run_rbar ~zdd p)
         (col_problem k))
-    [ 2; 4; 6; 8 ];
+    [ 2; 4; 6; 8; 10 ];
   List.iter
     (fun n ->
       check_parity

@@ -641,19 +641,23 @@ let cli_artifacts =
      Sys.remove journal;
      (section, md))
 
-(* The sweep contract on analyze_sweep's section: the journal covered
-   its whole grid, the status tallies and the per-cell rows both
-   account for every expected cell, and a row names a budget exactly
-   when its status is "budget". *)
-let test_cli_sweep_contract () =
-  let section, _ = Lazy.force cli_artifacts in
+(* The sweep contract on analyze_sweep's section, as the list of its
+   violations (empty when it holds): the journal covered its whole
+   grid, the status tallies and the per-cell rows both account for
+   every expected cell, and a row names a budget exactly when its
+   status is "budget". *)
+let sweep_contract_violations section =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let int_of what = function
-    | J.Int i -> i
-    | j -> Alcotest.failf "%s is not an integer: %s" what (J.to_string j)
+    | J.Int i -> Some i
+    | j ->
+        err "%s is not an integer: %s" what (J.to_string j);
+        None
   in
-  Alcotest.(check bool)
-    "complete" true
-    (member "complete" section = J.Bool true);
+  (match member "complete" section with
+  | J.Bool true -> ()
+  | j -> err "journal did not cover its grid: complete=%s" (J.to_string j));
   let expected =
     int_of "grid.expected_cells"
       (member "expected_cells" (member "grid" section))
@@ -661,29 +665,50 @@ let test_cli_sweep_contract () =
   let tally s =
     int_of ("statuses." ^ s) (member s (member "statuses" section))
   in
-  Alcotest.(check int)
-    "ok + budget + skipped = expected_cells" expected
-    (tally "ok" + tally "budget" + tally "skipped");
-  let rows =
-    match member "cells" section with
-    | J.List rows -> rows
-    | j -> Alcotest.failf "cells is not a list: %s" (J.to_string j)
-  in
-  Alcotest.(check int) "one cells row per expected cell" expected
-    (List.length rows);
-  List.iter
-    (fun row ->
-      let tag = J.to_string (member "cell" row) in
-      let status =
-        match member "status" row with
-        | J.String ("ok" | "budget" | "skipped" as s) -> s
-        | j -> Alcotest.failf "%s: unknown status %s" tag (J.to_string j)
-      in
+  (match (expected, tally "ok", tally "budget", tally "skipped") with
+  | Some e, Some ok, Some budget, Some skipped when ok + budget + skipped <> e
+    ->
+      err "ok + budget + skipped = %d, but expected_cells = %d"
+        (ok + budget + skipped) e
+  | _ -> ());
+  (match member "cells" section with
+  | J.List rows ->
+      (match expected with
+      | Some e when List.length rows <> e ->
+          err "%d cells rows, but expected_cells = %d" (List.length rows) e
+      | _ -> ());
+      List.iter
+        (fun row ->
+          let tag = J.to_string (member "cell" row) in
+          match member "status" row with
+          | J.String ("ok" | "budget" | "skipped" as status) ->
+              if (status <> "budget") <> (member "budget" row = J.Null) then
+                err "%s: budget must be null exactly when status is not budget"
+                  tag
+          | j -> err "%s: unknown status %s" tag (J.to_string j))
+        rows
+  | j -> err "cells is not a list: %s" (J.to_string j));
+  List.rev !errs
+
+let test_cli_sweep_contract () =
+  let section, _ = Lazy.force cli_artifacts in
+  Alcotest.(check (list string))
+    "sweep contract violations" []
+    (sweep_contract_violations section)
+
+(* The contract check is the gate that replaced the bench validator: a
+   section claiming an incomplete journal must fail it, with the error
+   naming completeness. *)
+let test_validator_rejects_incomplete () =
+  let section, _ = Lazy.force cli_artifacts in
+  let broken = map_member "complete" (fun _ -> J.Bool false) section in
+  Alcotest.(check bool) "corruption applied" true (broken <> section);
+  match sweep_contract_violations broken with
+  | [] -> Alcotest.fail "incomplete sweep accepted"
+  | errs ->
       Alcotest.(check bool)
-        (tag ^ ": budget is null exactly when status is not budget")
-        (status <> "budget")
-        (member "budget" row = J.Null))
-    rows
+        "error names completeness" true
+        (List.exists (contains ~sub:"complete") errs)
 
 let test_cli_interrupted_exit_code () =
   let journal = Filename.temp_file "cli_partial" ".jsonl" in
@@ -748,5 +773,7 @@ let () =
           Alcotest.test_case "interrupted sweep exits 3" `Quick
             test_cli_interrupted_exit_code;
           Alcotest.test_case "markdown tables" `Quick test_cli_markdown;
+          Alcotest.test_case "validator rejects complete=false" `Quick
+            test_validator_rejects_incomplete;
         ] );
     ]

@@ -1,5 +1,6 @@
-.PHONY: all build test check bench relbench-smoke fuzz-smoke examples-smoke \
-	trace-smoke daemond-smoke autopilot-smoke zdd-smoke sweep-smoke clean
+.PHONY: all build test check bench relbench-smoke relbench-ab fuzz-smoke \
+	examples-smoke trace-smoke daemond-smoke autopilot-smoke zdd-smoke \
+	sweep-smoke clean
 
 all: build
 
@@ -26,6 +27,21 @@ relbench-smoke:
 	sh relbench/run.sh --workload steps --seed 1 --seconds 0 --trace 0
 	sh relbench/run.sh --workload autopilot --seed 1 --seconds 0 --trace 0
 	sh relbench/run.sh --workload daemon --seed 1 --seconds 0 --trace 0
+
+# A/B comparison against a checkout of the parent commit, for a perf
+# claim: 10 alternating pairs of runs of WORKLOAD, each as long as
+# BENCHMARK.json's run_seconds, a new seed per pair; prints every run,
+# then each end-to-end metric's medians, quartiles and wins
+# (scripts/relbench_ab.ml).  Not in CI: a 30-s pair takes over a
+# minute.  Example:
+#   git worktree add ../parent HEAD~1 && make relbench-ab PARENT=../parent
+PARENT ?=
+WORKLOAD ?= steps
+relbench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make relbench-ab PARENT=<parent checkout>"; exit 2; }
+	dune build scripts/relbench_ab.exe
+	./_build/default/scripts/relbench_ab.exe --parent $(PARENT) --change . \
+	  --workload $(WORKLOAD)
 
 # End-to-end smoke of the round-elimination daemon and its
 # certificate-gated result store: cold batch, garbage rejection, kill -9,

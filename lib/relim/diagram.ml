@@ -1,6 +1,25 @@
 type label = Labelset.label
 
-type t = { alpha : Alphabet.t; geq : bool array array; exact : bool }
+(* [weaker.(a)] is the set of labels [a] is strictly stronger than:
+   [minimal_elements] tests a member with one AND against it. *)
+type t = {
+  alpha : Alphabet.t;
+  geq : bool array array;
+  exact : bool;
+  weaker : Labelset.t array;
+}
+
+let make alpha geq exact =
+  let n = Alphabet.size alpha in
+  let weaker =
+    Array.init n (fun a ->
+        let acc = ref Labelset.empty in
+        for b = 0 to n - 1 do
+          if geq.(a).(b) && not geq.(b).(a) then acc := Labelset.add b !acc
+        done;
+        !acc)
+  in
+  { alpha; geq; exact; weaker }
 
 let alphabet d = d.alpha
 
@@ -51,7 +70,7 @@ let edge_diagram p =
       geq.(a).(b) <- !ok
     done
   done;
-  { alpha = p.Problem.alpha; geq; exact = true }
+  make p.Problem.alpha geq true
 
 let node_diagram ?(expand_limit = 200_000.) p =
   let n = Alphabet.size p.Problem.alpha in
@@ -59,17 +78,28 @@ let node_diagram ?(expand_limit = 200_000.) p =
   let geq = Array.make_matrix n n false in
   let exact = Constr.expansion_estimate node <= expand_limit in
   if exact then begin
-    let tbl = Hashtbl.create 4096 in
-    List.iter (fun m -> Hashtbl.replace tbl m ()) (Constr.expand node);
-    let configs = Hashtbl.fold (fun m () acc -> m :: acc) tbl [] in
+    (* One pass over the allowed configurations.  For every context s
+       (an allowed configuration minus one label), full(s) is the set
+       of labels x with s + x allowed.  By definition a >= b iff every
+       context that b completes is also completed by a, i.e. a lies in
+       the intersection of the full(s) that contain b. *)
+    let full = Hashtbl.create 4096 in
+    List.iter
+      (fun m ->
+        Labelset.iter
+          (fun b ->
+            let s = Multiset.remove_one b m in
+            let cur = Option.value ~default:Labelset.empty (Hashtbl.find_opt full s) in
+            Hashtbl.replace full s (Labelset.add b cur))
+          (Multiset.support m))
+      (Constr.expand node);
+    let stronger = Array.make n (Labelset.full n) in
+    Hashtbl.iter
+      (fun _ f -> Labelset.iter (fun b -> stronger.(b) <- Labelset.inter stronger.(b) f) f)
+      full;
     for a = 0 to n - 1 do
       for b = 0 to n - 1 do
-        geq.(a).(b) <-
-          List.for_all
-            (fun m ->
-              (not (Multiset.mem b m))
-              || Hashtbl.mem tbl (Multiset.replace_one ~remove:b ~add:a m))
-            configs
+        geq.(a).(b) <- Labelset.mem a stronger.(b)
       done
     done
   end
@@ -106,7 +136,7 @@ let node_diagram ?(expand_limit = 200_000.) p =
       done
     done
   end;
-  { alpha = p.Problem.alpha; geq; exact }
+  make p.Problem.alpha geq exact
 
 let above d l =
   let n = Alphabet.size d.alpha in
@@ -282,10 +312,7 @@ let right_closed_sets_zdd ?limit ?node_limit d =
   List.rev !acc
 
 let minimal_elements d s =
-  Labelset.filter
-    (fun l ->
-      Labelset.for_all (fun l' -> l' = l || not (gt d l l')) s)
-    s
+  Labelset.filter (fun l -> Labelset.is_empty (Labelset.inter s d.weaker.(l))) s
 
 let hasse_edges d =
   let n = Alphabet.size d.alpha in

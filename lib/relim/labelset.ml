@@ -52,19 +52,40 @@ let elements s =
 
 let of_list ls = List.fold_left (fun acc l -> add l acc) empty ls
 
-let fold f s init = List.fold_left (fun acc l -> f l acc) init (elements s)
+(* Index of the lowest member of a non-empty set: a binary search on
+   its isolated low bit, six steps for any bit of the word. *)
+let lowest s =
+  let b = ref (s land -s) and n = ref 0 in
+  if !b land 0xFFFF_FFFF = 0 then begin n := 32; b := !b lsr 32 end;
+  if !b land 0xFFFF = 0 then begin n := !n + 16; b := !b lsr 16 end;
+  if !b land 0xFF = 0 then begin n := !n + 8; b := !b lsr 8 end;
+  if !b land 0xF = 0 then begin n := !n + 4; b := !b lsr 4 end;
+  if !b land 0x3 = 0 then begin n := !n + 2; b := !b lsr 2 end;
+  if !b land 0x1 = 0 then !n + 1 else !n
 
-let iter f s = List.iter f (elements s)
+(* The iterators walk the set bits in ascending order, clearing the
+   lowest one each step; nothing is allocated. *)
+let rec fold f s acc = if s = 0 then acc else fold f (s land (s - 1)) (f (lowest s) acc)
 
-let for_all p s = List.for_all p (elements s)
+let rec iter f s =
+  if s <> 0 then begin
+    f (lowest s);
+    iter f (s land (s - 1))
+  end
 
-let exists p s = List.exists p (elements s)
+let rec for_all p s = s = 0 || (p (lowest s) && for_all p (s land (s - 1)))
 
-let filter p s = fold (fun l acc -> if p l then add l acc else acc) s empty
+let rec exists p s = s <> 0 && (p (lowest s) || exists p (s land (s - 1)))
 
-let choose s = if s = 0 then raise Not_found else
-  let rec go l = if mem l s then l else go (l + 1) in
-  go 0
+let rec filter_into p s acc =
+  if s = 0 then acc
+  else
+    let l = lowest s in
+    filter_into p (s land (s - 1)) (if p l then acc lor (1 lsl l) else acc)
+
+let filter p s = filter_into p s 0
+
+let choose s = if s = 0 then raise Not_found else lowest s
 
 let nonempty_subsets s =
   (* Iterate sub-bitsets of [s] with the standard [(x - 1) land s] trick. *)

@@ -61,6 +61,14 @@ val elements : t -> label list
 
 val of_list : label list -> t
 
+(** {2 Iteration}
+
+    [fold], [iter], [for_all], [exists] and [filter] visit the members
+    in ascending label order — the order of {!elements} — by walking
+    the set bits of the word, and allocate nothing themselves.
+    [for_all] and [exists] stop at the first member that decides the
+    result. *)
+
 val fold : (label -> 'a -> 'a) -> t -> 'a -> 'a
 
 val iter : (label -> unit) -> t -> unit

@@ -49,6 +49,19 @@ let stats =
    ([Sys.time], which sums over threads) would be misleading. *)
 let now () = Unix.gettimeofday ()
 
+(* [timed add f] runs [f] and passes its wall time to [add], also when
+   [f] raises: a call that ends in [Budget_exceeded] still shows the
+   time it spent in [--stats]. *)
+let timed add f =
+  let t0 = now () in
+  Fun.protect ~finally:(fun () -> add (now () -. t0)) f
+
+let add_r_time dt = stats.r_time_s <- stats.r_time_s +. dt
+
+let add_rbar_time dt = stats.rbar_time_s <- stats.rbar_time_s +. dt
+
+let add_maxbox_time dt = stats.maxbox_time_s <- stats.maxbox_time_s +. dt
+
 (* Certificate emission hook: fired with (source problem, result) after
    every successful [r] / [rbar] call, in the calling domain.  Budget
    failures raise before the hook fires, so an installed checker only
@@ -194,7 +207,6 @@ let sample_rbar_counters () =
     ]
 
 let r_impl (p : Problem.t) =
-  let t0 = now () in
   stats.r_calls <- stats.r_calls + 1;
   let n = Alphabet.size p.alpha in
   let compat = compat_matrix p in
@@ -284,16 +296,14 @@ let r_impl (p : Problem.t) =
       ~alpha:alpha' ~node:(Constr.make node_lines)
       ~edge:(Constr.make edge_lines)
   in
-  stats.r_time_s <- stats.r_time_s +. (now () -. t0);
-  let result = { problem; denotations = denots } in
-  notify `R p result;
-  result
+  { problem; denotations = denots }
 
 let r (p : Problem.t) =
   Trace.with_span "rounde.r"
     ~attrs:[ ("problem", p.name) ]
     (fun () ->
-      let result = r_impl p in
+      let result = timed add_r_time (fun () -> r_impl p) in
+      notify `R p result;
       sample_r_counters ();
       result)
 
@@ -307,22 +317,151 @@ module MsTbl = Hashtbl.Make (struct
   let hash = Multiset.hash
 end)
 
+(* Both box searches run on int *states*.  Every sub-multiset of an
+   allowed configuration is a state, numbered once per call when the
+   table is built; the empty multiset is state 0.  The table is shared
+   and read-only.  A transition maps a state and a label to the state
+   of the multiset with that label added, or to [dead] when that
+   multiset fits in no allowed configuration.  Each worker fills its
+   own transitions lazily ([walker]), so a search hashes one multiset
+   per (state, label) pair it reaches, once, and otherwise reads
+   arrays. *)
+type states = { ids : int MsTbl.t; members : Multiset.t array }
+
+let sub_multiset_states configs =
+  let empty = Multiset.of_list [] in
+  let ids = MsTbl.create 65536 in
+  let members = ref [ empty ] in
+  MsTbl.add ids empty 0;
+  List.iter
+    (fun m ->
+      Multiset.sub_multisets m (fun sub ->
+          if not (MsTbl.mem ids sub) then begin
+            MsTbl.add ids sub (MsTbl.length ids);
+            members := sub :: !members
+          end))
+    configs;
+  { ids; members = Array.of_list (List.rev !members) }
+
+let dead = -1
+
+let unknown = -2
+
+(* One worker's view of the states.  [next.(s)] is [||] until state [s]
+   is first extended, then holds the transition of every label
+   ([unknown] until computed).  [rows.(s)] is the mask of labels with a
+   live transition from [s], or -1 until computed.  [extend] collects
+   the distinct states of one extension in [buf.(0 .. len-1)], marking
+   each with the current [stamp] in [seen]. *)
+type walker = {
+  states : states;
+  width : int;
+  next : int array array;
+  rows : int array;
+  seen : int array;
+  mutable stamp : int;
+  mutable buf : int array;
+  mutable len : int;
+}
+
+let walker states width =
+  let k = Array.length states.members in
+  {
+    states;
+    width;
+    next = Array.make k [||];
+    rows = Array.make k (-1);
+    seen = Array.make k 0;
+    stamp = 0;
+    buf = Array.make 64 0;
+    len = 0;
+  }
+
+let transition w s x =
+  let row =
+    match w.next.(s) with
+    | [||] ->
+        let row = Array.make w.width unknown in
+        w.next.(s) <- row;
+        row
+    | row -> row
+  in
+  let t = row.(x) in
+  if t <> unknown then t
+  else begin
+    let t =
+      match MsTbl.find_opt w.states.ids (Multiset.add x w.states.members.(s)) with
+      | Some t -> t
+      | None -> dead
+    in
+    row.(x) <- t;
+    t
+  end
+
+let row w s =
+  if w.rows.(s) >= 0 then Labelset.of_bits w.rows.(s)
+  else begin
+    let r = ref Labelset.empty in
+    for x = 0 to w.width - 1 do
+      if transition w s x <> dead then r := Labelset.add x !r
+    done;
+    w.rows.(s) <- Labelset.to_bits !r;
+    !r
+  end
+
+let push w t =
+  if w.seen.(t) <> w.stamp then begin
+    w.seen.(t) <- w.stamp;
+    if w.len = Array.length w.buf then begin
+      let buf = Array.make (2 * w.len) 0 in
+      Array.blit w.buf 0 buf 0 w.len;
+      w.buf <- buf
+    end;
+    w.buf.(w.len) <- t;
+    w.len <- w.len + 1
+  end
+
+(* Push the states [p + x], [x ∈ xs]; false at the first dead one. *)
+let rec push_successors w p xs =
+  Labelset.is_empty xs
+  ||
+  let x = Labelset.choose xs in
+  let t = transition w p x in
+  t <> dead
+  && begin
+       push w t;
+       push_successors w p (Labelset.remove x xs)
+     end
+
+let rec push_all w partials xs i =
+  i = Array.length partials
+  || (push_successors w partials.(i) xs && push_all w partials xs (i + 1))
+
+(* The distinct states [p + x] over [p ∈ partials] and [x ∈ xs], or
+   [None] as soon as one of them is dead. *)
+let extend w partials xs =
+  w.stamp <- w.stamp + 1;
+  w.len <- 0;
+  if push_all w partials xs 0 then Some (Array.sub w.buf 0 w.len) else None
+
 (* All valid "boxes": multisets (B₁ … B_Δ) of right-closed label sets
    such that every choice (b₁ … b_Δ) ∈ B₁ × … × B_Δ is an allowed node
    configuration.  Enumerated by DFS over right-closed sets in
-   non-decreasing order, pruning with the set of all sub-multisets of
-   allowed configurations. *)
+   non-decreasing order.  Each prefix carries [partials], the distinct
+   states its choices of minimal labels reach; a candidate set extends
+   the prefix iff every partial plus every minimal label of the set is
+   a live transition, and the first dead one prunes it. *)
 (* DFS work budget: one unit per (prefix, candidate-set) pair examined,
-   plus one per partial multiset carried through it.  The old hard
+   plus one per partial state carried through it.  The old hard
    20-label cap is gone, so genuinely exponential instances (naive
    iteration on MIS quickly produces them) must be stopped by the work
    actually performed, and stopped as fast as the cap used to. *)
 let box_work_limit = 5_000_000
 
-(* Per-worker accumulator for the box DFS: merged into the global
-   [stats] at join, so the counters are exact and race-free for any
+(* Per-worker accumulator for the box DFS: the counters are merged into
+   the global [stats] at join, so they are exact and race-free for any
    domain count. *)
-type box_local = { mutable emitted : int; mutable pruned : int }
+type box_local = { w : walker; mutable emitted : int; mutable pruned : int }
 
 let valid_boxes_impl ?pool (p : Problem.t) ~expand_limit ~rc_limit =
   let pool = Parctl.resolve pool in
@@ -331,18 +470,14 @@ let valid_boxes_impl ?pool (p : Problem.t) ~expand_limit ~rc_limit =
     Budget.exceeded ~budget:"Rounde.rbar: node constraint expansion"
       ~limit:expand_limit;
   (* Enumerate the right-closed sets before building the (much more
-     expensive) sub-multiset table: the enumeration is output-sensitive
-     and [rc_limit]-guarded, so hopeless instances die in milliseconds
+     expensive) state table: the enumeration is output-sensitive and
+     [rc_limit]-guarded, so hopeless instances die in milliseconds
      instead of after seconds of table filling. *)
   let diagram = Diagram.node_diagram p in
   let rc = Array.of_list (Diagram.right_closed_sets ~limit:rc_limit diagram) in
   stats.rc_sets <- stats.rc_sets + Array.length rc;
-  let configs = Constr.expand ~limit:expand_limit p.node in
-  (* Sub-multiset membership table for pruning; read-only once built. *)
-  let subs = MsTbl.create 65536 in
-  List.iter
-    (fun m -> Multiset.sub_multisets m (fun sub -> MsTbl.replace subs sub ()))
-    configs;
+  let states = sub_multiset_states (Constr.expand ~limit:expand_limit p.node) in
+  let width = Alphabet.size p.alpha in
   let m = Array.length rc in
   (* The work budget is shared across branches through an atomic
      counter: the total demand is a fixed property of the instance, so
@@ -360,30 +495,15 @@ let valid_boxes_impl ?pool (p : Problem.t) ~expand_limit ~rc_limit =
      [top] explores every box whose smallest set index is [top].
      Branches are independent; each collects its boxes in its own
      prepend-order list ([branch_boxes.(top)]), and the final merge
-     reproduces the sequential emission order exactly (see below).
-     [partials] is the list of distinct minimal-choice multisets of the
-     current prefix; all are sub-multisets of allowed configurations. *)
+     reproduces the sequential emission order exactly (see below). *)
   let branch_boxes = Array.make (max 1 m) [] in
   let run_branch local top =
     let boxes = ref [] in
-    let rec extend depth i (box : int list) partials =
-      let extended = MsTbl.create 64 in
-      let all_ok = ref true in
-      charge (1 + List.length partials);
-      List.iter
-        (fun partial ->
-          Labelset.iter
-            (fun mn ->
-              let next = Multiset.add mn partial in
-              if MsTbl.mem subs next then MsTbl.replace extended next ()
-              else all_ok := false)
-            minimals.(i))
-        partials;
-      if !all_ok then begin
-        let partials' = MsTbl.fold (fun k () acc -> k :: acc) extended [] in
-        go (depth + 1) i (i :: box) partials'
-      end
-      else local.pruned <- local.pruned + 1
+    let rec extend_box depth i (box : int list) partials =
+      charge (1 + Array.length partials);
+      match extend local.w partials minimals.(i) with
+      | Some partials' -> go (depth + 1) i (i :: box) partials'
+      | None -> local.pruned <- local.pruned + 1
     and go depth lo box partials =
       if depth = delta then begin
         local.emitted <- local.emitted + 1;
@@ -391,10 +511,10 @@ let valid_boxes_impl ?pool (p : Problem.t) ~expand_limit ~rc_limit =
       end
       else
         for i = lo to m - 1 do
-          extend depth i box partials
+          extend_box depth i box partials
         done
     in
-    extend 0 top [] [ Multiset.of_list [] ];
+    extend_box 0 top [] [| 0 |];
     branch_boxes.(top) <- !boxes
   in
   if delta = 0 then begin
@@ -405,7 +525,7 @@ let valid_boxes_impl ?pool (p : Problem.t) ~expand_limit ~rc_limit =
   end
   else begin
     Parallel.Pool.run ~chunk:1 pool ~n:m
-      ~init:(fun () -> { emitted = 0; pruned = 0 })
+      ~init:(fun () -> { w = walker states width; emitted = 0; pruned = 0 })
       ~body:run_branch
       ~merge:(fun l ->
         stats.boxes_emitted <- stats.boxes_emitted + l.emitted;
@@ -432,24 +552,28 @@ let translate_zdd_limit f =
 
 (* ZDD-backed box search.  Instead of materializing the right-closed
    sets as a sorted array ([rc_limit]-guarded) and testing every
-   (prefix, candidate) pair against the sub-multiset table, keep the
+   (prefix, candidate) pair against the state transitions, keep the
    family compressed and *restrict* it per prefix: with [partials] the
-   distinct minimal-choice multisets of the prefix, a candidate [B]
-   survives the explicit DFS's [all_ok] test iff
+   distinct states of the prefix, a candidate [B] survives the explicit
+   DFS's test iff
 
-       B ⊆ allowed(partials) := { x | ∀ P ∈ partials: P + x ∈ subs }.
+       B ⊆ allowed(partials) := ∩ { row(P) | P ∈ partials },
 
+   where row(P) is the set of labels x with a live transition P + x.
    ("⟸": minimals of B are members of B.  "⟹": on an exact diagram
    [geq] is the true strength preorder, so (i) every member of B is
-   ≥ some minimal of B, and (ii) allowed is up-closed — P + x ∈ subs
+   ≥ some minimal of B, and (ii) allowed is up-closed — P + x live
    means P + x fits inside an allowed configuration, and substituting
    a stronger label keeps it allowed.)  So the per-candidate test
    disappears into one ZDD restriction per prefix, shared across
    prefixes by the operation cache, and candidates stream out of
    [Zdd.iter_ge] in exactly the non-decreasing order the explicit DFS
-   scanned its array — emissions are byte-identical.  Only exactness
-   of the diagram is used; inexact (condensed-approximation) diagrams
-   return [None] and the caller falls back to the explicit path.
+   scanned its array — emissions are byte-identical.  It also follows
+   that every extension of a streamed candidate is live: a dead one
+   means the argument is broken, and the search raises instead of
+   emitting.  Only exactness of the diagram is used; inexact
+   (condensed-approximation) diagrams return [None] and the caller
+   falls back to the explicit path.
 
    There is no [rc_limit] here — nothing is materialized.  Runaway
    instances are stopped by the manager's node budget and by the same
@@ -469,11 +593,7 @@ let valid_boxes_zdd_impl (p : Problem.t) ~expand_limit =
     let mgr, fam = Diagram.right_closed_family diagram in
     translate_zdd_limit @@ fun () ->
     stats.rc_sets <- stats.rc_sets + Zdd.count mgr fam;
-    let configs = Constr.expand ~limit:expand_limit p.node in
-    let subs = MsTbl.create 65536 in
-    List.iter
-      (fun m -> Multiset.sub_multisets m (fun sub -> MsTbl.replace subs sub ()))
-      configs;
+    let w = walker (sub_multiset_states (Constr.expand ~limit:expand_limit p.node)) n in
     if delta = 0 then begin
       stats.boxes_emitted <- stats.boxes_emitted + 1;
       Some [ [] ]
@@ -486,31 +606,6 @@ let valid_boxes_zdd_impl (p : Problem.t) ~expand_limit =
           Budget.exceeded ~budget:"Rounde.rbar: box enumeration work (zdd)"
             ~limit:(float_of_int box_work_limit)
       in
-      (* allowed(partials) = ∩ rows; a row depends only on its partial
-         multiset, and the same partials recur across sibling branches,
-         so rows are memoized globally. *)
-      let row_memo = MsTbl.create 1024 in
-      let row partial =
-        match MsTbl.find_opt row_memo partial with
-        | Some r -> r
-        | None ->
-            let r = ref Labelset.empty in
-            for x = 0 to n - 1 do
-              if MsTbl.mem subs (Multiset.add x partial) then
-                r := Labelset.add x !r
-            done;
-            MsTbl.add row_memo partial !r;
-            !r
-      in
-      let minimals_memo = Hashtbl.create 4096 in
-      let minimals mask =
-        match Hashtbl.find_opt minimals_memo mask with
-        | Some m -> m
-        | None ->
-            let m = Diagram.minimal_elements diagram (Labelset.of_bits mask) in
-            Hashtbl.add minimals_memo mask m;
-            m
-      in
       let boxes = ref [] in
       let emitted = ref 0 in
       let rec go depth from_mask box partials =
@@ -519,32 +614,29 @@ let valid_boxes_zdd_impl (p : Problem.t) ~expand_limit =
           boxes := List.rev_map Labelset.of_bits box :: !boxes
         end
         else begin
-          charge (1 + List.length partials);
+          charge (1 + Array.length partials);
           let allowed =
-            List.fold_left
-              (fun acc partial -> Labelset.inter acc (row partial))
+            Array.fold_left
+              (fun acc partial -> Labelset.inter acc (row w partial))
               (Labelset.full n) partials
           in
           let cands = Zdd.subsets_within mgr fam (Labelset.to_bits allowed) in
           Zdd.iter_ge mgr cands ~from:from_mask (fun bmask ->
-              charge (1 + List.length partials);
+              charge (1 + Array.length partials);
               if depth + 1 = delta then go (depth + 1) bmask (bmask :: box) partials
-              else begin
-                let mins = minimals bmask in
-                let extended = MsTbl.create 64 in
-                List.iter
-                  (fun partial ->
-                    Labelset.iter
-                      (fun mn ->
-                        MsTbl.replace extended (Multiset.add mn partial) ())
-                      mins)
-                  partials;
-                let partials' = MsTbl.fold (fun k () acc -> k :: acc) extended [] in
-                go (depth + 1) bmask (bmask :: box) partials'
-              end)
+              else
+                match
+                  extend w partials
+                    (Diagram.minimal_elements diagram (Labelset.of_bits bmask))
+                with
+                | Some partials' -> go (depth + 1) bmask (bmask :: box) partials'
+                | None ->
+                    failwith
+                      "Rounde.rbar: dead extension of a streamed candidate \
+                       (exact-diagram invariant broken)")
         end
       in
-      go 0 0 [] [ Multiset.of_list [] ];
+      go 0 0 [] [| 0 |];
       stats.boxes_emitted <- stats.boxes_emitted + !emitted;
       (* Prepend order = last emission first: exactly the order the
          explicit path returns (sequentially and after its branch
@@ -664,7 +756,7 @@ let symbolic_boxes_impl (p : Problem.t) =
           ~attrs:[ ("boxes", "symbolic") ]
         @@ fun () ->
         translate_zdd_limit @@ fun () ->
-        let t0 = now () in
+        timed add_maxbox_time @@ fun () ->
         let maxf = Zdd.maximal mgr cube_fam in
         stats.maxbox_maximal <- stats.maxbox_maximal + Zdd.count mgr maxf;
         let boxes = ref [] in
@@ -682,7 +774,6 @@ let symbolic_boxes_impl (p : Problem.t) =
             end);
         stats.maxbox_enumerated <- stats.maxbox_enumerated + !kept;
         stats.boxes_emitted <- stats.boxes_emitted + !kept;
-        stats.maxbox_time_s <- stats.maxbox_time_s +. (now () -. t0);
         !boxes
       in
       Some boxes
@@ -698,40 +789,56 @@ let symbolic_boxes_impl (p : Problem.t) =
    matching; scanning candidates in decreasing total-cardinality order
    additionally confines possible dominators to a prefix. *)
 type box_key = {
-  sorted : Labelset.t list;  (* canonical form, for equality *)
-  sets : Labelset.t array;  (* the canonical form again, for indexing *)
+  sets : Labelset.t array;  (* canonical form: the sets in increasing order *)
   sizes : int array;  (* set cardinalities, ascending *)
   total : int;
   support : Labelset.t;
 }
 
 let box_key box =
-  let sorted = List.sort Labelset.compare box in
-  let sizes = Array.of_list (List.sort compare (List.map Labelset.cardinal box)) in
+  let sets = Array.of_list box in
+  Array.sort Labelset.compare sets;
+  let sizes = Array.map Labelset.cardinal sets in
+  Array.sort Int.compare sizes;
   {
-    sorted;
-    sets = Array.of_list sorted;
+    sets;
     sizes;
     total = Array.fold_left ( + ) 0 sizes;
-    support = List.fold_left Labelset.union Labelset.empty box;
+    support = Array.fold_left Labelset.union Labelset.empty sets;
   }
 
-let sizes_dominated a b =
-  (* Equal lengths: boxes of one constraint share the arity Δ. *)
-  let ok = ref true in
-  Array.iteri (fun i c -> if c > b.(i) then ok := false) a;
-  !ok
+(* The array comparisons below run over the common length Δ (boxes of
+   one constraint share the arity) from index [i] down, and stop at the
+   first index that decides. *)
+let rec ints_equal (a : int array) b i = i < 0 || (a.(i) = b.(i) && ints_equal a b (i - 1))
+
+let rec sizes_dominated (a : int array) b i =
+  i < 0 || (a.(i) <= b.(i) && sizes_dominated a b (i - 1))
+
+let rec sets_equal a b i = i < 0 || (Labelset.equal a.(i) b.(i) && sets_equal a b (i - 1))
+
+(* Transport-memo keys: the Δ×Δ subset-relation matrix, packed 63 bits
+   to an int. *)
+module KeyTbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b = ints_equal a b (Array.length a - 1)
+
+  let hash (k : t) = Hashtbl.hash k
+end)
 
 (* Per-worker accumulator for the dominance screen.  The transport memo
    lives here too, keeping it race-free; the hit counter is therefore
    schedule-dependent when [domains > 1] (the only stats field that
-   is — see the .mli). *)
+   is — see the .mli).  [key] is scratch space for the matrix of the
+   pair at hand; it is copied only when a new verdict is stored. *)
 type dom_local = {
   mutable checks : int;
   mutable cheap_skips : int;
   mutable transport_calls : int;
   mutable cache_hits : int;
-  memo : (int array, bool) Hashtbl.t;
+  memo : bool KeyTbl.t;
+  key : int array;
 }
 
 (* The exact transportation verdict for [bi ≤ bj] — does an injective
@@ -744,36 +851,38 @@ type dom_local = {
    the Δ×Δ subset-relation matrix alone — and the same matrix pattern
    recurs across many box pairs (the pairs themselves never repeat, so
    nothing finer could ever hit).  The matrix costs Δ² word-level
-   subset tests, which the matching search would perform anyway; keys
-   are the matrix bits packed into an int array. *)
+   subset tests, which the matching search would perform anyway. *)
 let transport_verdict local bi bj =
   local.transport_calls <- local.transport_calls + 1;
-  if bi.sizes = bj.sizes then List.equal Labelset.equal bi.sorted bj.sorted
+  let d = Array.length bi.sets in
+  if ints_equal bi.sizes bj.sizes (d - 1) then sets_equal bi.sets bj.sets (d - 1)
   else begin
-    let a = bi.sets and b = bj.sets in
-    let d = Array.length a in
-    let matrix = Array.make (d * d) false in
-    let key = Array.make (((d * d) + 62) / 63) 0 in
+    let a = bi.sets and b = bj.sets and key = local.key in
+    Array.fill key 0 (Array.length key) 0;
+    let word = ref 0 and bit = ref 0 in
     for i = 0 to d - 1 do
       for j = 0 to d - 1 do
-        if Labelset.subset a.(i) b.(j) then begin
-          let bit = (i * d) + j in
-          matrix.(bit) <- true;
-          key.(bit / 63) <- key.(bit / 63) lor (1 lsl (bit mod 63))
+        if Labelset.subset a.(i) b.(j) then key.(!word) <- key.(!word) lor (1 lsl !bit);
+        if !bit = 62 then begin
+          bit := 0;
+          incr word
         end
+        else incr bit
       done
     done;
-    match Hashtbl.find_opt local.memo key with
-    | Some v ->
+    match KeyTbl.find local.memo key with
+    | v ->
         local.cache_hits <- local.cache_hits + 1;
         v
-    | None ->
+    | exception Not_found ->
         let v =
           Util.transport_feasible ~supply:(Array.make d 1)
             ~demand:(Array.make d 1)
-            ~allowed:(fun i j -> matrix.((i * d) + j))
+            ~allowed:(fun i j ->
+              let bit = (i * d) + j in
+              (key.(bit / 63) lsr (bit mod 63)) land 1 = 1)
         in
-        Hashtbl.add local.memo key v;
+        KeyTbl.add local.memo (Array.copy key) v;
         v
   end
 
@@ -798,12 +907,16 @@ let zdd_prescreen keyed =
     let mgr = Zdd.create ~nbits () in
     let counts = Hashtbl.create (2 * m) in
     let fam = ref Zdd.bot in
+    (* Each distinct support joins the family once, at its first
+       occurrence: a repeated union would leave the family as it is. *)
     Array.iter
       (fun k ->
         let s = Labelset.to_bits k.support in
-        Hashtbl.replace counts s
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts s));
-        fam := Zdd.union mgr !fam (Zdd.of_mask mgr s))
+        match Hashtbl.find_opt counts s with
+        | Some c -> Hashtbl.replace counts s (c + 1)
+        | None ->
+            Hashtbl.add counts s 1;
+            fam := Zdd.union mgr !fam (Zdd.of_mask mgr s))
       keyed;
     let maxf = Zdd.maximal mgr !fam in
     Array.map
@@ -854,13 +967,13 @@ let zdd_slotted_verdicts keyed =
             (* Group equal sets so [arrangements] emits each distinct
                slot assignment exactly once. *)
             let groups =
-              List.fold_left
+              Array.fold_left
                 (fun acc s ->
                   let mask = Labelset.to_bits s in
                   match acc with
                   | (mask', c) :: rest when mask' = mask -> (mask, c + 1) :: rest
                   | _ -> (mask, 1) :: acc)
-                [] k.sorted
+                [] k.sets
             in
             arrangements groups delta (fun slotmasks ->
                 fam :=
@@ -873,7 +986,6 @@ let zdd_slotted_verdicts keyed =
 
 let maximal_boxes_impl ?pool ~use_zdd boxes =
   let pool = Parctl.resolve pool in
-  let t0 = now () in
   let keyed = Array.of_list (List.map box_key boxes) in
   let m = Array.length keyed in
   match if use_zdd then zdd_slotted_verdicts keyed else None with
@@ -882,9 +994,7 @@ let maximal_boxes_impl ?pool ~use_zdd boxes =
          Output-identical to the scan below (the verdicts coincide box
          by box and the input order is preserved); only the scan
          counters ([box_dom_*], [*transport*]) stay at zero. *)
-      let result = List.filteri (fun i _ -> not dominated.(i)) boxes in
-      stats.maxbox_time_s <- stats.maxbox_time_s +. (now () -. t0);
-      result
+      List.filteri (fun i _ -> not dominated.(i)) boxes
   | None ->
   let undominated =
     if use_zdd && m > 0 then zdd_prescreen keyed
@@ -892,7 +1002,7 @@ let maximal_boxes_impl ?pool ~use_zdd boxes =
   in
   (* Candidate dominators, in non-increasing total cardinality. *)
   let order = Array.init m Fun.id in
-  Array.sort (fun i j -> compare keyed.(j).total keyed.(i).total) order;
+  Array.sort (fun i j -> Int.compare keyed.(j).total keyed.(i).total) order;
   (* On the compressed path the quadratic scan is charged against the
      same work limit as enumeration, through a shared atomic counter.
      Each box's check count is a fixed property of the instance (the
@@ -910,6 +1020,7 @@ let maximal_boxes_impl ?pool ~use_zdd boxes =
           ~limit:(float_of_int box_work_limit)
     end
   in
+  let delta = if m = 0 then 0 else Array.length keyed.(0).sets in
   let dominated local i =
     let bi = keyed.(i) in
     let rec scan idx =
@@ -923,13 +1034,12 @@ let maximal_boxes_impl ?pool ~use_zdd boxes =
           let bj = keyed.(j) in
           if
             (not (Labelset.subset bi.support bj.support))
-            || not (sizes_dominated bi.sizes bj.sizes)
+            || not (sizes_dominated bi.sizes bj.sizes (delta - 1))
           then begin
             local.cheap_skips <- local.cheap_skips + 1;
             scan (idx + 1)
           end
-          else if List.equal Labelset.equal bi.sorted bj.sorted then
-            scan (idx + 1)
+          else if sets_equal bi.sets bj.sets (delta - 1) then scan (idx + 1)
           else if transport_verdict local bi bj then true
           else scan (idx + 1)
         end
@@ -944,7 +1054,7 @@ let maximal_boxes_impl ?pool ~use_zdd boxes =
   Parallel.Pool.run ~chunk:16 pool ~n:m
     ~init:(fun () ->
       { checks = 0; cheap_skips = 0; transport_calls = 0; cache_hits = 0;
-        memo = Hashtbl.create 256 })
+        memo = KeyTbl.create 256; key = Array.make (((delta * delta) + 62) / 63) 0 })
     ~body:(fun local i ->
       (* The charge is settled once per box (one atomic op, not one per
          check); a single box's scan is at most [m] checks, so the
@@ -958,19 +1068,17 @@ let maximal_boxes_impl ?pool ~use_zdd boxes =
       stats.box_dom_cheap_skips <- stats.box_dom_cheap_skips + l.cheap_skips;
       stats.box_transport_calls <- stats.box_transport_calls + l.transport_calls;
       stats.transport_cache_hits <- stats.transport_cache_hits + l.cache_hits);
-  let result = List.filteri (fun i _ -> not flags.(i)) boxes in
-  stats.maxbox_time_s <- stats.maxbox_time_s +. (now () -. t0);
-  result
+  List.filteri (fun i _ -> not flags.(i)) boxes
 
 let maximal_boxes ?pool ?zdd boxes =
   Trace.with_span "rounde.maximal_boxes"
     ~attrs:[ ("boxes", string_of_int (List.length boxes)) ]
     (fun () ->
-      maximal_boxes_impl ?pool ~use_zdd:(Parctl.resolve_zdd zdd) boxes)
+      timed add_maxbox_time (fun () ->
+          maximal_boxes_impl ?pool ~use_zdd:(Parctl.resolve_zdd zdd) boxes))
 
 let rbar_impl ?(expand_limit = 2e6) ?(rc_limit = 100_000) ?pool ?zdd
     (p : Problem.t) =
-  let t0 = now () in
   stats.rbar_calls <- stats.rbar_calls + 1;
   (* No label cap: the order-ideal enumeration behind
      [Diagram.right_closed_sets] is output-sensitive, and runaway
@@ -1051,16 +1159,16 @@ let rbar_impl ?(expand_limit = 2e6) ?(rc_limit = 100_000) ?pool ?zdd
       ~alpha:alpha'' ~node:(Constr.make node_lines)
       ~edge:(Constr.make !edge_lines)
   in
-  stats.rbar_time_s <- stats.rbar_time_s +. (now () -. t0);
-  let result = { problem; denotations = denots } in
-  notify `Rbar p result;
-  result
+  { problem; denotations = denots }
 
 let rbar ?expand_limit ?rc_limit ?pool ?zdd (p : Problem.t) =
   Trace.with_span "rounde.rbar"
     ~attrs:[ ("problem", p.name) ]
     (fun () ->
-      let result = rbar_impl ?expand_limit ?rc_limit ?pool ?zdd p in
+      let result =
+        timed add_rbar_time (fun () -> rbar_impl ?expand_limit ?rc_limit ?pool ?zdd p)
+      in
+      notify `Rbar p result;
       sample_rbar_counters ();
       result)
 

@@ -23,7 +23,8 @@ type denoted = {
 (** Cumulative counters for the engine's hot paths, updated by every
     [r] / [rbar] call since the last {!reset_stats}.  Times are wall
     seconds ([Unix.gettimeofday]): the hot paths may fan out over
-    domains, where CPU time would sum across workers.
+    domains, where CPU time would sum across workers.  A call that ends
+    in [Budget.Budget_exceeded] adds its time too.
 
     Parallel sections accumulate into per-domain records that are
     merged into this global record when the section joins, so every

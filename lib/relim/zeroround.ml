@@ -137,10 +137,7 @@ let iter_maximal_cliques ?(max_expansions = 1_000_000) compat n f =
    the global [stats] at join. *)
 type bk_local = { mutable cliques : int; mutable expansions : int }
 
-let solvable_arbitrary_ports_impl ?(max_expansions = 1_000_000) ?pool p =
-  let pool = Parctl.resolve pool in
-  let t0 = Unix.gettimeofday () in
-  stats.clique_calls <- stats.clique_calls + 1;
+let clique_search ~max_expansions pool p =
   let compat = compat_matrix p in
   let n = Alphabet.size p.alpha in
   let lines = Constr.lines p.node in
@@ -200,68 +197,76 @@ let solvable_arbitrary_ports_impl ?(max_expansions = 1_000_000) ?pool p =
   let root = { cliques = 0; expansions = 0 } in
   charge root;
   stats.bk_expansions <- stats.bk_expansions + root.expansions;
+  if Labelset.is_empty vertices then None
+  else begin
+    (* Branch inputs, replayed exactly as the sequential loop would
+       evolve P and X over the root's branching vertices. *)
+    let branches =
+      let acc = ref [] and p = ref vertices and x = ref Labelset.empty in
+      Labelset.iter
+        (fun v ->
+          acc :=
+            (Labelset.singleton v,
+             Labelset.inter !p nbr.(v),
+             Labelset.inter !x nbr.(v))
+            :: !acc;
+          p := Labelset.remove v !p;
+          x := Labelset.add v !x)
+        (Labelset.diff vertices nbr.(pivot_of vertices Labelset.empty));
+      Array.of_list (List.rev !acc)
+    in
+    let results = Array.make (max 1 (Array.length branches)) None in
+    let exception Found_in_branch of Multiset.t in
+    let run_branch local k =
+      let rec bk r p x =
+        charge local;
+        if Labelset.is_empty p && Labelset.is_empty x then begin
+          (* [r] is non-empty: every branch starts from a singleton. *)
+          local.cliques <- local.cliques + 1;
+          match
+            List.find_map (fun line -> pick_from_pool line r) lines
+          with
+          | Some witness -> raise (Found_in_branch witness)
+          | None -> ()
+        end
+        else begin
+          let pivot = pivot_of p x in
+          let p = ref p and x = ref x in
+          Labelset.iter
+            (fun v ->
+              bk (Labelset.add v r) (Labelset.inter !p nbr.(v))
+                (Labelset.inter !x nbr.(v));
+              p := Labelset.remove v !p;
+              x := Labelset.add v !x)
+            (Labelset.diff !p nbr.(pivot))
+        end
+      in
+      let r, p0, x0 = branches.(k) in
+      match bk r p0 x0 with
+      | () -> ()
+      | exception Found_in_branch witness -> results.(k) <- Some witness
+    in
+    Parallel.Pool.run ~chunk:1 pool ~n:(Array.length branches)
+      ~init:(fun () -> { cliques = 0; expansions = 0 })
+      ~body:run_branch
+      ~merge:(fun l ->
+        stats.maximal_cliques <- stats.maximal_cliques + l.cliques;
+        stats.bk_expansions <- stats.bk_expansions + l.expansions);
+    Array.fold_left
+      (fun acc r -> match acc with Some _ -> acc | None -> r)
+      None results
+  end
+
+(* The time is added also when the search ends in [Budget_exceeded]. *)
+let solvable_arbitrary_ports_impl ?(max_expansions = 1_000_000) ?pool p =
+  stats.clique_calls <- stats.clique_calls + 1;
+  let t0 = Unix.gettimeofday () in
   let result =
-    if Labelset.is_empty vertices then None
-    else begin
-      (* Branch inputs, replayed exactly as the sequential loop would
-         evolve P and X over the root's branching vertices. *)
-      let branches =
-        let acc = ref [] and p = ref vertices and x = ref Labelset.empty in
-        Labelset.iter
-          (fun v ->
-            acc :=
-              (Labelset.singleton v,
-               Labelset.inter !p nbr.(v),
-               Labelset.inter !x nbr.(v))
-              :: !acc;
-            p := Labelset.remove v !p;
-            x := Labelset.add v !x)
-          (Labelset.diff vertices nbr.(pivot_of vertices Labelset.empty));
-        Array.of_list (List.rev !acc)
-      in
-      let results = Array.make (max 1 (Array.length branches)) None in
-      let exception Found_in_branch of Multiset.t in
-      let run_branch local k =
-        let rec bk r p x =
-          charge local;
-          if Labelset.is_empty p && Labelset.is_empty x then begin
-            (* [r] is non-empty: every branch starts from a singleton. *)
-            local.cliques <- local.cliques + 1;
-            match
-              List.find_map (fun line -> pick_from_pool line r) lines
-            with
-            | Some witness -> raise (Found_in_branch witness)
-            | None -> ()
-          end
-          else begin
-            let pivot = pivot_of p x in
-            let p = ref p and x = ref x in
-            Labelset.iter
-              (fun v ->
-                bk (Labelset.add v r) (Labelset.inter !p nbr.(v))
-                  (Labelset.inter !x nbr.(v));
-                p := Labelset.remove v !p;
-                x := Labelset.add v !x)
-              (Labelset.diff !p nbr.(pivot))
-          end
-        in
-        let r, p0, x0 = branches.(k) in
-        match bk r p0 x0 with
-        | () -> ()
-        | exception Found_in_branch witness -> results.(k) <- Some witness
-      in
-      Parallel.Pool.run ~chunk:1 pool ~n:(Array.length branches)
-        ~init:(fun () -> { cliques = 0; expansions = 0 })
-        ~body:run_branch
-        ~merge:(fun l ->
-          stats.maximal_cliques <- stats.maximal_cliques + l.cliques;
-          stats.bk_expansions <- stats.bk_expansions + l.expansions);
-      Array.fold_left
-        (fun acc r -> match acc with Some _ -> acc | None -> r)
-        None results
-    end
+    Fun.protect
+      ~finally:(fun () ->
+        stats.clique_time_s <- stats.clique_time_s +. (Unix.gettimeofday () -. t0))
+      (fun () -> clique_search ~max_expansions (Parctl.resolve pool) p)
   in
-  stats.clique_time_s <- stats.clique_time_s +. (Unix.gettimeofday () -. t0);
   notify `Arbitrary p result;
   result
 

@@ -74,7 +74,8 @@ val self_compatible : Problem.t -> Labelset.t
 
 (** Counters for the clique-based 0-round decider: calls to
     {!solvable_arbitrary_ports}, maximal cliques emitted, Bron–Kerbosch
-    recursion-tree nodes, and wall seconds spent deciding.  Parallel
+    recursion-tree nodes, and wall seconds spent deciding (including
+    searches that end in [Budget.Budget_exceeded]).  Parallel
     searches accumulate into per-domain records merged at join, so the
     integer counters are exact and domain-count-independent (only
     [clique_time_s] varies run to run). *)

@@ -60,6 +60,56 @@ let labelset_qcheck =
         Labelset.inter_cardinal a b = Labelset.cardinal (Labelset.inter a b));
   ]
 
+(* The iterators walk set bits; [elements] builds its list by testing
+   every label, so it is the reference.  Sets span all 60 labels, with
+   the empty set, the full set and sets holding label 59 drawn often. *)
+let labelset_iteration_qcheck =
+  let full = Labelset.to_bits (Labelset.full Labelset.max_label) in
+  let gen_set =
+    QCheck.make
+      ~print:(fun s -> Printf.sprintf "0x%x" (Labelset.to_bits s))
+      QCheck.Gen.(
+        map Labelset.of_bits
+          (frequency
+             [
+               (1, return 0);
+               (1, return full);
+               (2, map (fun b -> b lor (1 lsl 59)) (int_bound full));
+               (6, int_bound full);
+             ]))
+  in
+  (* The labels [run] hands to its callback, in call order. *)
+  let visits run =
+    let seen = ref [] in
+    let result = run (fun l -> seen := l :: !seen) in
+    (List.rev !seen, result)
+  in
+  (* The prefix of [ls] up to and including the first [x] with [stop x]. *)
+  let rec upto stop = function
+    | [] -> []
+    | x :: rest -> if stop x then [ x ] else x :: upto stop rest
+  in
+  [
+    QCheck.Test.make ~name:"iter-fold-follow-elements" ~count:500 gen_set (fun s ->
+        let els = Labelset.elements s in
+        fst (visits (fun f -> Labelset.iter f s)) = els
+        && List.rev (Labelset.fold (fun l acc -> l :: acc) s []) = els
+        && List.sort_uniq compare els = els);
+    QCheck.Test.make ~name:"exists-for-all-filter-stop-where-they-decide" ~count:500
+      (QCheck.pair gen_set gen_set) (fun (s, q) ->
+        let els = Labelset.elements s in
+        let p l = Labelset.mem l q in
+        let ex_seen, ex = visits (fun f -> Labelset.exists (fun l -> f l; p l) s) in
+        let fa_seen, fa = visits (fun f -> Labelset.for_all (fun l -> f l; p l) s) in
+        let fi_seen, fi = visits (fun f -> Labelset.filter (fun l -> f l; p l) s) in
+        ex = List.exists p els
+        && ex_seen = upto p els
+        && fa = List.for_all p els
+        && fa_seen = upto (fun l -> not (p l)) els
+        && Labelset.equal fi (Labelset.of_list (List.filter p els))
+        && fi_seen = els);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Multiset                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -668,6 +718,7 @@ let main_suites =
           Alcotest.test_case "bounds" `Quick test_labelset_bounds;
         ] );
       qsuite "labelset-props" labelset_qcheck;
+      qsuite "labelset-iteration-props" labelset_iteration_qcheck;
       ( "multiset",
         [
           Alcotest.test_case "basics" `Quick test_multiset_basics;
@@ -2202,8 +2253,235 @@ let parallel_determinism_qcheck =
             r1 = r4);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Node diagram: one-pass exact branch vs the pairwise definition      *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact node diagram pair by pair, from the definition: a >= b iff
+   replacing one b by a in any allowed configuration that contains b
+   yields an allowed configuration. *)
+let reference_node_geq (p : Problem.t) =
+  let n = Problem.label_count p in
+  let tbl = Hashtbl.create 4096 in
+  List.iter (fun m -> Hashtbl.replace tbl m ()) (Constr.expand p.Problem.node);
+  let configs = Hashtbl.fold (fun m () acc -> m :: acc) tbl [] in
+  Array.init n (fun a ->
+      Array.init n (fun b ->
+          List.for_all
+            (fun m ->
+              (not (Multiset.mem b m))
+              || Hashtbl.mem tbl (Multiset.replace_one ~remove:b ~add:a m))
+            configs))
+
+(* [Diagram.node_diagram p] has the reference relation when it is exact,
+   and on either branch [minimal_elements] agrees with its definition
+   (members with no strictly weaker member) on the full alphabet, every
+   right-closed set and a few seeded random sets. *)
+let check_node_diagram ~what (p : Problem.t) =
+  let d = Diagram.node_diagram p in
+  let n = Problem.label_count p in
+  let geq =
+    if Diagram.is_exact d then reference_node_geq p
+    else Array.init n (fun a -> Array.init n (fun b -> Diagram.geq d a b))
+  in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if Diagram.geq d a b <> geq.(a).(b) then
+        Alcotest.failf "%s: geq %d %d is %b, reference %b" what a b (Diagram.geq d a b)
+          geq.(a).(b)
+    done
+  done;
+  let gt a b = geq.(a).(b) && not geq.(b).(a) in
+  let reference_minimal s =
+    let els = Labelset.elements s in
+    Labelset.of_list
+      (List.filter (fun l -> List.for_all (fun l' -> l' = l || not (gt l l')) els) els)
+  in
+  let rng = Random.State.make [| Qseed.seed; n |] in
+  let random_set () =
+    Labelset.inter (Labelset.full n)
+      (Labelset.of_bits (Random.State.bits rng lor (Random.State.bits rng lsl 30)))
+  in
+  let rc = try Diagram.right_closed_sets ~limit:5_000 d with Budget.Budget_exceeded _ -> [] in
+  List.iter
+    (fun s ->
+      if not (Labelset.equal (Diagram.minimal_elements d s) (reference_minimal s)) then
+        Alcotest.failf "%s: minimal elements of 0x%x differ" what (Labelset.to_bits s))
+    ((Labelset.full n :: rc) @ List.init 20 (fun _ -> random_set ()))
+
+(* A problem, its R image and the R̄ images of both, where they exist
+   within the default budgets. *)
+let with_images p =
+  let image f q = match f q with d -> [ d.Rounde.problem ] | exception (Budget.Budget_exceeded _ | Failure _) -> [] in
+  let rp = image Rounde.r p in
+  (p :: rp) @ image Rounde.rbar p @ List.concat_map (image Rounde.rbar) rp
+
+let test_node_diagram_presets () =
+  let pi (delta, a, x) = Core.Family.pi { Core.Family.delta; a; x } in
+  let pi_plus (delta, a, x) = Core.Family.pi_plus { Core.Family.delta; a; x } in
+  let r_pi (delta, a, x) = Core.Family.r_pi_claimed { Core.Family.delta; a; x } in
+  let presets =
+    List.concat_map
+      (fun delta ->
+        [
+          Lcl.Encodings.mis ~delta;
+          Lcl.Encodings.sinkless_orientation ~delta;
+          Lcl.Encodings.maximal_matching ~delta;
+          Lcl.Encodings.weak_2_coloring ~delta;
+        ])
+      [ 2; 3; 4 ]
+    @ List.map pi [ (3, 2, 0); (4, 3, 1); (5, 4, 2); (8, 6, 1) ]
+    @ List.map pi_plus [ (4, 3, 1); (5, 4, 2) ]
+    @ List.map r_pi [ (4, 3, 1); (5, 4, 2) ]
+  in
+  List.iter
+    (fun p ->
+      List.iteri
+        (fun i q -> check_node_diagram ~what:(Printf.sprintf "%s image %d" p.Problem.name i) q)
+        (with_images p))
+    presets
+
+let test_node_diagram_fuzz () =
+  let rng = Random.State.make [| Qseed.seed |] in
+  for i = 1 to 300 do
+    let p = Certify.Fuzz.gen_problem rng in
+    List.iteri
+      (fun k q -> check_node_diagram ~what:(Printf.sprintf "fuzz %d image %d" i k) q)
+      (with_images p)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Work accounting: engine counters and budget trips, pinned           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every R̄ budget is charged in the units these counters count, so a
+   kernel rewrite that keeps them keeps every budget verdict: the same
+   instances trip the same budget at the same point.  Each job starts
+   from zeroed stats, and passes the engine and a sequential pool
+   explicitly, so the RELIM_ZDD and RELIM_DOMAINS legs run the same
+   engine.  A step is R, then R̄, then normalization.  The table is
+   test/relim/golden/work_accounting.golden; DUNE_GOLDEN_UPDATE=1
+   rewrites it from the current engine. *)
+
+let col_problem k =
+  let name i = Printf.sprintf "c%d" i in
+  let node =
+    String.concat "\n"
+      (List.init k (fun i -> Printf.sprintf "%s %s %s" (name i) (name i) (name i)))
+  in
+  let edge =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if i < j then Some (name i ^ " " ^ name j) else None)
+          (List.init k Fun.id))
+      (List.init k Fun.id)
+  in
+  Parse.problem ~name:(Printf.sprintf "col%d" k) ~node ~edge:(String.concat "\n" edge)
+
+(* (id, input, steps (0: a single R̄ on the input), zdd).  Five jobs
+   trip a budget: pi542's second step (node constraint expansion),
+   col11 (explicit box-enumeration work), col21-zdd and mis3-zdd's
+   third step (the streaming rung's box-enumeration and scan work). *)
+let work_accounting_jobs () =
+  let pi delta a x = Core.Family.pi { Core.Family.delta; a; x } in
+  let mis delta = Lcl.Encodings.mis ~delta in
+  [
+    ("pi542", pi 5 4 2, 2, false);
+    ("pi861", pi 8 6 1, 1, false);
+    ("mis3", mis 3, 2, false);
+    ("mis4", mis 4, 2, false);
+    ("so3", Lcl.Encodings.sinkless_orientation ~delta:3, 2, false);
+    ("col10", col_problem 10, 0, false);
+    ("col11", col_problem 11, 0, false);
+    ("chain30", chain_problem 30, 0, false);
+    ("col21-zdd", col_problem 21, 0, true);
+    ("mis3-zdd", mis 3, 3, true);
+  ]
+
+(* Runs one job from zeroed stats; returns its golden line, whether a
+   budget tripped, and the job's [rbar_time_s]. *)
+let run_work_accounting_job (id, input, steps, zdd) =
+  Rounde.reset_stats ();
+  Zdd.reset_stats ();
+  let rbar q = (Rounde.rbar ~pool:Parallel.Pool.sequential ~zdd q).Rounde.problem in
+  let step q = Simplify.normalize (rbar (Rounde.r q).Rounde.problem) in
+  let rec go q done_ =
+    if done_ = steps then (done_, "-")
+    else
+      match step q with
+      | q' -> go q' (done_ + 1)
+      | exception Budget.Budget_exceeded { budget; _ } -> (done_, budget)
+  in
+  let completed, budget =
+    if steps > 0 then go input 0
+    else
+      match rbar input with
+      | _ -> (1, "-")
+      | exception Budget.Budget_exceeded { budget; _ } -> (0, budget)
+  in
+  let s = Rounde.stats in
+  let fields =
+    [
+      ("completed", completed);
+      ("r_calls", s.Rounde.r_calls);
+      ("closures_visited", s.Rounde.closures_visited);
+      ("closure_joins", s.Rounde.closure_joins);
+      ("closure_revisits", s.Rounde.closure_revisits);
+      ("rbar_calls", s.Rounde.rbar_calls);
+      ("rc_sets", s.Rounde.rc_sets);
+      ("boxes_emitted", s.Rounde.boxes_emitted);
+      ("boxes_pruned", s.Rounde.boxes_pruned);
+      ("box_dom_checks", s.Rounde.box_dom_checks);
+      ("box_dom_cheap_skips", s.Rounde.box_dom_cheap_skips);
+      ("box_transport_calls", s.Rounde.box_transport_calls);
+      ("transport_cache_hits", s.Rounde.transport_cache_hits);
+      ("maxbox_tuples", s.Rounde.maxbox_tuples);
+      ("maxbox_cubes", s.Rounde.maxbox_cubes);
+      ("maxbox_maximal", s.Rounde.maxbox_maximal);
+      ("maxbox_enumerated", s.Rounde.maxbox_enumerated);
+      ("zdd_nodes", Zdd.stats.Zdd.nodes);
+      ("zdd_peak_unique", Zdd.stats.Zdd.peak_unique);
+    ]
+  in
+  ( Printf.sprintf "%s budget=%S %s" id budget
+      (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) fields)),
+    budget <> "-",
+    s.Rounde.rbar_time_s )
+
+(* Under `dune runtest` the cwd is _build/default/test/relim, where the
+   golden dep is copied; under `dune exec` it is the project root. *)
+let golden_file = "golden/work_accounting.golden"
+
+let test_work_accounting () =
+  let runs = List.map run_work_accounting_job (work_accounting_jobs ()) in
+  (* Work that ended in a budget trip still shows in the times: col11
+     and col21-zdd run a single R̄ call, and it trips. *)
+  List.iter
+    (fun (line, tripped, rbar_time_s) ->
+      if tripped then check_bool ("R-bar time of a tripped job: " ^ line) true (rbar_time_s > 0.))
+    runs;
+  let actual = String.concat "" (List.map (fun (line, _, _) -> line ^ "\n") runs) in
+  if Sys.getenv_opt "DUNE_GOLDEN_UPDATE" = Some "1" then begin
+    let dir = List.find Sys.file_exists [ "../../../test/relim/golden"; "test/relim/golden" ] in
+    Out_channel.with_open_bin (Filename.concat dir "work_accounting.golden") (fun oc ->
+        output_string oc actual)
+  end
+  else begin
+    let path =
+      List.find Sys.file_exists [ golden_file; Filename.concat "test/relim" golden_file ]
+    in
+    let expected = In_channel.with_open_bin path In_channel.input_all in
+    let lines s = String.split_on_char '\n' s in
+    check
+      Alcotest.(list string)
+      "work accounting (DUNE_GOLDEN_UPDATE=1 refreshes)" (lines expected) (lines actual)
+  end
+
 let extra_suites =
   [
+    ( "work-accounting",
+      [ Alcotest.test_case "R-bar counters and budget trips" `Quick test_work_accounting ] );
     ( "parallel-pool",
       [
         Alcotest.test_case "map/filter_mapi order" `Quick test_pool_map_order;
@@ -2269,6 +2547,11 @@ let extra_suites =
         Alcotest.test_case "budget and early exit" `Quick test_rc_limit_guard;
       ] );
     qsuite "rc-equivalence-props" rc_reference_qcheck;
+    ( "node-diagram-equivalence",
+      [
+        Alcotest.test_case "presets and their R, R-bar images" `Quick test_node_diagram_presets;
+        Alcotest.test_case "300 fuzzed problems and images" `Quick test_node_diagram_fuzz;
+      ] );
     ( "clique-equivalence",
       [
         Alcotest.test_case "MIS" `Quick test_cliques_mis;

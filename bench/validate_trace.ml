@@ -26,13 +26,6 @@ module Json = Store.Json
 
 let member = Json.member
 
-(* lib/trace prints gauge values (JSONL "g" events, Chrome "C" events)
-   with %.6g, so a number may parse as either an Int or a Float. *)
-let as_int = function
-  | Some (Json.Int i) -> Some i
-  | Some (Json.Float f) -> Some (int_of_float f)
-  | _ -> None
-
 (* One normalized event, whichever format it came from. *)
 type ev =
   | Span_begin of string
@@ -53,7 +46,7 @@ let need_str where what v =
   | None -> failf where "missing or non-string %s" what
 
 let need_int where what v =
-  match as_int v with
+  match Option.bind v Json.int_opt with
   | Some i -> i
   | None -> failf where "missing or non-integer %s" what
 
@@ -71,11 +64,6 @@ let norm_jsonl ~where line =
     | "b" -> Span_begin (name ())
     | "e" -> Span_end (name ())
     | "i" -> Instant (name ())
-    | "g" ->
-        ignore (name ());
-        if as_int (member "value" j) = None then
-          failf where "gauge event without numeric \"value\"";
-        Instant "gauge"
     | "c" -> (
         match member "counters" j with
         | Some (Json.Obj kvs) ->
@@ -101,7 +89,7 @@ let norm_chrome ~where j =
     | "C" -> (
         match member "args" j with
         | Some args -> (
-            match as_int (member "value" args) with
+            match Option.bind (member "value" args) Json.int_opt with
             | Some v -> Counter [ (name, v) ]
             | None -> failf where "counter event without args.value")
         | None -> failf where "counter event without args")

@@ -396,22 +396,19 @@ let fixed_point preset delta a x node edge max_steps domains certify trace tfmt 
   let pool = pool_of_domains domains in
   let p = preset_problem preset delta a x node edge in
   with_certify certify @@ fun () ->
-  match Relim.Fixedpoint.detect ~max_steps ?pool p with
+  let verdict = Relim.Fixedpoint.detect ~max_steps ?pool p in
+  (match verdict with
   | Relim.Fixedpoint.Fixed_point (p0, _) ->
       Format.printf "the problem is itself a fixed point of Rbar o R:@.%a@."
-        Relim.Problem.pp p0;
-      Option.iter (Format.printf "=> %s@.")
-        (Relim.Fixedpoint.lower_bound_statement
-           (Relim.Fixedpoint.detect ~max_steps ?pool p))
+        Relim.Problem.pp p0
   | Relim.Fixedpoint.Reaches_fixed_point (steps, fp) ->
       Format.printf "stabilizes after %d step(s) at:@.%a@." steps
-        Relim.Problem.pp fp;
-      Option.iter (Format.printf "=> %s@.")
-        (Relim.Fixedpoint.lower_bound_statement
-           (Relim.Fixedpoint.Reaches_fixed_point (steps, fp)))
+        Relim.Problem.pp fp
   | Relim.Fixedpoint.No_fixed_point_found last ->
       Format.printf "no fixed point within the step budget; last problem (%d labels):@.%a@."
-        (Relim.Problem.label_count last) Relim.Problem.pp last
+        (Relim.Problem.label_count last) Relim.Problem.pp last);
+  Option.iter (Format.printf "=> %s@.")
+    (Relim.Fixedpoint.lower_bound_statement verdict)
 
 let fixed_point_cmd =
   let steps_t =

@@ -2,19 +2,6 @@ open Relim
 module Graph = Dsgraph.Graph
 module Tree_gen = Dsgraph.Tree_gen
 
-type stats = {
-  mutable witness_runs : int;
-  mutable refutation_runs : int;
-  mutable skipped : int;
-}
-
-let stats = { witness_runs = 0; refutation_runs = 0; skipped = 0 }
-
-let reset_stats () =
-  stats.witness_runs <- 0;
-  stats.refutation_runs <- 0;
-  stats.skipped <- 0
-
 let fail fmt = Printf.ksprintf (fun s -> raise (Check.Violation s)) fmt
 
 (* Definitional label-pair compatibility: {x, y} allowed by ℰ. *)
@@ -71,7 +58,7 @@ let check_witness_arbitrary ~trees ~tree_size ~seed (p : Problem.t) w =
     in
     let labeling = simulate g algo in
     match Lcl.Labeling.violations ~boundary:`Extendable p labeling with
-    | [] -> stats.witness_runs <- stats.witness_runs + 1
+    | [] -> ()
     | v :: _ ->
         fail
           "Simcheck (%s, arbitrary): witness %s fails on a random tree (%s)"
@@ -100,7 +87,7 @@ let check_witness_mirrored ~trees ~tree_size ~seed (p : Problem.t) w =
     let colors = Dsgraph.Edge_coloring.color_tree g in
     let labeling = simulate ~edge_colors:colors g algo in
     match Lcl.Labeling.violations ~boundary:`Extendable p labeling with
-    | [] -> stats.witness_runs <- stats.witness_runs + 1
+    | [] -> ()
     | v :: _ ->
         fail "Simcheck (%s, mirrored): witness %s fails on a random tree (%s)"
           p.Problem.name
@@ -155,9 +142,8 @@ let check_none_arbitrary ~tuple_budget (p : Problem.t) =
   let n = Problem.label_count p in
   let delta = Problem.delta p in
   let space = float_of_int n ** float_of_int delta in
-  if delta < 1 || space > float_of_int tuple_budget then
-    stats.skipped <- stats.skipped + 1
-  else begin
+  (* Past [tuple_budget] the exhaustive refutation is skipped. *)
+  if delta >= 1 && space <= float_of_int tuple_budget then begin
     let compat = edge_compat p in
     let g, u, v = double_star delta in
     let pu = Graph.port_of g u v and pv = Graph.port_of g v u in
@@ -226,17 +212,15 @@ let check_none_arbitrary ~tuple_budget (p : Problem.t) =
                   p.Problem.name
                   (Multiset.to_string p.Problem.alpha m)
                   i j
-        end;
-        stats.refutation_runs <- stats.refutation_runs + 1)
+        end)
   end
 
 let check_none_mirrored ~tuple_budget (p : Problem.t) =
   let n = Problem.label_count p in
   let delta = Problem.delta p in
   let space = float_of_int n ** float_of_int delta in
-  if delta < 1 || space > float_of_int tuple_budget then
-    stats.skipped <- stats.skipped + 1
-  else begin
+  (* Past [tuple_budget] the exhaustive refutation is skipped. *)
+  if delta >= 1 && space <= float_of_int tuple_budget then begin
     let compat = edge_compat p in
     let g, u, v = double_star delta in
     (* A proper coloring of the double star parameterized by the color
@@ -308,8 +292,7 @@ let check_none_mirrored ~tuple_budget (p : Problem.t) =
                   p.Problem.name
                   (Multiset.to_string p.Problem.alpha m)
                   c
-        end;
-        stats.refutation_runs <- stats.refutation_runs + 1)
+        end)
   end
 
 let cross_check ?(trees = 3) ?(tree_size = 16) ?(tuple_budget = 100_000)

@@ -24,17 +24,7 @@
 
     A verdict the simulation contradicts raises {!Check.Violation}.
     Exhaustive refutations whose tuple space exceeds [tuple_budget]
-    are skipped and counted. *)
-
-type stats = {
-  mutable witness_runs : int;  (** Simulated witness algorithms. *)
-  mutable refutation_runs : int;  (** Simulated adversarial tuples. *)
-  mutable skipped : int;  (** Refutations skipped on [tuple_budget]. *)
-}
-
-val stats : stats
-
-val reset_stats : unit -> unit
+    are skipped. *)
 
 (** [cross_check ~mode p verdict] — see above.
     @param trees number of random trees for the witness direction

@@ -31,34 +31,9 @@ let gt d a b = d.geq.(a).(b) && not d.geq.(b).(a)
 
 let equivalent d a b = d.geq.(a).(b) && d.geq.(b).(a)
 
-(* Compatibility matrix of an edge constraint: compat.(a).(b) iff the
-   pair {a, b} is an allowed edge configuration. *)
-let compat_matrix p =
-  let n = Alphabet.size p.Problem.alpha in
-  let compat = Array.make_matrix n n false in
-  List.iter
-    (fun line ->
-      match Line.groups line with
-      | [ (s, 2) ] ->
-          Labelset.iter
-            (fun a -> Labelset.iter (fun b -> compat.(a).(b) <- true) s)
-            s
-      | [ (s1, 1); (s2, 1) ] ->
-          Labelset.iter
-            (fun a ->
-              Labelset.iter
-                (fun b ->
-                  compat.(a).(b) <- true;
-                  compat.(b).(a) <- true)
-                s2)
-            s1
-      | _ -> invalid_arg "Diagram: malformed edge line")
-    (Constr.lines p.Problem.edge);
-  compat
-
 let edge_diagram p =
   let n = Alphabet.size p.Problem.alpha in
-  let compat = compat_matrix p in
+  let compat = Problem.compat_matrix p in
   let geq = Array.make_matrix n n false in
   (* a >= b iff N(b) subseteq N(a). *)
   for a = 0 to n - 1 do
@@ -298,17 +273,14 @@ let right_closed_count ?node_limit d =
   let mgr, fam = right_closed_family ?node_limit d in
   Zdd.count mgr fam
 
-let iter_right_closed_zdd ?limit ?node_limit d f =
-  let mgr, fam = right_closed_family ?node_limit d in
-  translate_zdd_limit @@ fun () ->
-  Zdd.iter ?limit mgr fam (fun mask -> f (Labelset.of_bits mask))
-
 (* Already in increasing bitset order — the enumeration order is the
    numeric mask order, so no sort is needed to match
    [right_closed_sets] byte for byte. *)
 let right_closed_sets_zdd ?limit ?node_limit d =
+  let mgr, fam = right_closed_family ?node_limit d in
   let acc = ref [] in
-  iter_right_closed_zdd ?limit ?node_limit d (fun s -> acc := s :: !acc);
+  translate_zdd_limit (fun () ->
+      Zdd.iter ?limit mgr fam (fun mask -> acc := Labelset.of_bits mask :: !acc));
   List.rev !acc
 
 let minimal_elements d s =

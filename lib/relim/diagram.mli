@@ -17,7 +17,7 @@ val edge_diagram : Problem.t -> t
     constraint expands within [expand_limit] concrete configurations
     (default 200_000); otherwise falls back to a sound condensed-level
     approximation that may miss relations (never invents them).
-    [exact_node_diagram] reports which case applied. *)
+    {!is_exact} reports which case applied. *)
 val node_diagram : ?expand_limit:float -> Problem.t -> t
 
 val is_exact : t -> bool
@@ -72,17 +72,12 @@ val right_closed_family : ?node_limit:int -> t -> Zdd.manager * Zdd.t
     @raise Budget.Budget_exceeded as {!right_closed_family}. *)
 val right_closed_count : ?node_limit:int -> t -> int
 
-(** ZDD-backed variant of {!iter_right_closed}: enumerates the same
-    sets in increasing bitset order (the diagram's canonical member
-    order — no sort needed).  [limit] budgets the number of sets
-    produced, with the same trip-at-[limit+1] convention and a
-    realized count in the [Budget_exceeded] payload. *)
-val iter_right_closed_zdd :
-  ?limit:int -> ?node_limit:int -> t -> (Labelset.t -> unit) -> unit
-
 (** ZDD-backed variant of {!right_closed_sets}; byte-identical result
-    on every diagram (pinned by the equivalence suite in
-    [test/zdd]). *)
+    on every diagram (pinned by the equivalence suite in [test/zdd]):
+    the family's members come out in increasing bitset order, no sort
+    needed.  [limit] budgets the number of sets produced, with the same
+    trip-at-[limit+1] convention and a realized count in the
+    [Budget_exceeded] payload. *)
 val right_closed_sets_zdd :
   ?limit:int -> ?node_limit:int -> t -> Labelset.t list
 

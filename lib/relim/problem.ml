@@ -19,6 +19,29 @@ let delta p = Constr.arity p.node
 
 let label_count p = Alphabet.size p.alpha
 
+let compat_matrix p =
+  let n = label_count p in
+  let compat = Array.make_matrix n n false in
+  let allow s1 s2 =
+    Labelset.iter
+      (fun a ->
+        Labelset.iter
+          (fun b ->
+            compat.(a).(b) <- true;
+            compat.(b).(a) <- true)
+          s2)
+      s1
+  in
+  (* [make] checked arity 2: a line is two groups of count 1 or one
+     group of count 2. *)
+  List.iter
+    (fun line ->
+      match Line.groups line with
+      | [ (s1, _); (s2, _) ] -> allow s1 s2
+      | groups -> List.iter (fun (s, _) -> allow s s) groups)
+    (Constr.lines p.edge);
+  compat
+
 let equal a b =
   String.equal a.name b.name && Alphabet.equal a.alpha b.alpha
   && Constr.equal a.node b.node && Constr.equal a.edge b.edge

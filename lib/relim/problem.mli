@@ -26,6 +26,11 @@ val delta : t -> int
 (** Number of labels actually used (size of the alphabet). *)
 val label_count : t -> int
 
+(** The edge-compatibility matrix: [(compat_matrix p).(a).(b)] iff the
+    pair {a, b} is an allowed edge configuration.  Symmetric; built
+    from the condensed edge lines without expanding them. *)
+val compat_matrix : t -> bool array array
+
 (** Structural equality: same alphabet (names and order), same
     constraints.  See {!Iso} for equality up to renaming. *)
 val equal : t -> t -> bool

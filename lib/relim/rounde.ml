@@ -17,7 +17,6 @@ type stats = {
   mutable maxbox_cubes : int;
   mutable maxbox_maximal : int;
   mutable maxbox_enumerated : int;
-  mutable r_time_s : float;
   mutable rbar_time_s : float;
   mutable maxbox_time_s : float;
 }
@@ -40,7 +39,6 @@ let stats =
     maxbox_cubes = 0;
     maxbox_maximal = 0;
     maxbox_enumerated = 0;
-    r_time_s = 0.;
     rbar_time_s = 0.;
     maxbox_time_s = 0.;
   }
@@ -55,8 +53,6 @@ let now () = Unix.gettimeofday ()
 let timed add f =
   let t0 = now () in
   Fun.protect ~finally:(fun () -> add (now () -. t0)) f
-
-let add_r_time dt = stats.r_time_s <- stats.r_time_s +. dt
 
 let add_rbar_time dt = stats.rbar_time_s <- stats.rbar_time_s +. dt
 
@@ -90,24 +86,8 @@ let reset_stats () =
   stats.maxbox_cubes <- 0;
   stats.maxbox_maximal <- 0;
   stats.maxbox_enumerated <- 0;
-  stats.r_time_s <- 0.;
   stats.rbar_time_s <- 0.;
   stats.maxbox_time_s <- 0.
-
-(* Compatibility matrix of the edge constraint (symmetric). *)
-let compat_matrix (p : Problem.t) =
-  let n = Alphabet.size p.alpha in
-  let compat = Array.make_matrix n n false in
-  List.iter
-    (fun line ->
-      Line.expand line (fun m ->
-          match Multiset.to_list m with
-          | [ a; b ] ->
-              compat.(a).(b) <- true;
-              compat.(b).(a) <- true
-          | _ -> invalid_arg "Rounde: edge line of arity <> 2"))
-    (Constr.lines p.edge);
-  compat
 
 (* Per-label neighbor masks: nbr.(b) = { a | compat a b }. *)
 let neighbor_masks compat n =
@@ -209,7 +189,7 @@ let sample_rbar_counters () =
 let r_impl (p : Problem.t) =
   stats.r_calls <- stats.r_calls + 1;
   let n = Alphabet.size p.alpha in
-  let compat = compat_matrix p in
+  let compat = Problem.compat_matrix p in
   let nbr = neighbor_masks compat n in
   (* Maximal valid pairs are the closed pairs of the Galois connection
      S ↦ neighbors(S): exactly the pairs (A, N(A)) over closed A with
@@ -302,7 +282,7 @@ let r (p : Problem.t) =
   Trace.with_span "rounde.r"
     ~attrs:[ ("problem", p.name) ]
     (fun () ->
-      let result = timed add_r_time (fun () -> r_impl p) in
+      let result = r_impl p in
       notify `R p result;
       sample_r_counters ();
       result)
@@ -645,12 +625,12 @@ let valid_boxes_zdd_impl (p : Problem.t) ~expand_limit =
     end
   end
 
-let valid_boxes ?pool ?zdd (p : Problem.t) ~expand_limit ~rc_limit =
+let valid_boxes ?pool ~zdd (p : Problem.t) ~expand_limit ~rc_limit =
   Trace.with_span "rounde.valid_boxes"
     ~attrs:[ ("problem", p.name) ]
     (fun () ->
       let explicit () = valid_boxes_impl ?pool p ~expand_limit ~rc_limit in
-      if Parctl.resolve_zdd zdd then
+      if zdd then
         match valid_boxes_zdd_impl p ~expand_limit with
         | Some boxes -> boxes
         | None -> explicit ()
@@ -886,134 +866,24 @@ let transport_verdict local bi bj =
         v
   end
 
-(* ZDD pre-screen for the dominance filter: build the family of box
-   supports, extract its maximal members, and count support
-   multiplicities.  A box whose support is a maximal member occurring
-   exactly once is provably undominated — a dominator [b'] would need
-   support(b) ⊆ support(b'), so by maximality support(b') = support(b),
-   contradicting uniqueness — and skips the dominator scan entirely.
-   Output-preserving by construction; only the scan counters shrink.
-   A unique-table overrun just disables the screen. *)
-let zdd_prescreen keyed =
-  let m = Array.length keyed in
-  let maxmask =
-    Array.fold_left (fun acc k -> acc lor Labelset.to_bits k.support) 0 keyed
-  in
-  let nbits =
-    let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-    bits maxmask 0
-  in
-  try
-    let mgr = Zdd.create ~nbits () in
-    let counts = Hashtbl.create (2 * m) in
-    let fam = ref Zdd.bot in
-    (* Each distinct support joins the family once, at its first
-       occurrence: a repeated union would leave the family as it is. *)
-    Array.iter
-      (fun k ->
-        let s = Labelset.to_bits k.support in
-        match Hashtbl.find_opt counts s with
-        | Some c -> Hashtbl.replace counts s (c + 1)
-        | None ->
-            Hashtbl.add counts s 1;
-            fam := Zdd.union mgr !fam (Zdd.of_mask mgr s))
-      keyed;
-    let maxf = Zdd.maximal mgr !fam in
-    Array.map
-      (fun k ->
-        let s = Labelset.to_bits k.support in
-        Hashtbl.find counts s = 1 && Zdd.mem mgr maxf s)
-      keyed
-  with Zdd.Limit _ -> Array.make m false
-
-(* Complete dominance verdicts from Coudert maximal on the real Δ-slot
-   family (the upgrade of the support prescreen above): insert every
-   distinct arrangement of every box into a slotted family, extract the
-   maximal members, and read each box's verdict off canonical-encoding
-   membership — box dominance is exactly strict encoding containment up
-   to a slot permutation, so this is the *whole* filter, not a screen:
-   no dominator scan, no transport matching.  [None] when the encoding
-   or the orbit expansion doesn't fit (falls back to the screen+scan
-   path); a unique-table overrun likewise. *)
-let zdd_slotted_verdicts keyed =
-  let m = Array.length keyed in
-  if m = 0 then None
-  else
-    let delta = Array.length keyed.(0).sets in
-    let n =
-      let maxmask =
-        Array.fold_left (fun acc k -> acc lor Labelset.to_bits k.support) 0 keyed
-      in
-      let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
-      bits maxmask 0
-    in
-    let orbit_bound =
-      (* ≤ Δ! arrangements per box; cheap overestimate to bound the
-         insertion work before starting. *)
-      let rec fact k acc = if k <= 1 then acc else fact (k - 1) (k * acc) in
-      m * fact (min delta 12) 1
-    in
-    if delta = 0 || n = 0 || delta * n > 62 || orbit_bound > 2_000_000 then None
-    else
-      try
-        let lay = Zdd.layout ~slots:delta ~width:n in
-        let mgr = Zdd.create ~nbits:(Zdd.layout_bits lay) () in
-        let fam = ref Zdd.bot in
-        let encode k =
-          Zdd.encode_slots lay (Array.map Labelset.to_bits k.sets)
-        in
-        Array.iter
-          (fun k ->
-            (* Group equal sets so [arrangements] emits each distinct
-               slot assignment exactly once. *)
-            let groups =
-              Array.fold_left
-                (fun acc s ->
-                  let mask = Labelset.to_bits s in
-                  match acc with
-                  | (mask', c) :: rest when mask' = mask -> (mask, c + 1) :: rest
-                  | _ -> (mask, 1) :: acc)
-                [] k.sets
-            in
-            arrangements groups delta (fun slotmasks ->
-                fam :=
-                  Zdd.union mgr !fam
-                    (Zdd.of_mask mgr (Zdd.encode_slots lay slotmasks))))
-          keyed;
-        let maxf = Zdd.maximal mgr !fam in
-        Some (Array.map (fun k -> not (Zdd.mem mgr maxf (encode k))) keyed)
-      with Zdd.Limit _ -> None
-
-let maximal_boxes_impl ?pool ~use_zdd boxes =
+let maximal_boxes_impl ?pool ~zdd boxes =
   let pool = Parctl.resolve pool in
   let keyed = Array.of_list (List.map box_key boxes) in
   let m = Array.length keyed in
-  match if use_zdd then zdd_slotted_verdicts keyed else None with
-  | Some dominated ->
-      (* The slotted family answered every verdict: no scan at all.
-         Output-identical to the scan below (the verdicts coincide box
-         by box and the input order is preserved); only the scan
-         counters ([box_dom_*], [*transport*]) stay at zero. *)
-      List.filteri (fun i _ -> not dominated.(i)) boxes
-  | None ->
-  let undominated =
-    if use_zdd && m > 0 then zdd_prescreen keyed
-    else Array.make (max 1 m) false
-  in
   (* Candidate dominators, in non-increasing total cardinality. *)
   let order = Array.init m Fun.id in
   Array.sort (fun i j -> Int.compare keyed.(j).total keyed.(i).total) order;
-  (* On the compressed path the quadratic scan is charged against the
-     same work limit as enumeration, through a shared atomic counter.
+  (* Under [~zdd] the quadratic scan is charged against the same work
+     limit as enumeration, through a shared atomic counter.
      Each box's check count is a fixed property of the instance (the
      scan order and early exits read only the immutable [keyed]/[order]
      tables), so the grand total — and hence the trip verdict — is
-     identical for every domain count and schedule.  The explicit path
-     stays uncharged: its inputs already passed the enumeration budget,
-     and its scan cost is bounded by them. *)
+     identical for every domain count and schedule.  Without [~zdd] the
+     scan stays uncharged: its inputs already passed the explicit
+     enumeration budget, and its cost is bounded by them. *)
   let scan_work = Atomic.make 0 in
   let charge_scan amount =
-    if use_zdd then begin
+    if zdd then begin
       let before = Atomic.fetch_and_add scan_work amount in
       if before + amount > box_work_limit then
         Budget.exceeded ~budget:"Rounde.rbar: maximal box scan work (zdd)"
@@ -1060,7 +930,7 @@ let maximal_boxes_impl ?pool ~use_zdd boxes =
          check); a single box's scan is at most [m] checks, so the
          overshoot before a trip is registered stays bounded. *)
       let checks_before = local.checks in
-      let verdict = (not undominated.(i)) && dominated local i in
+      let verdict = dominated local i in
       charge_scan (local.checks - checks_before);
       flags.(i) <- verdict)
     ~merge:(fun l ->
@@ -1070,12 +940,10 @@ let maximal_boxes_impl ?pool ~use_zdd boxes =
       stats.transport_cache_hits <- stats.transport_cache_hits + l.cache_hits);
   List.filteri (fun i _ -> not flags.(i)) boxes
 
-let maximal_boxes ?pool ?zdd boxes =
+let maximal_boxes ?pool ~zdd boxes =
   Trace.with_span "rounde.maximal_boxes"
     ~attrs:[ ("boxes", string_of_int (List.length boxes)) ]
-    (fun () ->
-      timed add_maxbox_time (fun () ->
-          maximal_boxes_impl ?pool ~use_zdd:(Parctl.resolve_zdd zdd) boxes))
+    (fun () -> timed add_maxbox_time (fun () -> maximal_boxes_impl ?pool ~zdd boxes))
 
 let rbar_impl ?(expand_limit = 2e6) ?(rc_limit = 100_000) ?pool ?zdd
     (p : Problem.t) =
@@ -1093,11 +961,12 @@ let rbar_impl ?(expand_limit = 2e6) ?(rc_limit = 100_000) ?pool ?zdd
      encoding applies; else the streaming compressed DFS inside
      [valid_boxes]; else the explicit DFS — each rung byte-identical to
      the others wherever both complete. *)
+  let zdd = Parctl.resolve_zdd zdd in
   let boxes =
     let fallback () =
-      maximal_boxes ?pool ?zdd (valid_boxes ?pool ?zdd p ~expand_limit ~rc_limit)
+      maximal_boxes ?pool ~zdd (valid_boxes ?pool ~zdd p ~expand_limit ~rc_limit)
     in
-    if Parctl.resolve_zdd zdd then
+    if zdd then
       match symbolic_boxes_impl p with
       | Some boxes -> boxes
       | None -> fallback ()
@@ -1134,7 +1003,7 @@ let rbar_impl ?(expand_limit = 2e6) ?(rc_limit = 100_000) ?pool ?zdd
   in
   (* Edge constraint: pairs of used sets admitting a compatible choice
      in the old edge constraint. *)
-  let compat = compat_matrix p in
+  let compat = Problem.compat_matrix p in
   let choice_compatible s1 s2 =
     Labelset.exists (fun a -> Labelset.exists (fun b -> compat.(a).(b)) s2) s1
   in

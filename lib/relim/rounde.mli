@@ -73,7 +73,6 @@ type stats = {
   mutable maxbox_enumerated : int;
       (** Canonical (slot-sorted) maximal boxes streamed out — the
           symbolic path's final box count. *)
-  mutable r_time_s : float;
   mutable rbar_time_s : float;
   mutable maxbox_time_s : float;
       (** Time inside the maximal-box filter (included in [rbar_time_s]). *)
@@ -148,18 +147,18 @@ val r : Problem.t -> denoted
     (zdd)"], ["... maximal box enumeration (zdd)"], ["Zdd.boxes:
     construction work"], ["... box enumeration work (zdd)"] and
     ["... maximal box scan work (zdd)"] (the quadratic dominance scan
-    itself, charged per pair check when the streaming rung feeds a
-    family too wide for the slotted filter), so instances that trip a
-    budget on one path may complete — or trip a differently-named
-    budget — on the other.  Engine-dependent
+    that filters the DFS rungs' boxes, charged per pair check), so
+    instances that trip a budget on one path may complete — or trip a
+    differently-named budget — on the other.  Engine-dependent
     counters: [boxes_emitted] counts only the surviving boxes on the
     symbolic rung (the DFS paths count every valid box);
-    [boxes_pruned] stays 0 and the [box_dom_*]/[*transport*] counters
-    stay 0 or shrink on the compressed rungs (pruned candidates are
-    never enumerated; the slotted filter answers verdicts without a
-    scan); the [maxbox_*] family counters move only on the symbolic
-    rung.  The search runs in the calling domain ([?pool] still
-    drives the explicit dominance filter).
+    [boxes_pruned] stays 0 on the compressed rungs (pruned candidates
+    are never enumerated); the [box_dom_*]/[*transport*] counters stay
+    0 on the symbolic rung and equal the explicit path's on the
+    streaming rung, which filters with the same scan; the [maxbox_*]
+    family counters move only on the symbolic rung.  The search runs
+    in the calling domain ([?pool] still drives the dominance
+    scan).
     @raise Budget.Budget_exceeded if any budget is exceeded. *)
 val rbar :
   ?expand_limit:float -> ?rc_limit:int -> ?pool:Parallel.Pool.t ->

@@ -26,22 +26,8 @@ let observer :
 let notify mode p verdict =
   match !observer with None -> () | Some f -> f ~mode p verdict
 
-let compat_matrix (p : Problem.t) =
-  let n = Alphabet.size p.alpha in
-  let compat = Array.make_matrix n n false in
-  List.iter
-    (fun line ->
-      Line.expand line (fun m ->
-          match Multiset.to_list m with
-          | [ a; b ] ->
-              compat.(a).(b) <- true;
-              compat.(b).(a) <- true
-          | _ -> invalid_arg "Zeroround: edge line of arity <> 2"))
-    (Constr.lines p.edge);
-  compat
-
 let self_compatible p =
-  let compat = compat_matrix p in
+  let compat = Problem.compat_matrix p in
   let n = Alphabet.size p.alpha in
   let acc = ref Labelset.empty in
   for l = 0 to n - 1 do
@@ -138,7 +124,7 @@ let iter_maximal_cliques ?(max_expansions = 1_000_000) compat n f =
 type bk_local = { mutable cliques : int; mutable expansions : int }
 
 let clique_search ~max_expansions pool p =
-  let compat = compat_matrix p in
+  let compat = Problem.compat_matrix p in
   let n = Alphabet.size p.alpha in
   let lines = Constr.lines p.node in
   (* A pool works iff every group of some node line meets it, and that

@@ -11,7 +11,6 @@ type kind =
   | End
   | Instant of (string * string) list
   | Counters of (string * int) list
-  | Gauge_ev of float
 
 type event = { kind : kind; name : string; ts : int }
 
@@ -141,12 +140,7 @@ let jsonl_line buf dom (e : event) =
   | Counters kvs ->
       head "c";
       Buffer.add_string buf ",\"counters\":";
-      add_int_dict buf kvs
-  | Gauge_ev v ->
-      head "g";
-      Buffer.add_string buf ",\"name\":";
-      add_json_string buf e.name;
-      Buffer.add_string buf (Printf.sprintf ",\"value\":%.6g" v));
+      add_int_dict buf kvs);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
@@ -189,13 +183,6 @@ let chrome_event buf dom (e : event) k =
             ~args:(Some (fun b -> add_int_dict b [ ("value", v) ]))
             ~extra:"")
         kvs
-  | Gauge_ev v ->
-      item ~ph:"C" ~name:e.name
-        ~args:
-          (Some
-             (fun b ->
-               Buffer.add_string b (Printf.sprintf "{\"value\":%.6g}" v)))
-        ~extra:""
 
 let write_out sink =
   (* Deterministic merge: buffers in increasing domain id, each
@@ -315,30 +302,3 @@ let instant ?(attrs = []) name =
 
 let counters kvs =
   if Atomic.get enabled_flag && kvs <> [] then emit (Counters kvs) "counters"
-
-module Counter = struct
-  type t = { cname : string; total : int Atomic.t }
-
-  let make cname = { cname; total = Atomic.make 0 }
-
-  let name c = c.cname
-
-  let add c n =
-    if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.total n)
-
-  let incr c = add c 1
-
-  let value c = Atomic.get c.total
-
-  let sample c =
-    if Atomic.get enabled_flag then
-      emit (Counters [ (c.cname, Atomic.get c.total) ]) c.cname
-end
-
-module Gauge = struct
-  type t = string
-
-  let make name = name
-
-  let set name v = if Atomic.get enabled_flag then emit (Gauge_ev v) name
-end

@@ -2,12 +2,11 @@
 
     Dependency-free (stdlib + [Unix.gettimeofday] only).  The engine's
     hot paths are instrumented with hierarchical {e spans}
-    ({!with_span}), point-in-time {e instants} ({!instant}), cumulative
-    {e counter samples} ({!counters}, {!Counter}) and float-valued
-    {e gauges} ({!Gauge}).  All of it is disabled by default: every
-    entry point first reads one atomic flag and returns immediately, so
-    an untraced run pays only that load (see the TRACE section of
-    EXPERIMENTS.md).
+    ({!with_span}), point-in-time {e instants} ({!instant}) and
+    cumulative {e counter samples} ({!counters}).  All of it is
+    disabled by default: every entry point first reads one atomic flag
+    and returns immediately, so an untraced run pays only that load
+    (see the TRACE section of EXPERIMENTS.md).
 
     {2 Per-domain attribution}
 
@@ -26,10 +25,9 @@
     {ul
     {- [Jsonl] — one JSON object per line, one line per event:
        [{"ev":"b"|"e"|"i","dom":D,"ts":T,"name":N,"attrs":{...}}] for
-       span begin/end and instants,
+       span begin/end and instants, and
        [{"ev":"c","dom":D,"ts":T,"counters":{...}}] for counter
-       samples (cumulative values), and
-       [{"ev":"g","dom":D,"ts":T,"name":N,"value":V}] for gauges.
+       samples (cumulative values).
        Machine-checked by [bench/validate_trace.ml].}
     {- [Chrome] — the Chrome [trace_event] JSON format (an object with
        a ["traceEvents"] array of [B]/[E]/[C]/[i] phase events, domain
@@ -98,33 +96,3 @@ val instant : ?attrs:(string * string) list -> string -> unit
     (e.g. [Rounde.stats]) into the trace at span boundaries, which is
     what lets [validate_trace] reconcile the two. *)
 val counters : (string * int) list -> unit
-
-(** Typed cumulative counters.  [add]/[incr] accumulate only while
-    tracing is enabled (an atomic add); [sample] emits the current
-    cumulative value as a counter event. *)
-module Counter : sig
-  type t
-
-  val make : string -> t
-
-  val name : t -> string
-
-  val add : t -> int -> unit
-
-  val incr : t -> unit
-
-  (** Cumulative total accumulated while enabled. *)
-  val value : t -> int
-
-  val sample : t -> unit
-end
-
-(** Float-valued gauges: [set] emits the new value immediately (gauges
-    are instantaneous readings, not cumulative). *)
-module Gauge : sig
-  type t
-
-  val make : string -> t
-
-  val set : t -> float -> unit
-end

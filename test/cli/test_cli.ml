@@ -1,9 +1,9 @@
-(* End-to-end tests of the roundelim binary's tracing interface,
-   driving the real executable (path in $ROUNDELIM, set by the dune
-   stanza) and checking the traces it writes with the schema validator
-   ($VALIDATE_TRACE).  The key regression: an unwritable --trace path
-   must abort with a clear error and exit code 2 before any engine work
-   runs. *)
+(* End-to-end tests of the roundelim binary, driving the real
+   executable (path in $ROUNDELIM, set by the dune stanza): its tracing
+   interface, checked with the schema validator ($VALIDATE_TRACE), the
+   --zdd flag, and the fixed-point command's certified summary.  The
+   key tracing regression: an unwritable --trace path must abort with a
+   clear error and exit code 2 before any engine work runs. *)
 
 let exe var =
   match Sys.getenv_opt var with
@@ -169,6 +169,18 @@ let test_zdd_trace_counters () =
     && contains ~sub:"\"zdd.maxbox_maximal\"" trace
     && contains ~sub:"\"zdd.maxbox_enumerated\"" trace)
 
+(* An input that is itself a fixed point is detected once: the
+   certified summary counts one fixed point, not one per detection. *)
+let test_fixed_point_input_certified_once () =
+  let code, stdout, stderr =
+    run "fixed-point --node 'A A A' --edge 'A A' --certify"
+  in
+  Alcotest.(check int) "exit code 0" 0 code;
+  Alcotest.(check bool) "the input is the fixed point" true
+    (contains ~sub:"the problem is itself a fixed point" stdout);
+  Alcotest.(check bool) ("one fixed point certified: " ^ stderr) true
+    (contains ~sub:"1 fixed points" stderr)
+
 let () =
   Alcotest.run "cli"
     [
@@ -193,5 +205,10 @@ let () =
             test_stats_explicit_zero_zdd;
           Alcotest.test_case "zdd.* trace counters recorded" `Quick
             test_zdd_trace_counters;
+        ] );
+      ( "fixed-point",
+        [
+          Alcotest.test_case "fixed-point input certified once" `Quick
+            test_fixed_point_input_certified_once;
         ] );
     ]

@@ -703,84 +703,8 @@ let test_r_label_counts () =
 (* Golden snapshots: Pi_Delta(a,x) and its R image (Figs. 4 and 5)     *)
 (* ------------------------------------------------------------------ *)
 
-(* Golden files live in test/core/golden/ in the source tree and are
-   declared as test deps, so dune copies them next to the test binary
-   (cwd is _build/default/test/core).  DUNE_GOLDEN_UPDATE=1 writes the
-   current output back to the source tree instead of comparing. *)
-let golden_build_dir = "golden"
-
-(* Under `dune runtest` the cwd is _build/default/test/core; under
-   `dune exec test/core/test_core.exe` it is the project root. *)
-let golden_source_dir () =
-  match
-    List.find_opt Sys.file_exists
-      [ "../../../test/core/golden"; "test/core/golden" ]
-  with
-  | Some dir -> dir
-  | None ->
-      Alcotest.fail
-        "cannot locate the source test/core/golden directory for \
-         DUNE_GOLDEN_UPDATE"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-(* A readable unified-ish diff: every differing line, prefixed with the
-   1-based line number, capped so a totally rewritten snapshot stays
-   reviewable. *)
-let golden_diff expected actual =
-  let lines s = Array.of_list (String.split_on_char '\n' s) in
-  let e = lines expected and a = lines actual in
-  let n = max (Array.length e) (Array.length a) in
-  let buf = Buffer.create 256 in
-  let shown = ref 0 in
-  for i = 0 to n - 1 do
-    let ei = if i < Array.length e then Some e.(i) else None in
-    let ai = if i < Array.length a then Some a.(i) else None in
-    if ei <> ai && !shown < 20 then begin
-      incr shown;
-      (match ei with
-      | Some l -> Buffer.add_string buf (Printf.sprintf "  line %d: - %s\n" (i + 1) l)
-      | None -> ());
-      match ai with
-      | Some l -> Buffer.add_string buf (Printf.sprintf "  line %d: + %s\n" (i + 1) l)
-      | None -> ()
-    end
-  done;
-  if !shown >= 20 then Buffer.add_string buf "  ... (more differences)\n";
-  Buffer.contents buf
-
-let check_golden name actual =
-  let file = name ^ ".golden" in
-  if Sys.getenv_opt "DUNE_GOLDEN_UPDATE" = Some "1" then begin
-    write_file (Filename.concat (golden_source_dir ()) file) actual;
-    Printf.printf "golden: regenerated %s\n" file
-  end
-  else
-    let path = Filename.concat golden_build_dir file in
-    if not (Sys.file_exists path) then
-      Alcotest.failf
-        "missing golden file test/core/golden/%s — generate it with \
-         DUNE_GOLDEN_UPDATE=1 dune runtest"
-        file
-    else
-      let expected = read_file path in
-      if not (String.equal expected actual) then
-        Alcotest.failf
-          "%s differs from test/core/golden/%s (- expected, + actual):\n\
-           %s\n\
-           if the change is intended, refresh with DUNE_GOLDEN_UPDATE=1 dune \
-           runtest"
-          name file (golden_diff expected actual)
+(* Snapshots live in test/core/golden/ (see test/support/golden.ml). *)
+let check_golden = Golden.check ~suite:"core"
 
 (* Two parameter points: the paper's running example Pi_8(6,1) and the
    Pi_5(4,2) instance the benchmarks use.  Four snapshots each: the

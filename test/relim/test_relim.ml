@@ -2449,10 +2449,6 @@ let run_work_accounting_job (id, input, steps, zdd) =
     budget <> "-",
     s.Rounde.rbar_time_s )
 
-(* Under `dune runtest` the cwd is _build/default/test/relim, where the
-   golden dep is copied; under `dune exec` it is the project root. *)
-let golden_file = "golden/work_accounting.golden"
-
 let test_work_accounting () =
   let runs = List.map run_work_accounting_job (work_accounting_jobs ()) in
   (* Work that ended in a budget trip still shows in the times: col11
@@ -2461,27 +2457,55 @@ let test_work_accounting () =
     (fun (line, tripped, rbar_time_s) ->
       if tripped then check_bool ("R-bar time of a tripped job: " ^ line) true (rbar_time_s > 0.))
     runs;
-  let actual = String.concat "" (List.map (fun (line, _, _) -> line ^ "\n") runs) in
-  if Sys.getenv_opt "DUNE_GOLDEN_UPDATE" = Some "1" then begin
-    let dir = List.find Sys.file_exists [ "../../../test/relim/golden"; "test/relim/golden" ] in
-    Out_channel.with_open_bin (Filename.concat dir "work_accounting.golden") (fun oc ->
-        output_string oc actual)
-  end
-  else begin
-    let path =
-      List.find Sys.file_exists [ golden_file; Filename.concat "test/relim" golden_file ]
+  Golden.check ~suite:"relim" "work_accounting"
+    (String.concat "" (List.map (fun (line, _, _) -> line ^ "\n") runs))
+
+(* The streaming rung filters its boxes with the explicit path's scan:
+   the R̄ input of mis Δ=2's third step (46 labels, so Δ·n is past the
+   slotted encoding's 62 bits) gets the same dominance checks, screen
+   skips, matchings and memo hits, and the same outcome, on both
+   engines.  Both calls trip the output alphabet width after the
+   filter has run. *)
+let test_streaming_filter_is_explicit () =
+  let seq = Parallel.Pool.sequential in
+  let step q =
+    Simplify.normalize
+      (Rounde.rbar ~pool:seq ~zdd:false (Rounde.r q).Rounde.problem).Rounde.problem
+  in
+  let input = (Rounde.r (step (step (Lcl.Encodings.mis ~delta:2)))).Rounde.problem in
+  check_int "labels" 46 (Problem.label_count input);
+  let run zdd =
+    Rounde.reset_stats ();
+    Zdd.reset_stats ();
+    let outcome =
+      match Rounde.rbar ~pool:seq ~zdd input with
+      | r -> Problem.to_string r.Rounde.problem
+      | exception Budget.Budget_exceeded { budget; _ } -> budget
     in
-    let expected = In_channel.with_open_bin path In_channel.input_all in
-    let lines s = String.split_on_char '\n' s in
-    check
-      Alcotest.(list string)
-      "work accounting (DUNE_GOLDEN_UPDATE=1 refreshes)" (lines expected) (lines actual)
-  end
+    let s = Rounde.stats in
+    ( outcome,
+      [ s.Rounde.box_dom_checks; s.Rounde.box_dom_cheap_skips;
+        s.Rounde.box_transport_calls; s.Rounde.transport_cache_hits ] )
+  in
+  let explicit_outcome, explicit_counts = run false in
+  let zdd_outcome, zdd_counts = run true in
+  (* The compressed DFS built the right-closed family; the symbolic
+     rung did not run. *)
+  check_bool "streaming rung ran" true
+    (Zdd.stats.Zdd.nodes > 0 && Rounde.stats.Rounde.maxbox_tuples = 0);
+  check Alcotest.string "explicit trips the width" "Rounde.rbar: output alphabet width"
+    explicit_outcome;
+  check Alcotest.string "same outcome" explicit_outcome zdd_outcome;
+  check Alcotest.(list int) "same scan counters" explicit_counts zdd_counts
 
 let extra_suites =
   [
     ( "work-accounting",
-      [ Alcotest.test_case "R-bar counters and budget trips" `Quick test_work_accounting ] );
+      [
+        Alcotest.test_case "R-bar counters and budget trips" `Quick test_work_accounting;
+        Alcotest.test_case "streaming filter is the explicit filter" `Quick
+          test_streaming_filter_is_explicit;
+      ] );
     ( "parallel-pool",
       [
         Alcotest.test_case "map/filter_mapi order" `Quick test_pool_map_order;

@@ -35,28 +35,6 @@ module J = Store.Json
 
 let seq = Parallel.Pool.sequential
 
-(* ------------------------------------------------------------------ *)
-(* Golden-file plumbing (same conventions as test/core)                *)
-(* ------------------------------------------------------------------ *)
-
-let golden_build_dir = "golden"
-
-let golden_source_dir () =
-  match
-    List.find_opt Sys.file_exists
-      [
-        (* cwd = _build/default/test/sweep under `dune runtest` *)
-        "../../../../test/sweep/golden";
-        (* cwd = project root under `dune exec test/sweep/test_sweep.exe` *)
-        "test/sweep/golden";
-      ]
-  with
-  | Some dir -> dir
-  | None ->
-      Alcotest.fail
-        "cannot locate the source test/sweep/golden directory for \
-         DUNE_GOLDEN_UPDATE"
-
 let read_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -68,53 +46,6 @@ let write_file path s =
   let oc = open_out_bin path in
   output_string oc s;
   close_out oc
-
-let golden_diff expected actual =
-  let lines s = Array.of_list (String.split_on_char '\n' s) in
-  let e = lines expected and a = lines actual in
-  let n = max (Array.length e) (Array.length a) in
-  let buf = Buffer.create 256 in
-  let shown = ref 0 in
-  for i = 0 to n - 1 do
-    let ei = if i < Array.length e then Some e.(i) else None in
-    let ai = if i < Array.length a then Some a.(i) else None in
-    if ei <> ai && !shown < 20 then begin
-      incr shown;
-      (match ei with
-      | Some l ->
-          Buffer.add_string buf (Printf.sprintf "  line %d: - %s\n" (i + 1) l)
-      | None -> ());
-      match ai with
-      | Some l ->
-          Buffer.add_string buf (Printf.sprintf "  line %d: + %s\n" (i + 1) l)
-      | None -> ()
-    end
-  done;
-  if !shown >= 20 then Buffer.add_string buf "  ... (more differences)\n";
-  Buffer.contents buf
-
-let check_golden name actual =
-  let file = name ^ ".golden" in
-  if Sys.getenv_opt "DUNE_GOLDEN_UPDATE" = Some "1" then begin
-    write_file (Filename.concat (golden_source_dir ()) file) actual;
-    Printf.printf "golden: regenerated %s\n" file
-  end
-  else
-    let path = Filename.concat golden_build_dir file in
-    if not (Sys.file_exists path) then
-      Alcotest.failf
-        "missing golden file test/sweep/golden/%s — generate it with \
-         DUNE_GOLDEN_UPDATE=1 dune runtest"
-        file
-    else
-      let expected = read_file path in
-      if not (String.equal expected actual) then
-        Alcotest.failf
-          "%s differs from test/sweep/golden/%s (- expected, + actual):\n\
-           %s\n\
-           if the change is intended, refresh with DUNE_GOLDEN_UPDATE=1 dune \
-           runtest"
-          name file (golden_diff expected actual)
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: the table-driven lemma mega-suite                           *)
@@ -350,7 +281,7 @@ let test_megasuite () =
   Alcotest.(check bool)
     (Printf.sprintf "mega-suite pins >= 200 values (got %d)" pinned)
     true (pinned >= 200);
-  check_golden "megasuite" out
+  Golden.check ~suite:"sweep" "megasuite" out
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: resume / crash-recovery properties                          *)

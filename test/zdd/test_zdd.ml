@@ -361,7 +361,7 @@ let test_step_parity_presets () =
   (* the third speedup step is past the explicit wall — pin how each
      engine reports.  The DFS drowns in box enumeration work; the
      compressed path enumerates the boxes cheaply (the R̄ alphabet here
-     is 46 labels wide, past the Δ·n ≤ 62 slotted-filter envelope) and
+     is 46 labels wide, past the Δ·n ≤ 62 slot envelope) and
      trips on the quadratic dominance scan instead — the scan-work
      budget that turned a minutes-long discarded scan into an instant
      verdict in PR 10. *)

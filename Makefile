@@ -64,12 +64,15 @@ trace-smoke:
 	RELIM_TRACE=trace_smoke_env.jsonl dune exec bin/roundelim.exe -- fixed-point -p pi -d 5 -a 4 -x 2 --max-steps 1 --domains 2 > /dev/null
 	dune exec bench/validate_trace.exe -- trace_smoke_env.jsonl
 
-# Autopilot smoke: rediscover the sinkless-orientation fixed point
-# through the certified relaxation search (CLI, with the certifier
-# hooks on).
+# Autopilot smoke, through the CLI with the certifier hooks on: the
+# certified relaxation search rediscovers the sinkless-orientation fixed
+# point, then proves the mis Delta=2 upper bound in 3 steps, the last
+# through a quotient by a 47-set cover (the path whose relaxed labels
+# get the short names q0, q1, ...).
 autopilot-smoke:
 	dune build bin
 	dune exec bin/roundelim.exe -- autopilot -p so -d 3 --certify
+	dune exec bin/roundelim.exe -- autopilot -p mis -d 2 --certify
 
 # Differential fuzzing smoke, pinned and CI-sized (well under 30s): 500
 # random problems through the optimized pipeline with every output

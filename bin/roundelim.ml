@@ -12,7 +12,19 @@
 
 open Cmdliner
 
+(* A problem the user got wrong (unknown preset, bad parameters, a
+   parse error) is a usage error: print the message and exit 2, as a
+   bad --trace path does, instead of letting cmdliner report an
+   uncaught exception with exit 125.  Wraps only input construction,
+   never engine work. *)
+let or_usage_error f =
+  try f () with
+  | Failure msg | Invalid_argument msg ->
+      Format.eprintf "roundelim: %s@." msg;
+      exit 2
+
 let preset_problem preset delta a x node edge =
+  or_usage_error @@ fun () ->
   match (preset, node, edge) with
   | Some "mis", _, _ -> Lcl.Encodings.mis ~delta
   | Some "so", _, _ -> Lcl.Encodings.sinkless_orientation ~delta
@@ -351,7 +363,7 @@ let load file diagrams =
   let len = in_channel_length ic in
   let contents = really_input_string ic len in
   close_in ic;
-  let p = Relim.Serialize.of_string contents in
+  let p = or_usage_error (fun () -> Relim.Serialize.of_string contents) in
   Format.printf "%a@." Relim.Problem.pp p;
   if diagrams then
     Format.printf "@.edge diagram:@.%a@." Relim.Diagram.pp

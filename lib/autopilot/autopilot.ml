@@ -50,31 +50,13 @@ let verdict_string = function
 
 type candidate = Identity | Cover of Labelset.t list
 
-(* [Alphabet.set_name] concatenates member names, which can collide
-   when the source alphabet holds both single-character names and their
-   concatenation (R outputs routinely do: "A", "B" and "AB" may all be
-   labels).  Fall back to positional names in that case — certificates
-   key denotations by name, so any distinct names work. *)
-let cover_names (rp : Problem.t) sets =
-  let names = Array.map (Alphabet.set_name rp.Problem.alpha) sets in
-  let tbl = Hashtbl.create 16 in
-  let distinct =
-    Array.for_all
-      (fun n ->
-        if Hashtbl.mem tbl n then false
-        else begin
-          Hashtbl.add tbl n ();
-          true
-        end)
-      names
-  in
-  if distinct then names else Array.mapi (fun i _ -> Printf.sprintf "q%d" i) sets
-
 (* Quotient of [rp] by a cover 𝒮 of its labels: one new label per
    cover set, every occurrence of [y] replaced by the disjunction of
-   the sets containing it.  The denotations are the cover sets
-   themselves — exactly the shape [Certify.Check.check_relaxation]
-   validates. *)
+   the sets containing it.  Cover set [i] gets the fresh name [q<i>],
+   as the paper gives its relaxed problem Π⁺ fresh letters: joining
+   the members' names would nest one level per step.  The denotations
+   are the cover sets themselves — exactly the shape
+   [Certify.Check.check_relaxation] validates. *)
 let quotient (rp : Problem.t) (cover : Labelset.t list) : Rounde.denoted =
   let sets = Array.of_list cover in
   let phi = Array.make (Alphabet.size rp.Problem.alpha) Labelset.empty in
@@ -84,7 +66,9 @@ let quotient (rp : Problem.t) (cover : Labelset.t list) : Rounde.denoted =
   let map_group g =
     Labelset.fold (fun y acc -> Labelset.union phi.(y) acc) g Labelset.empty
   in
-  let alpha = Alphabet.create (Array.to_list (cover_names rp sets)) in
+  let alpha =
+    Alphabet.create (List.init (Array.length sets) (Printf.sprintf "q%d"))
+  in
   let problem =
     Problem.make
       ~name:(rp.Problem.name ^ "/q")

@@ -25,6 +25,10 @@
     identity relaxation (no information loss) is always tried first;
     covers only matter when the plain step exceeds its budgets.
 
+    The labels of [Q] are [q0 … q(k−1)] in cover order, as the paper
+    gives its relaxed problem Π⁺ fresh letters; the sets they stand for
+    live in the certificate's relaxed denotations.
+
     {2 Soundness}
 
     Every accepted step is packaged as a

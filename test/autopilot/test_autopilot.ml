@@ -1,7 +1,8 @@
 (* The relaxation-search autopilot end to end: the sinkless-orientation
    fixed point rediscovered as a certified relaxed cycle, the
    Pi(5,4,2) upper bound reached through a quotient cover where the
-   plain speedup step trips its budget, certificate round-trips, and
+   plain speedup step trips its budget, the short names of a cover's
+   relaxed labels, certificate round-trips, and
    the certificate-gated store admission of discovered cycles. *)
 
 module A = Autopilot
@@ -72,6 +73,60 @@ let test_pi_budget_wall () =
     (List.exists (fun (s : A.accepted) -> s.A.cover <> None) r.A.steps);
   check_steps_certified r
 
+(* mis Δ=2 at the CI limits reaches its upper bound through a quotient
+   by a 47-set cover.  Its relaxed labels must carry the fresh names
+   q0…q46, with their meaning only in the certificate's denotations:
+   names joined from R(Π)'s already-joined names made that step's
+   certificate text 72 MB. *)
+let test_cover_short_names () =
+  let r = A.search ~limits:tight (Lcl.Encodings.mis ~delta:2) in
+  (match r.A.verdict with
+  | A.Upper_bound { steps } -> check_int "upper bound in 3 steps" 3 steps
+  | v -> Alcotest.failf "expected an upper bound, got %s" (A.verdict_string v));
+  check_int "candidates" 7 r.A.candidates_explored;
+  check_int "budget skips" 1 r.A.budget_skips;
+  check_int "certified steps" 3 r.A.certified_steps;
+  let covers = List.filter (fun (s : A.accepted) -> s.A.cover <> None) r.A.steps in
+  check_bool "a cover step was accepted" true (covers <> []);
+  (* On a mismatch, name the first offending label, cut short: a joined
+     name runs to megabytes. *)
+  let check_fresh what step names =
+    List.iteri
+      (fun i name ->
+        if name <> Printf.sprintf "q%d" i then
+          Alcotest.failf "step %d %s %d is named %S, not q%d" step what i
+            (if String.length name > 40 then String.sub name 0 40 ^ "..."
+             else name)
+            i)
+      names
+  in
+  List.iter
+    (fun (s : A.accepted) ->
+      let rs =
+        match s.A.certificate with
+        | Cert.Relaxed_step rs -> rs
+        | _ -> Alcotest.fail "accepted step is not a relaxed step"
+      in
+      let alpha =
+        (Relim.Serialize.of_string rs.Cert.rs_relaxed).Relim.Problem.alpha
+      in
+      check_int
+        (Printf.sprintf "step %d one label per cover set" s.A.step_index)
+        (Option.get s.A.cover) (Relim.Alphabet.size alpha);
+      check_fresh "relaxed label" s.A.step_index
+        (List.map (Relim.Alphabet.name alpha) (Relim.Alphabet.labels alpha));
+      check_fresh "denotation" s.A.step_index
+        (List.map fst rs.Cert.rs_relaxed_denotations))
+    covers;
+  List.iter
+    (fun (s : A.accepted) ->
+      let bytes = String.length (Cert.to_text s.A.certificate) in
+      if bytes >= 8_000_000 then
+        Alcotest.failf "step %d certificate text is %d bytes" s.A.step_index
+          bytes)
+    r.A.steps;
+  check_steps_certified r
+
 let test_store_admission () =
   let r = A.search (so ()) in
   let cert =
@@ -117,6 +172,8 @@ let () =
             test_so_fixed_point;
           Alcotest.test_case "Pi(5,4,2) through the budget wall" `Slow
             test_pi_budget_wall;
+          Alcotest.test_case "cover step labels get short names" `Quick
+            test_cover_short_names;
         ] );
       ( "store",
         [ Alcotest.test_case "cycle admission" `Quick test_store_admission ] );

@@ -1,9 +1,10 @@
 (* End-to-end tests of the roundelim binary, driving the real
    executable (path in $ROUNDELIM, set by the dune stanza): its tracing
    interface, checked with the schema validator ($VALIDATE_TRACE), the
-   --zdd flag, and the fixed-point command's certified summary.  The
-   key tracing regression: an unwritable --trace path must abort with a
-   clear error and exit code 2 before any engine work runs. *)
+   --zdd flag, the fixed-point command's certified summary, and the
+   exit code of a bad problem.  The key tracing regression: an
+   unwritable --trace path must abort with a clear error and exit code
+   2 before any engine work runs. *)
 
 let exe var =
   match Sys.getenv_opt var with
@@ -181,6 +182,33 @@ let test_fixed_point_input_certified_once () =
   Alcotest.(check bool) ("one fixed point certified: " ^ stderr) true
     (contains ~sub:"1 fixed points" stderr)
 
+(* A problem the user got wrong is a usage error: exit 2, the message
+   on stderr and nothing on stdout, never cmdliner's "internal error"
+   exit 125.  [load] reads a saved problem whose edge line lost its
+   closing bracket. *)
+let test_bad_problem_exits_2 () =
+  let bad = Filename.temp_file "cli_bad" ".relim" in
+  let oc = open_out bad in
+  output_string oc "problem bad\nnode:\nM^2\nP O\nedge:\nM [PO\n";
+  close_out oc;
+  List.iter
+    (fun (args, msg) ->
+      let code, stdout, stderr = run args in
+      Alcotest.(check int) (args ^ ": exit code 2") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: message on stderr: %s" args stderr)
+        true
+        (contains ~sub:("roundelim: " ^ msg) stderr);
+      Alcotest.(check string) (args ^ ": nothing on stdout") "" stdout)
+    [
+      ("step --node 'A A' --edge 'A B^'", "expected integer after ^");
+      ("show -p nope", "unknown preset nope");
+      ("show -p pi -d 3 -a 5", "Family: need 0 <= a <= delta");
+      ("show --node 'A A'", "provide either --preset or both --node and --edge");
+      ("load " ^ Filename.quote bad, "unclosed [");
+    ];
+  Sys.remove bad
+
 let () =
   Alcotest.run "cli"
     [
@@ -210,5 +238,10 @@ let () =
         [
           Alcotest.test_case "fixed-point input certified once" `Quick
             test_fixed_point_input_certified_once;
+        ] );
+      ( "bad-input",
+        [
+          Alcotest.test_case "bad problem exits 2" `Quick
+            test_bad_problem_exits_2;
         ] );
     ]

@@ -68,11 +68,17 @@ trace-smoke:
 # certified relaxation search rediscovers the sinkless-orientation fixed
 # point, then proves the mis Delta=2 upper bound in 3 steps, the last
 # through a quotient by a 47-set cover (the path whose relaxed labels
-# get the short names q0, q1, ...).
+# get the short names q0, q1, ...), and exhausts mm Delta=3 after 3
+# certified identity steps, normalizing a third state of 599 edge
+# lines.  mm's stdout carries 3.4 MB of nested label names, so grep
+# reads all of it (no -q, which would stop at the first match) and
+# prints only the verdict line.
 autopilot-smoke:
 	dune build bin
 	dune exec bin/roundelim.exe -- autopilot -p so -d 3 --certify
 	dune exec bin/roundelim.exe -- autopilot -p mis -d 2 --certify
+	dune exec bin/roundelim.exe -- autopilot -p mm -d 3 --certify \
+	  | grep 'verdict: exhausted  (3 candidates explored, 0 budget-skipped, 3 certified steps'
 
 # Differential fuzzing smoke, pinned and CI-sized (well under 30s): 500
 # random problems through the optimized pipeline with every output

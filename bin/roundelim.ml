@@ -12,16 +12,21 @@
 
 open Cmdliner
 
-(* A problem the user got wrong (unknown preset, bad parameters, a
-   parse error) is a usage error: print the message and exit 2, as a
-   bad --trace path does, instead of letting cmdliner report an
-   uncaught exception with exit 125.  Wraps only input construction,
-   never engine work. *)
-let or_usage_error f =
-  try f () with
-  | Failure msg | Invalid_argument msg ->
+(* Input the user got wrong (an unknown preset, label, diagram or
+   algorithm, bad parameters, a parse error, a file that cannot be read
+   or written) is a usage error: print the message and exit 2, as a bad
+   --trace path does, instead of letting cmdliner report an uncaught
+   exception with exit 125.  [or_usage_error] wraps only argument and
+   file checks, never engine work. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
       Format.eprintf "roundelim: %s@." msg;
-      exit 2
+      exit 2)
+    fmt
+
+let or_usage_error f =
+  try f () with Failure msg | Invalid_argument msg | Sys_error msg -> usage_error "%s" msg
 
 let preset_problem preset delta a x node edge =
   or_usage_error @@ fun () ->
@@ -324,11 +329,17 @@ let simplify preset delta a x node edge merge_from merge_into =
   let p =
     match (merge_from, merge_into) with
     | Some f, Some i ->
+        List.iter
+          (fun l ->
+            if not (Relim.Alphabet.mem_name p.Relim.Problem.alpha l) then
+              usage_error "unknown label %s" l)
+          [ f; i ];
+        if f = i then usage_error "--merge-from and --merge-into name the same label";
         Format.printf "merge %s -> %s sound: %b@." f i
           (Relim.Simplify.merge_is_sound p ~from_:f ~into_:i);
         Relim.Simplify.merge p ~from_:f ~into_:i
     | None, None -> Relim.Simplify.merge_equivalent p
-    | _ -> failwith "provide both --merge-from and --merge-into, or neither"
+    | _ -> usage_error "provide both --merge-from and --merge-into, or neither"
   in
   Format.printf "%a@." Relim.Problem.pp (Relim.Simplify.normalize p)
 
@@ -347,7 +358,7 @@ let simplify_cmd =
 
 let save preset delta a x node edge file =
   let p = preset_problem preset delta a x node edge in
-  let oc = open_out file in
+  let oc = or_usage_error (fun () -> open_out file) in
   output_string oc (Relim.Serialize.to_string p);
   close_out oc;
   Format.printf "wrote %s@." file
@@ -359,11 +370,10 @@ let save_cmd =
     Term.(const save $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t $ file_t)
 
 let load file diagrams =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  let p = or_usage_error (fun () -> Relim.Serialize.of_string contents) in
+  let p =
+    or_usage_error @@ fun () ->
+    Relim.Serialize.of_string (In_channel.with_open_text file In_channel.input_all)
+  in
   Format.printf "%a@." Relim.Problem.pp p;
   if diagrams then
     Format.printf "@.edge diagram:@.%a@." Relim.Diagram.pp
@@ -521,7 +531,7 @@ let dot preset delta a x node edge which =
   match which with
   | "edge" -> print_string (Relim.Diagram.to_dot ~name:(p.Relim.Problem.name ^ "-edge") (Relim.Diagram.edge_diagram p))
   | "node" -> print_string (Relim.Diagram.to_dot ~name:(p.Relim.Problem.name ^ "-node") (Relim.Diagram.node_diagram p))
-  | other -> Printf.ksprintf failwith "unknown diagram %s (edge|node)" other
+  | other -> usage_error "unknown diagram %s (edge|node)" other
 
 let dot_cmd =
   let which_t =
@@ -567,7 +577,7 @@ let simulate algo nodes max_degree seed k =
         k
         (count res.Distalgo.Kods.selected)
         nodes res.Distalgo.Kods.rounds res.Distalgo.Kods.palette
-  | other -> Printf.ksprintf failwith "unknown algorithm %s (luby|cv-mis|kods)" other
+  | other -> usage_error "unknown algorithm %s (luby|cv-mis|kods)" other
 
 let simulate_cmd =
   let algo_t =

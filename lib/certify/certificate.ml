@@ -258,6 +258,7 @@ let rebuild_denoted ~what ~(source : Problem.t) ~(problem : Problem.t) denots =
   { Rounde.problem; denotations }
 
 let validate ?work_budget cert =
+  Trace.with_span "certify.validate" @@ fun () ->
   match
     match cert with
     | Step s ->

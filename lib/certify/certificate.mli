@@ -93,5 +93,6 @@ val of_text : string -> (t, string) result
     (for {!Fixed_point}).  [Error] carries the checker's violation
     message.  Budget-guarded sub-checks of {!Check} may be skipped on
     very large instances (counted in [Check.stats.skipped_subchecks]) —
-    a skipped sub-check makes the certificate partial, never wrong. *)
+    a skipped sub-check makes the certificate partial, never wrong.
+    Traced as a [certify.validate] span. *)
 val validate : ?work_budget:int -> t -> (unit, string) result

@@ -43,38 +43,30 @@ let merge_equivalent ?expand_limit (p : Problem.t) =
       merge p ~from_:(Alphabet.name p.alpha b) ~into_:(Alphabet.name p.alpha a)
 
 let drop_redundant_lines (p : Problem.t) =
-  (* Keep exactly one representative per cover-equivalence class of the
-     cover-maximal lines.  [Line.covers] is a preorder; a line is
-     dropped iff a line we already decided to KEEP covers it, or some
-     line strictly covers it (in which case the strict-cover chain ends
-     at a maximal line whose class representative is kept).  Every
-     dropped line is therefore covered by a kept line, and the first
-     member of each maximal class always survives — the pruned
-     constraint can never be empty or weaker, even if a future cover
-     notion introduced genuine mutual-cover cycles.  (On today's
-     canonical [Line.t] such cycles are impossible — [covers] is
-     antisymmetric, see the `simplify-*` tests — so this keeps exactly
-     the maximal lines; the previous implementation re-checked covers
-     against a shifting mix of original and remaining lines and relied
-     on that antisymmetry implicitly.) *)
+  (* Keep exactly the lines that no other line covers.  [Line.covers] is
+     semantic inclusion, so it is transitive, and it is antisymmetric on
+     canonical lines (the `line-covers-antisymmetric-on-canonical-lines`
+     property); [Constr.make] holds each line once and sorts them.  So
+     the kept lines are the cover-maximal ones, in canonical order, and
+     every dropped line is covered by a kept one: the constraint's
+     meaning is unchanged.  [covers outer inner] routes every group of
+     [inner] into a group of [outer] with a superset of its labels, so it
+     needs [support inner ⊆ support outer]; that one-word test screens
+     out almost every pair before the max-flow. *)
   let prune constr =
-    let lines = Constr.lines constr in
-    let strictly_covered line =
+    let lines = List.map (fun l -> (l, Line.support l)) (Constr.lines constr) in
+    let covered (line, support) =
       List.exists
-        (fun other -> Line.covers other line && not (Line.covers line other))
+        (fun (other, support') ->
+          Labelset.subset support support'
+          && (not (Line.equal other line))
+          && Line.covers other line)
         lines
     in
-    let rec go kept = function
-      | [] -> List.rev kept
-      | line :: rest ->
-          if
-            List.exists (fun k -> Line.covers k line) kept
-            || strictly_covered line
-          then go kept rest
-          else go (line :: kept) rest
-    in
-    Constr.make (go [] lines)
+    Constr.make (List.map fst (List.filter (fun l -> not (covered l)) lines))
   in
   { p with Problem.node = prune p.node; edge = prune p.edge }
 
-let normalize p = Problem.trim (drop_redundant_lines p)
+let normalize p =
+  Trace.with_span "simplify.normalize" @@ fun () ->
+  Problem.trim (drop_redundant_lines p)

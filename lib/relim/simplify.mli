@@ -32,11 +32,20 @@ val merge_is_sound :
     problem unchanged if no pair qualifies. *)
 val merge_equivalent : ?expand_limit:float -> Problem.t -> Problem.t
 
-(** Remove constraint lines that are covered by another line of the
-    same constraint (they denote only configurations another line
-    already allows); the problem is unchanged semantically. *)
+(** Remove every constraint line that another line of the same
+    constraint covers ({!Line.covers}: it denotes only configurations
+    the other line already allows); the problem is unchanged
+    semantically.  The kept lines are exactly the cover-maximal ones,
+    since [covers] is antisymmetric on canonical lines.  A pair of lines
+    gets a [covers] max-flow only when the inner line's support is a
+    subset of the outer line's, so L lines cost L² one-word tests plus
+    one max-flow per pair that passes. *)
 val drop_redundant_lines : Problem.t -> Problem.t
 
-(** [normalize p] — [drop_redundant_lines], then {!Problem.trim}.  A
-    cheap canonicalization used before isomorphism checks. *)
+(** [normalize p] — [drop_redundant_lines], then {!Problem.trim}; traced
+    as a [simplify.normalize] span.  A cheap canonicalization used
+    after every speedup step and before isomorphism checks: mm Δ=3's
+    third step result has 599 edge lines, 976 of whose 358,202 ordered
+    pairs pass the support screen, and normalizes in a few
+    milliseconds. *)
 val normalize : Problem.t -> Problem.t

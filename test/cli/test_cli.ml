@@ -2,7 +2,7 @@
    executable (path in $ROUNDELIM, set by the dune stanza): its tracing
    interface, checked with the schema validator ($VALIDATE_TRACE), the
    --zdd flag, the fixed-point command's certified summary, and the
-   exit code of a bad problem.  The key tracing regression: an
+   exit code of bad input.  The key tracing regression: an
    unwritable --trace path must abort with a clear error and exit code
    2 before any engine work runs. *)
 
@@ -182,10 +182,11 @@ let test_fixed_point_input_certified_once () =
   Alcotest.(check bool) ("one fixed point certified: " ^ stderr) true
     (contains ~sub:"1 fixed points" stderr)
 
-(* A problem the user got wrong is a usage error: exit 2, the message
-   on stderr and nothing on stdout, never cmdliner's "internal error"
-   exit 125.  [load] reads a saved problem whose edge line lost its
-   closing bracket. *)
+(* Input the user got wrong (a problem, a label, a diagram or
+   algorithm name, a file that cannot be read or written) is a usage
+   error: exit 2, the message on stderr and nothing on stdout, never
+   cmdliner's "internal error" exit 125.  [load] reads a saved problem
+   whose edge line lost its closing bracket. *)
 let test_bad_problem_exits_2 () =
   let bad = Filename.temp_file "cli_bad" ".relim" in
   let oc = open_out bad in
@@ -206,6 +207,17 @@ let test_bad_problem_exits_2 () =
       ("show -p pi -d 3 -a 5", "Family: need 0 <= a <= delta");
       ("show --node 'A A'", "provide either --preset or both --node and --edge");
       ("load " ^ Filename.quote bad, "unclosed [");
+      ("simplify -p mis -d 3 --merge-from M",
+        "provide both --merge-from and --merge-into, or neither");
+      ("simplify -p mis -d 3 --merge-from Z --merge-into M", "unknown label Z");
+      ("simplify -p mis -d 3 --merge-from M --merge-into M",
+        "--merge-from and --merge-into name the same label");
+      ("dot -p mis -d 3 --which bogus", "unknown diagram bogus (edge|node)");
+      ("simulate --algo bogus", "unknown algorithm bogus (luby|cv-mis|kods)");
+      ("load /nonexistent-dir/file.relim",
+        "/nonexistent-dir/file.relim: No such file or directory");
+      ("save -p mis -d 3 /nonexistent-dir/file.relim",
+        "/nonexistent-dir/file.relim: No such file or directory");
     ];
   Sys.remove bad
 

@@ -1874,6 +1874,33 @@ let test_drop_redundant_cover_chain () =
   | lines -> Alcotest.failf "expected 1 node line, got %d" (List.length lines));
   check_int "edge untouched" 1 (List.length (Constr.lines pruned.Problem.edge))
 
+(* Reference prune: a kept-list pass plus a strict-cover check, with a
+   [Line.covers] max-flow on every ordered pair of lines and no support
+   screen.  [Simplify.drop_redundant_lines] must keep exactly its
+   lines. *)
+let reference_prune constr =
+  let lines = Constr.lines constr in
+  let strictly_covered line =
+    List.exists
+      (fun other -> Line.covers other line && not (Line.covers line other))
+      lines
+  in
+  let rec go kept = function
+    | [] -> List.rev kept
+    | line :: rest ->
+        if
+          List.exists (fun k -> Line.covers k line) kept
+          || strictly_covered line
+        then go kept rest
+        else go (line :: kept) rest
+  in
+  Constr.make (go [] lines)
+
+let prune_matches_reference (p : Problem.t) =
+  let pruned = Simplify.drop_redundant_lines p in
+  Constr.equal pruned.Problem.node (reference_prune p.Problem.node)
+  && Constr.equal pruned.Problem.edge (reference_prune p.Problem.edge)
+
 let simplify_prune_qcheck =
   let gen = QCheck.(pair (int_range 1 1023) (int_range 1 63)) in
   let line_gen =
@@ -1882,6 +1909,27 @@ let simplify_prune_qcheck =
         (fun (b1, b2, c) ->
           Line.make [ (Labelset.of_bits b1, 1); (Labelset.of_bits b2, c) ])
         (triple (int_range 1 7) (int_range 1 7) (int_range 1 3)))
+  in
+  (* 1–12 condensed arity-3 lines over 3 labels: unlike
+     [random_problem]'s concrete lines, many of their pairs are
+     cover-related, so the prune drops lines. *)
+  let condensed_gen =
+    let group = QCheck.Gen.(map Labelset.of_bits (int_range 1 7)) in
+    let line =
+      QCheck.Gen.(
+        map
+          (fun (a, b, c) -> Line.make [ (a, 1); (b, 1); (c, 1) ])
+          (triple group group group))
+    in
+    QCheck.make
+      QCheck.Gen.(
+        map
+          (fun (node, edge) ->
+            Problem.make ~name:"condensed"
+              ~alpha:(Alphabet.create [ "A"; "B"; "C" ])
+              ~node:(Constr.make node)
+              ~edge:(Constr.make [ Line.make [ (edge, 2) ] ]))
+          (pair (list_size (int_range 1 12) line) group))
   in
   [
     QCheck.Test.make ~name:"pruned-lines-form-a-cover-antichain" ~count:100 gen
@@ -1918,6 +1966,17 @@ let simplify_prune_qcheck =
       ~count:500 (QCheck.pair line_gen line_gen)
       (fun (a, b) ->
         (not (Line.covers a b && Line.covers b a)) || Line.equal a b);
+    QCheck.Test.make ~name:"screened-prune-equals-reference" ~count:100 gen
+      (fun masks ->
+        match random_problem masks with
+        | None -> true
+        | Some p -> prune_matches_reference p);
+    QCheck.Test.make ~name:"screened-prune-equals-reference-condensed"
+      ~count:300 condensed_gen prune_matches_reference;
+    QCheck.Test.make ~name:"line-covers-needs-support-inclusion" ~count:500
+      (QCheck.pair line_gen line_gen)
+      (fun (a, b) ->
+        (not (Line.covers a b)) || Labelset.subset (Line.support b) (Line.support a));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -2316,30 +2375,30 @@ let with_images p =
   let rp = image Rounde.r p in
   (p :: rp) @ image Rounde.rbar p @ List.concat_map (image Rounde.rbar) rp
 
-let test_node_diagram_presets () =
+let presets () =
   let pi (delta, a, x) = Core.Family.pi { Core.Family.delta; a; x } in
   let pi_plus (delta, a, x) = Core.Family.pi_plus { Core.Family.delta; a; x } in
   let r_pi (delta, a, x) = Core.Family.r_pi_claimed { Core.Family.delta; a; x } in
-  let presets =
-    List.concat_map
-      (fun delta ->
-        [
-          Lcl.Encodings.mis ~delta;
-          Lcl.Encodings.sinkless_orientation ~delta;
-          Lcl.Encodings.maximal_matching ~delta;
-          Lcl.Encodings.weak_2_coloring ~delta;
-        ])
-      [ 2; 3; 4 ]
-    @ List.map pi [ (3, 2, 0); (4, 3, 1); (5, 4, 2); (8, 6, 1) ]
-    @ List.map pi_plus [ (4, 3, 1); (5, 4, 2) ]
-    @ List.map r_pi [ (4, 3, 1); (5, 4, 2) ]
-  in
+  List.concat_map
+    (fun delta ->
+      [
+        Lcl.Encodings.mis ~delta;
+        Lcl.Encodings.sinkless_orientation ~delta;
+        Lcl.Encodings.maximal_matching ~delta;
+        Lcl.Encodings.weak_2_coloring ~delta;
+      ])
+    [ 2; 3; 4 ]
+  @ List.map pi [ (3, 2, 0); (4, 3, 1); (5, 4, 2); (8, 6, 1) ]
+  @ List.map pi_plus [ (4, 3, 1); (5, 4, 2) ]
+  @ List.map r_pi [ (4, 3, 1); (5, 4, 2) ]
+
+let test_node_diagram_presets () =
   List.iter
     (fun p ->
       List.iteri
         (fun i q -> check_node_diagram ~what:(Printf.sprintf "%s image %d" p.Problem.name i) q)
         (with_images p))
-    presets
+    (presets ())
 
 let test_node_diagram_fuzz () =
   let rng = Random.State.make [| Qseed.seed |] in
@@ -2349,6 +2408,38 @@ let test_node_diagram_fuzz () =
       (fun k q -> check_node_diagram ~what:(Printf.sprintf "fuzz %d image %d" i k) q)
       (with_images p)
   done
+
+(* ------------------------------------------------------------------ *)
+(* Simplify: the screened prune against the reference prune            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every preset (whose lines are condensed) and its one-step result.
+   The Δ = 8 step is left out: certifying it on the RELIM_CERTIFY=1 leg
+   takes about 18 s. *)
+let test_prune_presets () =
+  List.iter
+    (fun p ->
+      check_bool p.Problem.name true (prune_matches_reference p);
+      if Problem.delta p <= 5 then
+        match Rounde.step p with
+        | d ->
+            check_bool (p.Problem.name ^ " step 1") true
+              (prune_matches_reference d.Rounde.problem)
+        | exception Budget.Budget_exceeded _ -> ())
+    (presets ())
+
+(* mm Δ=3's third identity step: 46 labels, 26 node lines and 599 edge
+   lines, of which the support screen leaves 976 ordered edge-line
+   pairs for [Line.covers]. *)
+let test_prune_mm3_third_step () =
+  let step q = Simplify.normalize (Rounde.step q).Rounde.problem in
+  let third =
+    (Rounde.step (step (step (Lcl.Encodings.maximal_matching ~delta:3)))).Rounde.problem
+  in
+  check_int "labels" 46 (Problem.label_count third);
+  check_int "node lines" 26 (List.length (Constr.lines third.Problem.node));
+  check_int "edge lines" 599 (List.length (Constr.lines third.Problem.edge));
+  check_bool "same lines as the reference prune" true (prune_matches_reference third)
 
 (* ------------------------------------------------------------------ *)
 (* Work accounting: engine counters and budget trips, pinned           *)
@@ -2575,6 +2666,12 @@ let extra_suites =
       [
         Alcotest.test_case "presets and their R, R-bar images" `Quick test_node_diagram_presets;
         Alcotest.test_case "300 fuzzed problems and images" `Quick test_node_diagram_fuzz;
+      ] );
+    ( "simplify-prune-reference",
+      [
+        Alcotest.test_case "presets and their step results" `Quick test_prune_presets;
+        Alcotest.test_case "mm3 third step, 599 edge lines" `Quick
+          test_prune_mm3_third_step;
       ] );
     ( "clique-equivalence",
       [

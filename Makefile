@@ -44,9 +44,11 @@ relbench-ab:
 	  --workload $(WORKLOAD)
 
 # End-to-end smoke of the round-elimination daemon and its
-# certificate-gated result store: cold batch, garbage rejection, kill -9,
-# on-disk corruption caught by validate-store (--strict exits non-zero),
-# and a warm restart whose responses are byte-identical to the cold run.
+# certificate-gated result store: cold batch, garbage rejection (bad
+# JSON, a cut-off request, a step with a label name the alphabet
+# refuses) with the daemon still answering a ping, kill -9, on-disk
+# corruption caught by validate-store (--strict exits non-zero), and a
+# warm restart whose responses are byte-identical to the cold run.
 daemond-smoke:
 	dune build bin
 	sh scripts/daemond_smoke.sh

@@ -7,10 +7,15 @@
     ([Problem], [Constr], [Line], [Labelset], [Multiset]).  None of
     the optimized machinery is involved: no Galois-closure lattice, no
     node diagram or right-closed-set enumeration, no dominance
-    screening, no transportation matching, no memo caches.  The
-    checkers are deliberately unoptimized (nested loops and
-    backtracking over small sets), so a bug in the fast paths cannot
-    also hide here.
+    screening, no memo caches.  The checkers are deliberately
+    unoptimized (nested loops and backtracking over small sets), so a
+    bug in the fast paths cannot also hide here.
+
+    One piece is shared with the engine: every membership test of a
+    configuration in a constraint goes through [Constr.mem], which
+    screens each line by support and decides the rest with
+    [Line.contains], a [Util.transport_feasible] max-flow, the same
+    solver the engine uses.  A bug in that solver could hide in both.
 
     Exhaustive sub-checks that are exponential in the label count
     (e.g. the completeness scan over all 2^n label subsets) are

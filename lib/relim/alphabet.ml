@@ -14,7 +14,9 @@ let check_name s =
 
 let create names =
   let n = List.length names in
-  if n > Labelset.max_label then invalid_arg "Alphabet.create: too many labels";
+  if n > Labelset.max_label then
+    invalid_arg
+      (Printf.sprintf "Alphabet.create: %d labels, more than %d" n Labelset.max_label);
   List.iter check_name names;
   let tbl = Hashtbl.create 16 in
   List.iter

@@ -20,7 +20,9 @@ val compare : t -> t -> int
 val support : t -> Labelset.t
 
 (** Is the concrete configuration allowed, i.e. contained in some
-    line? *)
+    line?  A line whose support misses a label of the configuration
+    is skipped with one subset test on the two supports; only the
+    lines that pass it run a {!Line.contains} max-flow. *)
 val mem : t -> Multiset.t -> bool
 
 (** [covers c line] — is every concrete configuration of [line] allowed

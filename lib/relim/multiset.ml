@@ -3,16 +3,28 @@ type label = Labelset.label
 (* Sorted by label, counts strictly positive. *)
 type t = (label * int) array
 
+(* Sort the pairs by label, then merge each run of equal labels in
+   place, dropping zero totals.  A run of one pair keeps its tuple
+   instead of allocating a new one. *)
 let of_counts pairs =
   List.iter (fun (_, c) -> if c < 0 then invalid_arg "Multiset.of_counts") pairs;
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (l, c) ->
-      let cur = try Hashtbl.find tbl l with Not_found -> 0 in
-      Hashtbl.replace tbl l (cur + c))
-    pairs;
-  let items = Hashtbl.fold (fun l c acc -> if c > 0 then (l, c) :: acc else acc) tbl [] in
-  Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) items)
+  let a = Array.of_list pairs in
+  Array.sort (fun ((x : label), _) (y, _) -> Int.compare x y) a;
+  let n = Array.length a in
+  let out = ref 0 and i = ref 0 in
+  while !i < n do
+    let start = !i and l = fst a.(!i) in
+    let c = ref 0 in
+    while !i < n && fst a.(!i) = l do
+      c := !c + snd a.(!i);
+      incr i
+    done;
+    if !c > 0 then begin
+      a.(!out) <- (if !i = start + 1 then a.(start) else (l, !c));
+      incr out
+    end
+  done;
+  if !out = n then a else Array.sub a 0 !out
 
 let of_list ls = of_counts (List.map (fun l -> (l, 1)) ls)
 

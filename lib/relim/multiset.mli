@@ -12,7 +12,8 @@ type label = Labelset.label
 val of_list : label list -> t
 
 (** [of_counts pairs] from (label, count) pairs; duplicate labels are
-    merged, zero counts dropped.
+    merged, zero counts dropped.  Costs one sort of the pairs and one
+    merge pass over them, O(k log k) for k pairs, with no hashtable.
     @raise Invalid_argument on negative counts. *)
 val of_counts : (label * int) list -> t
 

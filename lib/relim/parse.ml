@@ -76,66 +76,64 @@ let tokenize line_str =
   done;
   List.rev !tokens
 
-let scan_labels s =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun line_str ->
-      List.iter
-        (fun { atom; _ } ->
-          List.iter
-            (fun name ->
-              if not (Hashtbl.mem seen name) then begin
-                Hashtbl.add seen name ();
-                order := name :: !order
-              end)
-            atom)
-        (tokenize line_str))
-    (split_lines s);
-  List.rev !order
+(* Every line of [s] with its groups. *)
+let tokenized s = List.map (fun str -> (str, tokenize str)) (split_lines s)
 
-let line alpha s =
-  let groups =
-    List.map
-      (fun { atom; count } ->
-        let set =
-          List.fold_left
-            (fun acc name ->
-              match Alphabet.find alpha name with
-              | l -> Labelset.add l acc
-              | exception Not_found -> fail "unknown label %S in %S" name s)
-            Labelset.empty atom
-        in
-        (set, count))
-      (tokenize s)
+(* The label names of [lines] in order of first appearance, and a table
+   from each name to its position in that order. *)
+let label_names lines =
+  let index = Hashtbl.create 16 in
+  let add name =
+    if not (Hashtbl.mem index name) then Hashtbl.add index name (Hashtbl.length index)
   in
-  if groups = [] then fail "empty configuration";
-  Line.make groups
+  List.iter (fun (_, ts) -> List.iter (fun { atom; _ } -> List.iter add atom) ts) lines;
+  let names = Array.make (Hashtbl.length index) "" in
+  Hashtbl.iter (fun name i -> names.(i) <- name) index;
+  (Array.to_list names, index)
 
-let constr alpha ~arity s =
-  let lines_str = split_lines s in
-  if lines_str = [] then fail "empty constraint";
-  let lines = List.map (line alpha) lines_str in
-  List.iter2
-    (fun l str ->
+let scan_labels s = fst (label_names (tokenized s))
+
+(* One line's groups as a [Line.t]; [find name] is [name]'s label. *)
+let to_line find tokens =
+  if tokens = [] then fail "empty configuration";
+  let group { atom; count } =
+    (List.fold_left (fun acc n -> Labelset.add (find n) acc) Labelset.empty atom, count)
+  in
+  Line.make (List.map group tokens)
+
+(* [(text, line)] pairs as a constraint whose lines all have [arity]. *)
+let to_constr ~arity lines =
+  if lines = [] then fail "empty constraint";
+  List.iter
+    (fun (str, l) ->
       if Line.arity l <> arity then
         fail "configuration %S has arity %d, expected %d" str (Line.arity l) arity)
-    lines lines_str;
-  Constr.make lines
+    lines;
+  Constr.make (List.map snd lines)
 
+let line alpha s =
+  let find name =
+    try Alphabet.find alpha name with Not_found -> fail "unknown label %S in %S" name s
+  in
+  to_line find (tokenize s)
+
+let constr alpha ~arity s =
+  to_constr ~arity (List.map (fun str -> (str, line alpha str)) (split_lines s))
+
+(* Each line is tokenized once; its groups give the alphabet, then the
+   constraints.  The edge text is tokenized first: an edge syntax error
+   is reported before a node one. *)
 let problem ~name ~node ~edge =
-  let names = scan_labels node @ scan_labels edge in
-  let names =
-    List.fold_left (fun acc n -> if List.mem n acc then acc else n :: acc) [] names
-    |> List.rev
-  in
-  let alpha = Alphabet.create names in
-  let node_lines = List.map (line alpha) (split_lines node) in
+  let edge = tokenized edge in
+  let node = tokenized node in
+  let names, index = label_names (node @ edge) in
+  let alpha = try Alphabet.create names with Invalid_argument msg -> failwith msg in
   let delta =
-    match node_lines with
+    match node with
     | [] -> fail "empty node constraint"
-    | first :: _ -> Line.arity first
+    | (_, tokens) :: _ -> List.fold_left (fun acc { count; _ } -> acc + count) 0 tokens
   in
-  let node = constr alpha ~arity:delta node in
-  let edge = constr alpha ~arity:2 edge in
+  let resolve = List.map (fun (s, ts) -> (s, to_line (Hashtbl.find index) ts)) in
+  let node = to_constr ~arity:delta (resolve node) in
+  let edge = to_constr ~arity:2 (resolve edge) in
   Problem.make ~name ~alpha ~node ~edge

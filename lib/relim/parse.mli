@@ -29,8 +29,12 @@ val line : Alphabet.t -> string -> Line.t
 
 (** [problem ~name ~node ~edge] parses a whole problem, inferring the
     alphabet from the labels appearing in the two constraints (in order
-    of first appearance).
-    @raise Failure on syntax errors or if node/edge arity is invalid. *)
+    of first appearance, node text first).  Each line of the two texts
+    is tokenized once.
+    @raise Failure on syntax errors, if node/edge arity is invalid, on
+    a label name {!Alphabet.create} refuses (one containing [(], [)] or
+    a tab), or on more than {!Labelset.max_label} labels; the message
+    names the label or the count. *)
 val problem : name:string -> node:string -> edge:string -> Problem.t
 
 (** Label names appearing in a constraint string, in order of first

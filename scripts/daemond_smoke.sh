@@ -3,7 +3,9 @@
 # store, driving the real binary over a Unix socket:
 #
 #   1. cold mixed batch (step + fixed-point) against an empty store;
-#   2. garbage input answered with structured errors, daemon survives;
+#   2. garbage input (bad JSON, a cut-off request, a step whose label
+#      name the alphabet refuses) answered with structured errors,
+#      daemon survives;
 #   3. kill -9 the daemon, truncate a persisted entry on disk;
 #   4. validate-store reports the damage (--strict exits non-zero);
 #   5. restart over the damaged store: the intact entry is served warm,
@@ -23,6 +25,7 @@ say() { echo "daemond-smoke: $*"; }
 
 REQ_STEP='{"id":1,"op":"step","problem":"problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n"}'
 REQ_FP='{"id":2,"op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n"}'
+REQ_BAD_LABEL='{"id":5,"op":"step","problem":"problem x\nnode:\nA( A( A(\nedge:\nA( A(\n"}'
 
 "$ROUNDELIMD" serve --socket "$SOCK" --store "$STORE" > "$WORK/serve1.log" &
 DPID=$!
@@ -35,12 +38,12 @@ say "cold batch served ($(wc -l < "$WORK/cold.out") responses)"
 
 # 2. Garbage comes back as structured errors (client exits non-zero),
 #    and the daemon keeps serving.
-if printf 'this is not json\n{"id":3,"op":\n' \
+if printf 'this is not json\n%s\n{"id":3,"op":\n' "$REQ_BAD_LABEL" \
   | "$ROUNDELIMD" client --socket "$SOCK" > "$WORK/garbage.out"; then
   echo "daemond-smoke: FAIL: garbage reported as success" >&2
   exit 1
 fi
-test "$(grep -c '"ok":false' "$WORK/garbage.out")" = 2
+test "$(grep -c '"ok":false' "$WORK/garbage.out")" = 3
 printf '{"id":4,"op":"ping"}\n' \
   | "$ROUNDELIMD" client --socket "$SOCK" | grep -q '"pong":true'
 say "garbage rejected with structured errors; daemon still alive"

@@ -85,6 +85,9 @@ let golden_transcript =
     ( {|{"id":2,"op":"step","problem":"not a problem"}|},
       {|{"id":2,"ok":false,"error":{"code":"bad-request","message":"problem text: Serialize.of_string: unexpected line not a problem"}}|}
     );
+    ( {|{"id":4,"op":"step","problem":"problem x\nnode:\nA( A( A(\nedge:\nA( A(\n"}|},
+      {|{"id":4,"ok":false,"error":{"code":"bad-request","message":"problem text: Alphabet.create: bad character '(' in \"A(\""}}|}
+    );
     ( {|{"id":3,"op":"step","problem":"problem t\ndelta 2\nnode:\nA A\nedge:\nA A\n"}|},
       {|{"id":3,"ok":true,"cached":false,"result":{"problem":"problem step(t)\ndelta 2\nnode:\nA^2\nedge:\nA^2\n","labels":1,"delta":2}}|}
     );

@@ -225,6 +225,10 @@ let test_parse_forms () =
   let l4 = Parse.line alpha5 "[PO] X" in
   check_bool "bracket forms" true (Line.equal l3 l4)
 
+(* One configuration of 61 distinct labels, one more than a label set
+   holds. *)
+let labels61 = String.concat " " (List.init 61 (Printf.sprintf "l%d"))
+
 let test_parse_errors () =
   let fails f = match f () with
     | exception Failure _ -> true
@@ -233,7 +237,17 @@ let test_parse_errors () =
   check_bool "unknown label" true (fails (fun () -> Parse.line alpha5 "Z"));
   check_bool "unclosed bracket" true (fails (fun () -> Parse.line alpha5 "[MP"));
   check_bool "missing count" true (fails (fun () -> Parse.line alpha5 "M^"));
-  check_bool "empty disjunction" true (fails (fun () -> Parse.line alpha5 "[]"))
+  check_bool "empty disjunction" true (fails (fun () -> Parse.line alpha5 "[]"));
+  (* Names [Alphabet.create] refuses are parse errors too. *)
+  let problem_error node edge =
+    match Parse.problem ~name:"p" ~node ~edge with
+    | exception Failure msg -> msg
+    | _ -> Alcotest.fail "expected parse failure"
+  in
+  check Alcotest.string "bad label name" {|Alphabet.create: bad character '(' in "A("|}
+    (problem_error "A( A( A(" "A( A(");
+  check Alcotest.string "61 labels" "Alphabet.create: 61 labels, more than 60"
+    (problem_error labels61 "l0 l0")
 
 let test_parse_problem () =
   let p = Parse.problem ~name:"mis" ~node:"M M M\nP O O" ~edge:"M [PO]\nO O" in
@@ -2442,6 +2456,220 @@ let test_prune_mm3_third_step () =
   check_bool "same lines as the reference prune" true (prune_matches_reference third)
 
 (* ------------------------------------------------------------------ *)
+(* Membership, multisets and the parser against their unscreened,      *)
+(* hashtable and three-pass bodies                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Constr.mem] without the support screen: a [Line.contains] max-flow
+   on every line. *)
+let reference_mem c m = List.exists (fun l -> Line.contains l m) (Constr.lines c)
+
+(* [Multiset.of_counts] through a hashtable, returned as its counts. *)
+let reference_of_counts pairs =
+  List.iter (fun (_, c) -> if c < 0 then invalid_arg "Multiset.of_counts") pairs;
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (l, c) ->
+      let cur = try Hashtbl.find tbl l with Not_found -> 0 in
+      Hashtbl.replace tbl l (cur + c))
+    pairs;
+  let items = Hashtbl.fold (fun l c acc -> if c > 0 then (l, c) :: acc else acc) tbl [] in
+  List.sort (fun (a, _) (b, _) -> compare a b) items
+
+(* [Parse.problem]'s three-pass body: the labels of both texts, then the
+   node lines for Δ, then both constraints, each pass through the
+   public single-text functions.  OCaml evaluates [@]'s right operand
+   first, so an edge syntax error is raised before a node one. *)
+let reference_parse_problem ~name ~node ~edge =
+  let split_lines s =
+    String.split_on_char '\n' s
+    |> List.concat_map (String.split_on_char ';')
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "")
+  in
+  let names = Parse.scan_labels node @ Parse.scan_labels edge in
+  let names =
+    List.fold_left (fun acc n -> if List.mem n acc then acc else n :: acc) [] names
+    |> List.rev
+  in
+  let alpha = Alphabet.create names in
+  let node_lines = List.map (Parse.line alpha) (split_lines node) in
+  let delta =
+    match node_lines with
+    | [] -> failwith "empty node constraint"
+    | first :: _ -> Line.arity first
+  in
+  let node = Parse.constr alpha ~arity:delta node in
+  let edge = Parse.constr alpha ~arity:2 edge in
+  Problem.make ~name ~alpha ~node ~edge
+
+(* Both parsers on one input: [Ok] with equal problems (which includes
+   alphabet order), or [Error] with the same message.  The reference's
+   [Invalid_argument] from [Alphabet.create] is the error the one-pass
+   parser must raise as [Failure]. *)
+let parse_outcomes ~node ~edge =
+  let outcome parse =
+    match parse ~name:"p" ~node ~edge with
+    | p -> Ok p
+    | exception Failure msg -> Error msg
+  in
+  ( outcome Parse.problem,
+    outcome (fun ~name ~node ~edge ->
+        try reference_parse_problem ~name ~node ~edge
+        with Invalid_argument msg -> failwith msg) )
+
+let parsers_agree ~node ~edge =
+  match parse_outcomes ~node ~edge with
+  | Ok p, Ok q -> Problem.equal p q
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+(* The node and edge sections of a [Serialize.to_string] text. *)
+let serialized_sections text =
+  let section = ref `Header and node = ref [] and edge = ref [] in
+  List.iter
+    (fun l ->
+      match (l, !section) with
+      | "node:", _ -> section := `Node
+      | "edge:", _ -> section := `Edge
+      | _, `Node -> node := l :: !node
+      | _, `Edge -> edge := l :: !edge
+      | _, `Header -> ())
+    (String.split_on_char '\n' text);
+  let join ls = String.concat "\n" (List.rev ls) in
+  (join !node, join !edge)
+
+let one_pass_parse_matches_reference (p : Problem.t) =
+  let text = Serialize.to_string p in
+  let node, edge = serialized_sections text in
+  match parse_outcomes ~node ~edge with
+  | Ok q, Ok q' ->
+      Problem.equal q q'
+      && Problem.equal (Serialize.of_string text)
+           (reference_parse_problem ~name:p.Problem.name ~node ~edge)
+  | _ -> false
+
+let membership_ref_qcheck =
+  let open QCheck.Gen in
+  (* Lines over labels 0–5; labels 6 and 7 lie in no line's support. *)
+  let group = map Labelset.of_bits (int_range 1 63) in
+  let case =
+    int_range 1 4 >>= fun arity ->
+    list_size (int_range 1 6) (list_repeat arity group) >>= fun lines ->
+    let member =
+      oneofl lines >>= fun groups ->
+      flatten_l (List.map (fun s -> oneofl (Labelset.elements s)) groups)
+    in
+    let near = member >>= fun ls -> map (fun x -> x :: List.tl ls) (int_range 0 7) in
+    frequency
+      [
+        (2, member);
+        (2, near);
+        (2, list_repeat arity (int_range 0 7));
+        (1, list_size (int_range 0 5) (int_range 0 7));
+      ]
+    >>= fun labels ->
+    return
+      ( Constr.make (List.map (fun gs -> Line.make (List.map (fun s -> (s, 1)) gs)) lines),
+        Multiset.of_list labels )
+  in
+  let alpha8 = Alphabet.create (List.init 8 (Printf.sprintf "l%d")) in
+  let print (c, m) =
+    Printf.sprintf "%s\n  mem %s" (Constr.to_string alpha8 c) (Multiset.to_string alpha8 m)
+  in
+  [
+    QCheck.Test.make ~name:"screened-mem-equals-unscreened" ~count:1000
+      (QCheck.make ~print case)
+      (fun (c, m) -> Constr.mem c m = reference_mem c m);
+  ]
+
+let of_counts_ref_qcheck =
+  let pairs = QCheck.(small_list (pair (int_bound 7) (int_bound 3))) in
+  [
+    QCheck.Test.make ~name:"sorted-merge-equals-hashtable" ~count:500 pairs
+      (fun pairs ->
+        Multiset.counts (Multiset.of_counts pairs) = reference_of_counts pairs);
+    QCheck.Test.make ~name:"negative-count-still-raises" ~count:200
+      QCheck.(triple pairs (pair (int_bound 7) (int_range (-3) (-1))) pairs)
+      (fun (front, bad, back) ->
+        match Multiset.of_counts (front @ (bad :: back)) with
+        | exception Invalid_argument msg -> msg = "Multiset.of_counts"
+        | _ -> false);
+  ]
+
+(* Texts built from fragments that hit every tokenizer branch, so most
+   are malformed; both parsers must give the same problem or the same
+   first error. *)
+let parse_ref_qcheck =
+  let fragments =
+    [ "A"; "B"; "Ab"; "A("; " "; "\t"; "\n"; ";"; "["; "]"; "[AB]"; "[A Ab]"; "[]"; "^";
+      "^0"; "^2"; "[A^2]" ]
+  in
+  let text =
+    QCheck.Gen.(map (String.concat "") (list_size (int_range 0 8) (oneofl fragments)))
+  in
+  [
+    QCheck.Test.make ~name:"one-pass-equals-three-pass-random" ~count:200
+      (QCheck.pair (QCheck.int_range 1 1023) (QCheck.int_range 1 63))
+      (fun masks ->
+        match random_problem masks with
+        | None -> true
+        | Some p -> one_pass_parse_matches_reference p);
+    QCheck.Test.make ~name:"one-pass-equals-three-pass-fuzz" ~count:300 QCheck.small_nat
+      (fun seed ->
+        let rng = Random.State.make [| Qseed.seed; seed |] in
+        one_pass_parse_matches_reference
+          (Certify.Fuzz.gen_problem ~max_labels:6 ~max_delta:4 rng));
+    QCheck.Test.make ~name:"fragment-texts-fail-alike" ~count:2000
+      (QCheck.make ~print:(fun (n, e) -> Printf.sprintf "node %S edge %S" n e)
+         QCheck.Gen.(pair text text))
+      (fun (node, edge) -> parsers_agree ~node ~edge);
+  ]
+
+(* Malformed inputs: both parsers fail with the same message. *)
+let malformed_problems =
+  [
+    ("unclosed [", "M [PO", "M M");
+    ("^0", "M^1\nP O^0", "M [PO]\nO O");
+    ("[]", "[] M", "M M");
+    ("missing count", "M^ M", "M M");
+    ("caret inside brackets", "[M^2] O", "M O\nO O");
+    ("unexpected ]", "M ] M", "M M");
+    ("node arity mismatch", "M M M\nP O", "M [PO]\nO O");
+    ("edge arity mismatch", "M M", "M M M");
+    ("empty node constraint", "", "M M");
+    ("empty edge constraint", "M M", " ;\n");
+    ("bad label name", "A( A( A(", "A( A(");
+    ("61 labels", labels61, "l0 l0");
+    ("tab inside brackets", "[A\tB] A", "A A");
+    ("edge syntax error before node syntax error", "[M", "[P");
+    ("tokens before the alphabet", labels61, "l0 [l1");
+    ("alphabet before arity", "A A\nA A A", "A( A(");
+  ]
+
+let test_parse_one_pass_malformed () =
+  List.iter
+    (fun (what, node, edge) ->
+      match parse_outcomes ~node ~edge with
+      | Error m, Error m' -> check Alcotest.string what m' m
+      | _ -> Alcotest.failf "%s: both parsers must fail" what)
+    malformed_problems
+
+(* Every preset and, where Δ ≤ 5, its step result, whose nested label
+   names hold commas and reach hundreds of bytes. *)
+let test_parse_one_pass_presets () =
+  List.iter
+    (fun p ->
+      check_bool p.Problem.name true (one_pass_parse_matches_reference p);
+      if Problem.delta p <= 5 then
+        match Rounde.step p with
+        | d ->
+            check_bool (p.Problem.name ^ " step 1") true
+              (one_pass_parse_matches_reference d.Rounde.problem)
+        | exception Budget.Budget_exceeded _ -> ())
+    (presets ())
+
+(* ------------------------------------------------------------------ *)
 (* Work accounting: engine counters and budget trips, pinned           *)
 (* ------------------------------------------------------------------ *)
 
@@ -2693,7 +2921,16 @@ let extra_suites =
     qsuite "rbar-equivalence-props" rbar_reference_qcheck;
     qsuite "simplify-prune-props" simplify_prune_qcheck;
     qsuite "roundtrip-props" roundtrip_qcheck;
-    qsuite "multiset-ref-props" multiset_ref_qcheck;
+    qsuite "multiset-ref-props" (multiset_ref_qcheck @ of_counts_ref_qcheck);
+    qsuite "membership-ref-props" membership_ref_qcheck;
+    qsuite "parse-one-pass-props" parse_ref_qcheck;
+    ( "parse-one-pass",
+      [
+        Alcotest.test_case "malformed inputs fail alike" `Quick
+          test_parse_one_pass_malformed;
+        Alcotest.test_case "presets and their step results" `Quick
+          test_parse_one_pass_presets;
+      ] );
     ( "definitions",
       [
         Alcotest.test_case "R on MIS" `Quick test_r_definition_mis;

@@ -189,6 +189,18 @@ let test_certificate_tamper () =
   (match Certificate.validate forged with
   | Ok () -> Alcotest.fail "validate accepted a forged result"
   | Error _ -> ());
+  (* A problem text with a name or a label count the alphabet refuses
+     is an [Error], not an escaping exception. *)
+  List.iter
+    (fun (node, edge) ->
+      let problem = Printf.sprintf "problem x\nnode:\n%s\nedge:\n%s\n" node edge in
+      match Certificate.validate (Certificate.Fixed_point { problem }) with
+      | Ok () -> Alcotest.failf "validate accepted %S" problem
+      | Error _ -> ())
+    [
+      ("A( A( A(", "A( A(");
+      (String.concat " " (List.init 61 (Printf.sprintf "l%d")), "l0 l0");
+    ];
   (* Truncated serializations must fail structurally, never raise. *)
   let text = Certificate.to_text cert in
   List.iter

@@ -72,13 +72,16 @@ trace-smoke:
 # through a quotient by a 47-set cover (the path whose relaxed labels
 # get the short names q0, q1, ...), and exhausts mm Delta=3 after 3
 # certified identity steps, normalizing a third state of 599 edge
-# lines.  mm's stdout carries 3.4 MB of nested label names, so grep
-# reads all of it (no -q, which would stop at the first match) and
-# prints only the verdict line.
+# lines.  Each run must print its pinned verdict line, counters
+# included, so a changed decision fails here.  mm's stdout carries
+# 3.4 MB of nested label names, so grep reads all of it (no -q, which
+# would stop at the first match) and prints only the verdict line.
 autopilot-smoke:
 	dune build bin
-	dune exec bin/roundelim.exe -- autopilot -p so -d 3 --certify
-	dune exec bin/roundelim.exe -- autopilot -p mis -d 2 --certify
+	dune exec bin/roundelim.exe -- autopilot -p so -d 3 --certify \
+	  | grep 'verdict: fixed-point (period 1)  (2 candidates explored, 0 budget-skipped, 2 certified steps'
+	dune exec bin/roundelim.exe -- autopilot -p mis -d 2 --certify \
+	  | grep 'verdict: upper-bound (3 steps)  (7 candidates explored, 1 budget-skipped, 3 certified steps'
 	dune exec bin/roundelim.exe -- autopilot -p mm -d 3 --certify \
 	  | grep 'verdict: exhausted  (3 candidates explored, 0 budget-skipped, 3 certified steps'
 

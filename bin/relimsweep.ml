@@ -126,6 +126,16 @@ let fixed_clock_t =
 let quiet_t =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-cell progress lines.")
 
+(* A bad argument prints [relimsweep: <message>] and exits 2.  [run]
+   must exit itself: [Cmd.eval] turns an exception escaping it into an
+   "internal error" with exit 125. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Format.eprintf "relimsweep: %s@." msg;
+      exit 2)
+    fmt
+
 let run families deltas a_values x_values label_counts zdds domain_counts
     certifies out expand_limit rc_limit fp_steps ap_steps ap_beam max_cells
     fixed_clock quiet =
@@ -134,9 +144,10 @@ let run families deltas a_values x_values label_counts zdds domain_counts
       (fun s ->
         match Sweep.family_of_string s with
         | Ok f -> f
-        | Error msg -> failwith msg)
+        | Error msg -> usage_error "%s" msg)
       families
   in
+  if fp_steps < 1 then usage_error "--fp-steps must be at least 1";
   let engines =
     List.concat_map
       (fun zdd ->
@@ -190,8 +201,4 @@ let () =
       Format.eprintf "relimsweep: %s: cannot open trace file: %s@."
         Trace.env_var msg;
       exit 2);
-  match Cmd.eval cmd with
-  | code -> exit code
-  | exception Failure msg ->
-      Format.eprintf "relimsweep: %s@." msg;
-      exit 2
+  exit (Cmd.eval cmd)

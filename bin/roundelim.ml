@@ -414,6 +414,7 @@ let upper_bound_cmd =
 (* ---- fixed-point ---- *)
 
 let fixed_point preset delta a x node edge max_steps domains certify trace tfmt =
+  if max_steps < 1 then usage_error "--max-steps must be at least 1";
   with_trace trace tfmt @@ fun () ->
   let pool = pool_of_domains domains in
   let p = preset_problem preset delta a x node edge in

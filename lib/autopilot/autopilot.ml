@@ -155,6 +155,7 @@ type viable = {
   relaxed : Rounde.denoted;
   rbd : Rounde.denoted;
   norm : Problem.t;
+  hash : int;
   labels : int;
   solvable : bool;
 }
@@ -193,16 +194,15 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
     | exception Budget.Budget_exceeded _ -> false
   in
   let s0 = Simplify.normalize p0 in
-  (* Normalized states on the path, newest first; cycle detection walks
-     this with a hash prefilter before the exact isomorphism check. *)
-  let states = ref [ s0 ] in
-  let cycle_of norm =
-    let h = Iso.invariant_hash norm in
+  (* Normalized states on the path, newest first, each next to its
+     [Iso.invariant_hash]; cycle detection prefilters by hash before the
+     exact isomorphism check. *)
+  let states = ref [ (Iso.invariant_hash s0, s0) ] in
+  let cycle_of v =
     let rec scan k = function
       | [] -> None
-      | st :: rest ->
-          if Iso.invariant_hash st = h && Iso.equal_up_to_renaming norm st then
-            Some k
+      | (h, st) :: rest ->
+          if h = v.hash && Iso.equal_up_to_renaming v.norm st then Some k
           else scan (k + 1) rest
     in
     scan 1 !states
@@ -248,6 +248,7 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
                       relaxed;
                       rbd;
                       norm;
+                      hash = Iso.invariant_hash norm;
                       labels = Problem.label_count norm;
                       solvable = solvable norm;
                     }
@@ -261,7 +262,7 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
             | Error msg ->
                 Trace.instant "autopilot.certificate_rejected"
                   ~attrs:[ ("error", msg) ];
-                None
+                false
             | Ok () ->
                 incr certified;
                 let cover =
@@ -287,7 +288,7 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
                         | Some n -> string_of_int n );
                       ("labels", string_of_int v.labels);
                     ];
-                Some v
+                true
           in
           (* The identity relaxation is the lossless exact step; when it
              fits the budgets there is nothing to search.  Covers are
@@ -308,61 +309,28 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
                 in
                 walk [] 0 covers
           in
-          match viables with
+          (* Rank by one key, ties in cover order: [(0, period)] closes a
+             cycle, shortest first; [(1, labels)] is a hard state and
+             [(2, labels)] a 0-round-solvable one (the next iteration
+             turns it into an upper bound), fewest labels first. *)
+          let rank v =
+            match cycle_of v with
+            | Some period -> (0, period)
+            | None -> ((if v.solvable then 2 else 1), v.labels)
+          in
+          match
+            List.stable_sort
+              (fun (a, _) (b, _) -> compare (a : int * int) b)
+              (List.map (fun v -> (rank v, v)) viables)
+          with
           | [] -> finish (Exhausted { last = s })
-          | _ -> (
-              (* Priority: close a cycle (shortest period); else a hard
-                 state a cheap fixed-point probe endorses; else hard
-                 with fewest labels; else terminal (0-round solvable —
-                 the next iteration turns it into an upper bound). *)
-              let with_cycles =
-                List.filter_map
-                  (fun v ->
-                    match cycle_of v.norm with
-                    | Some k -> Some (k, v)
-                    | None -> None)
-                  viables
-              in
-              let by_labels =
-                List.sort (fun a b -> compare a.labels b.labels)
-              in
-              let pick =
-                match
-                  List.sort (fun (a, _) (b, _) -> compare a b) with_cycles
-                with
-                | (period, v) :: _ -> `Cycle (period, v)
-                | [] -> (
-                    match by_labels (List.filter (fun v -> not v.solvable) viables) with
-                    | [] -> `Plain (List.hd (by_labels viables))
-                    | hs -> (
-                        let promising v =
-                          match
-                            Fixedpoint.detect ~max_steps:2
-                              ~expand_limit:limits.expand_limit ?pool v.norm
-                          with
-                          | Fixedpoint.Fixed_point _ -> true
-                          | Fixedpoint.Reaches_fixed_point _
-                          | Fixedpoint.No_fixed_point_found _ ->
-                              false
-                          | exception Budget.Budget_exceeded _ -> false
-                        in
-                        match
-                          List.find_opt promising
-                            (List.filteri (fun k _ -> k < 2) hs)
-                        with
-                        | Some v -> `Plain v
-                        | None -> `Plain (List.hd hs)))
-              in
-              match pick with
-              | `Cycle (period, v) -> (
-                  match accept v with
-                  | Some _ -> finish (Fixed_point { problem = v.norm; period })
-                  | None -> finish (Exhausted { last = s }))
-              | `Plain v -> (
-                  match accept v with
-                  | Some v ->
-                      states := v.norm :: !states;
-                      go v.norm (i + 1)
-                  | None -> finish (Exhausted { last = s }))))
+          | (key, v) :: _ -> (
+              match (accept v, key) with
+              | false, _ -> finish (Exhausted { last = s })
+              | true, (0, period) ->
+                  finish (Fixed_point { problem = v.norm; period })
+              | true, _ ->
+                  states := (v.hash, v.norm) :: !states;
+                  go v.norm (i + 1)))
   in
   go s0 1

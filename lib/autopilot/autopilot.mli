@@ -7,9 +7,9 @@
     creative step of such proofs.  This module automates a useful
     fragment of it: starting from a problem Π it repeatedly computes
     [R(Π)], proposes candidate relaxations of the result by walking the
-    label-strength diagram, applies [R̄] to the most promising
-    candidate, and watches for the sequence of reached states to close
-    a cycle.
+    label-strength diagram, applies [R̄] to the candidates, continues
+    from the best-ranked result (see {!search}), and watches for the
+    sequence of reached states to close a cycle.
 
     {2 Candidate relaxations: quotients by right-closed covers}
 
@@ -104,10 +104,18 @@ type report = {
 
 (** [search p] runs the autopilot from [Simplify.normalize p].  States
     are normalized between steps; cycle detection compares against
-    every state on the path with {!Relim.Iso}.  Emits [autopilot.*]
-    trace spans, instants and counters when tracing is enabled.
-    [pool] feeds the engine's parallel hot paths (the verdict is
-    identical for every domain count). *)
+    every state on the path with {!Relim.Iso}.
+
+    Each step ranks its viable candidates (those whose [R̄] fits the
+    budgets) by one key and accepts the first, ties kept in cover
+    order: a candidate that closes a cycle comes first, shortest period
+    first; then a state that is not 0-round solvable, fewest labels
+    first; then a 0-round-solvable state, fewest labels first, which
+    the next step turns into an {!Upper_bound}.
+
+    Emits [autopilot.*] trace spans, instants and counters when tracing
+    is enabled.  [pool] feeds the engine's parallel hot paths (the
+    verdict is identical for every domain count). *)
 val search :
   ?limits:limits -> ?pool:Parallel.Pool.t -> Relim.Problem.t -> report
 

@@ -22,9 +22,11 @@ type verdict =
       (** Not stabilized within the step budget; the last problem
           reached is returned. *)
 
-(** [detect ?normalize_first ?max_steps ?expand_limit p] iterates
-    [R̄ ∘ R] (normalizing after each step) looking for stabilization up
-    to renaming.
+(** [detect ?max_steps ?expand_limit ?pool p] iterates [R̄ ∘ R]
+    (normalizing after each step) on [Simplify.normalize p], looking for
+    stabilization up to renaming.  [max_steps] (default 5) counts
+    [R̄ ∘ R] applications; the first application always runs, whatever
+    [max_steps] is.
 
     Speedup results are memoized across calls in a process-global
     cache keyed by the normalized problem up to isomorphism

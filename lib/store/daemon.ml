@@ -152,15 +152,12 @@ let compute_step st (p : Problem.t) canon =
 let fp_fields ~steps ~fixed_text (fixed : Problem.t) =
   let verdict = if steps = 1 then "fixed-point" else "reaches-fixed-point" in
   let lb =
-    if Zeroround.solvable_arbitrary_ports fixed = None then
-      [ ( "lower_bound",
-          Json.String
-            (Printf.sprintf
-               "problem %s is a non-trivial fixed point: Omega(log n) \
-                deterministic and Omega(log log n) randomized LOCAL lower \
-                bounds"
-               fixed.Problem.name) ) ]
-    else []
+    match
+      Fixedpoint.lower_bound_statement
+        (Fixedpoint.Reaches_fixed_point (steps, fixed))
+    with
+    | Some s -> [ ("lower_bound", Json.String s) ]
+    | None -> []
   in
   [
     ("verdict", Json.String verdict);

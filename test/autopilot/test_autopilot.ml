@@ -1,9 +1,9 @@
-(* The relaxation-search autopilot end to end: the sinkless-orientation
-   fixed point rediscovered as a certified relaxed cycle, the
-   Pi(5,4,2) upper bound reached through a quotient cover where the
-   plain speedup step trips its budget, the short names of a cover's
-   relaxed labels, certificate round-trips, and
-   the certificate-gated store admission of discovered cycles. *)
+(* The relaxation-search autopilot end to end: whole reports pinned on
+   quick searches, the sinkless-orientation fixed point rediscovered as
+   a certified relaxed cycle, the Pi(5,4,2) upper bound reached through
+   a quotient cover where the plain speedup step trips its budget, the
+   short names of a cover's relaxed labels, certificate round-trips,
+   and the certificate-gated store admission of discovered cycles. *)
 
 module A = Autopilot
 module Cert = Certify.Certificate
@@ -48,6 +48,99 @@ let check_steps_certified (r : A.report) =
               Alcotest.failf "step %d reparsed certificate: %s" s.A.step_index m))
     r.A.steps
 
+(* A whole report as the tests below pin it: the verdict line, the
+   counters, and every accepted step as (step_index, cover,
+   result_labels). *)
+type pinned = {
+  verdict : string;
+  candidates : int;
+  skips : int;
+  certified : int;
+  steps : (int * int option * int) list;
+}
+
+(* Runs the search and requires [want] of its report.  The search must
+   also apply no [Fixedpoint] step: the pick ranks the viable candidates
+   by one key and never runs a fixed-point detection of its own. *)
+let check_pinned name ~limits p want =
+  Relim.Fixedpoint.reset_stats ();
+  let r = A.search ~limits p in
+  let got =
+    {
+      verdict = A.verdict_string r.A.verdict;
+      candidates = r.A.candidates_explored;
+      skips = r.A.budget_skips;
+      certified = r.A.certified_steps;
+      steps =
+        List.map
+          (fun (s : A.accepted) -> (s.A.step_index, s.A.cover, s.A.result_labels))
+          r.A.steps;
+    }
+  in
+  Alcotest.(check string) (name ^ ": verdict") want.verdict got.verdict;
+  check_int (name ^ ": candidates") want.candidates got.candidates;
+  check_int (name ^ ": budget skips") want.skips got.skips;
+  check_int (name ^ ": certified steps") want.certified got.certified;
+  Alcotest.(check (list (triple int (option int) int)))
+    (name ^ ": steps (index, cover, labels)") want.steps got.steps;
+  check_int
+    (name ^ ": fixed-point steps applied")
+    0 Relim.Fixedpoint.stats.Relim.Fixedpoint.steps_applied;
+  r
+
+let so_cycle =
+  {
+    verdict = "fixed-point (period 1)";
+    candidates = 2;
+    skips = 0;
+    certified = 2;
+    steps = [ (1, None, 2); (2, None, 2) ];
+  }
+
+let mm_identity =
+  {
+    verdict = "exhausted";
+    candidates = 3;
+    skips = 0;
+    certified = 3;
+    steps = [ (1, None, 4); (2, None, 10); (3, None, 46) ];
+  }
+
+(* Quick searches covering every verdict and both kinds of accepted
+   step, each pinned in full. *)
+let test_pinned_reports () =
+  let so d = Lcl.Encodings.sinkless_orientation ~delta:d
+  and mm d = Lcl.Encodings.maximal_matching ~delta:d in
+  List.iter
+    (fun (name, limits, p, want) -> ignore (check_pinned name ~limits p want))
+    [
+      ("so Delta=2", A.default_limits, so 2, so_cycle);
+      ("so Delta=3", A.default_limits, so 3, so_cycle);
+      ("so Delta=4", A.default_limits, so 4, so_cycle);
+      ("mm Delta=2", A.default_limits, mm 2, mm_identity);
+      ("mm Delta=3", A.default_limits, mm 3, mm_identity);
+      ( "mis Delta=2",
+        tight,
+        Lcl.Encodings.mis ~delta:2,
+        {
+          verdict = "upper-bound (3 steps)";
+          candidates = 7;
+          skips = 1;
+          certified = 3;
+          steps = [ (1, None, 6); (2, None, 19); (3, Some 47, 1) ];
+        } );
+      ( "weak2col Delta=3",
+        A.default_limits,
+        Lcl.Encodings.weak_2_coloring ~delta:3,
+        {
+          verdict = "exhausted";
+          candidates = 1;
+          skips = 0;
+          certified = 1;
+          steps = [ (1, None, 17) ];
+        } );
+    ]
+
 let test_so_fixed_point () =
   let r = A.search (so ()) in
   (match r.A.verdict with
@@ -61,11 +154,16 @@ let test_so_fixed_point () =
   check_steps_certified r
 
 let test_pi_budget_wall () =
-  let r = A.search ~limits:tight (pi542 ()) in
-  (match r.A.verdict with
-  | A.Upper_bound { steps } ->
-      check_bool "bounded by the step budget" true (steps <= tight.A.max_steps)
-  | v -> Alcotest.failf "expected an upper bound, got %s" (A.verdict_string v));
+  let r =
+    check_pinned "Pi(5,4,2)" ~limits:tight (pi542 ())
+      {
+        verdict = "upper-bound (2 steps)";
+        candidates = 14;
+        skips = 11;
+        certified = 2;
+        steps = [ (1, None, 14); (2, Some 20, 1) ];
+      }
+  in
   (* The point of the run: the plain step trips its budget, and a
      quotient cover carries the search through the wall. *)
   check_bool "budget wall was hit" true (r.A.budget_skips > 0);
@@ -168,6 +266,8 @@ let () =
     [
       ( "search",
         [
+          Alcotest.test_case "reports pinned, no fixed-point step" `Quick
+            test_pinned_reports;
           Alcotest.test_case "SO fixed point rediscovered" `Quick
             test_so_fixed_point;
           Alcotest.test_case "Pi(5,4,2) through the budget wall" `Slow

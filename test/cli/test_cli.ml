@@ -183,10 +183,10 @@ let test_fixed_point_input_certified_once () =
     (contains ~sub:"1 fixed points" stderr)
 
 (* Input the user got wrong (a problem, a label, a diagram or
-   algorithm name, a file that cannot be read or written) is a usage
-   error: exit 2, the message on stderr and nothing on stdout, never
-   cmdliner's "internal error" exit 125.  [load] reads a saved problem
-   whose edge line lost its closing bracket. *)
+   algorithm name, a step budget below 1, a file that cannot be read or
+   written) is a usage error: exit 2, the message on stderr and nothing
+   on stdout, never cmdliner's "internal error" exit 125.  [load] reads
+   a saved problem whose edge line lost its closing bracket. *)
 let test_bad_problem_exits_2 () =
   let bad = Filename.temp_file "cli_bad" ".relim" in
   let oc = open_out bad in
@@ -214,6 +214,7 @@ let test_bad_problem_exits_2 () =
         "--merge-from and --merge-into name the same label");
       ("dot -p mis -d 3 --which bogus", "unknown diagram bogus (edge|node)");
       ("simulate --algo bogus", "unknown algorithm bogus (luby|cv-mis|kods)");
+      ("fixed-point -p so -d 3 --max-steps 0", "--max-steps must be at least 1");
       ("load /nonexistent-dir/file.relim",
         "/nonexistent-dir/file.relim: No such file or directory");
       ("save -p mis -d 3 /nonexistent-dir/file.relim",

@@ -28,8 +28,8 @@
    4. End-to-end CLI tests driving the real relimsweep and
       analyze_sweep executables (paths in $RELIMSWEEP and
       $ANALYZE_SWEEP, set by the dune stanza): journal -> analyzed
-      "sweep" section, checked against the sweep contract, and a
-      partial journal refused. *)
+      "sweep" section, checked against the sweep contract, a
+      partial journal refused, and bad arguments exiting 2. *)
 
 module J = Store.Json
 
@@ -656,6 +656,31 @@ let test_cli_interrupted_exit_code () =
     "names the coverage gap" true
     (contains ~sub:"does not cover its grid" err)
 
+(* Bad arguments are usage errors: exit 2 with the message on stderr,
+   before any journal is written, never cmdliner's "internal error"
+   exit 125. *)
+let test_cli_bad_arguments () =
+  List.iter
+    (fun (args, msg) ->
+      let journal = Filename.temp_file "cli_bad" ".jsonl" in
+      Sys.remove journal;
+      let code, stdout, stderr =
+        run_cmd (exe "RELIMSWEEP")
+          (Printf.sprintf "--out %s %s" (Filename.quote journal) args)
+      in
+      Alcotest.(check int) (args ^ ": exit code 2") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: message on stderr: %s" args stderr)
+        true
+        (contains ~sub:("relimsweep: " ^ msg) stderr);
+      Alcotest.(check string) (args ^ ": nothing on stdout") "" stdout;
+      Alcotest.(check bool) (args ^ ": no journal") false
+        (Sys.file_exists journal))
+    [
+      ("--families nope", "unknown family nope");
+      ("--fp-steps 0", "--fp-steps must be at least 1");
+    ]
+
 let test_cli_markdown () =
   let _, md = Lazy.force cli_artifacts in
   Alcotest.(check bool) "bound-curve table" true (contains ~sub:"Bound curve" md);
@@ -703,6 +728,8 @@ let () =
             test_cli_sweep_contract;
           Alcotest.test_case "interrupted sweep exits 3" `Quick
             test_cli_interrupted_exit_code;
+          Alcotest.test_case "bad arguments exit 2" `Quick
+            test_cli_bad_arguments;
           Alcotest.test_case "markdown tables" `Quick test_cli_markdown;
           Alcotest.test_case "validator rejects complete=false" `Quick
             test_validator_rejects_incomplete;

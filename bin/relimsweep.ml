@@ -170,7 +170,11 @@ let run families deltas a_values x_values label_counts zdds domain_counts
     if quiet then fun _ -> () else fun line -> Printf.eprintf "%s\n%!" line
   in
   let max_cells = if max_cells > 0 then Some max_cells else None in
-  let s = Sweep.run ~clock ?max_cells ~log ~budgets ~out grid in
+  let s =
+    match Sweep.run ~clock ?max_cells ~log ~budgets ~out grid with
+    | s -> s
+    | exception Sweep.Foreign_journal msg -> usage_error "%s" msg
+  in
   Printf.printf
     "sweep: %d cells (%d served, %d ran) — %d ok, %d budget, %d skipped%s%s \
      [%.2fs]\n"

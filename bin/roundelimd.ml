@@ -1,7 +1,7 @@
 (* roundelimd — the persistent round-elimination daemon.
 
-   Serves speedup-step and fixed-point-detection requests over a
-   JSON-lines protocol (Unix socket, optionally TCP on loopback),
+   Serves speedup-step, fixed-point-detection and autopilot requests
+   over a JSON-lines protocol (Unix socket, optionally TCP on loopback),
    backed by the certificate-gated on-disk result store in lib/store.
 
    Examples:

@@ -40,9 +40,7 @@ let uninstall () =
 let installed () = !installed_flag
 
 let enabled_in_env () =
-  match Sys.getenv_opt env_var with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
+  Relim.Parctl.flag_from_env env_var ~fallback:"running uncertified"
 
 let install_if_env () = if enabled_in_env () then install ()
 

@@ -21,8 +21,10 @@ val uninstall : unit -> unit
 
 val installed : unit -> bool
 
-(** [true] iff the environment requests certification
-    ([RELIM_CERTIFY] set to [1], [true] or [yes]). *)
+(** [true] iff the environment requests certification: [RELIM_CERTIFY]
+    read by {!Relim.Parctl.flag_from_env}, so [1], [true], [yes] or
+    [on] in any case.  A malformed value reads as off and warns once
+    through {!Relim.Parctl.warn_hook}. *)
 val enabled_in_env : unit -> bool
 
 (** {!install} when {!enabled_in_env}; test binaries call this at

@@ -18,65 +18,59 @@ let parse_env = function
 let warn_hook : (string -> unit) ref =
   ref (fun msg -> Printf.eprintf "%s\n%!" msg)
 
-let warned = ref false
+(* Variables whose malformed value has already been reported. *)
+let warned : string list ref = ref []
 
-let warn_once msg =
-  if not !warned then begin
-    warned := true;
+let warn_once var msg =
+  if not (List.mem var !warned) then begin
+    warned := var :: !warned;
     !warn_hook msg
   end
 
-(* --- RELIM_ZDD ---------------------------------------------------- *)
+let reset_warned () = warned := []
+
+(* --- Boolean toggles (RELIM_ZDD, RELIM_CERTIFY) ------------------- *)
+
+(* Same shape as the domain count: absent means off, a recognized
+   boolean means what it says, anything else warns once and falls back
+   to off (the user asked for the toggle and is silently not getting
+   it). *)
+type flag_parsed = Flag_unset | Flag_set of bool | Flag_malformed of string
+
+let parse_flag_env = function
+  | None -> Flag_unset
+  | Some s -> (
+      match String.lowercase_ascii (String.trim s) with
+      | "1" | "true" | "yes" | "on" -> Flag_set true
+      | "0" | "false" | "no" | "off" | "" -> Flag_set false
+      | _ -> Flag_malformed s)
+
+let flag_from_env var ~fallback =
+  match parse_flag_env (Sys.getenv_opt var) with
+  | Flag_unset -> false
+  | Flag_set b -> b
+  | Flag_malformed s ->
+      warn_once var
+        (Printf.sprintf
+           "relim: warning: %s=%S is not a boolean (1/0, true/false, yes/no, \
+            on/off); %s"
+           var s fallback);
+      false
 
 let zdd_env_var = "RELIM_ZDD"
 
-(* Same shape as the domain-count toggle: absent means off, a
-   recognized boolean means what it says, anything else warns once and
-   falls back to off (the user asked for the compressed path and is
-   silently getting the explicit one). *)
-type zdd_parsed = Zdd_unset | Zdd_enabled of bool | Zdd_malformed of string
-
-let parse_zdd_env = function
-  | None -> Zdd_unset
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "yes" | "on" -> Zdd_enabled true
-      | "0" | "false" | "no" | "off" | "" -> Zdd_enabled false
-      | _ -> Zdd_malformed s)
-
-let zdd_warned = ref false
-
-let zdd_warn_once msg =
-  if not !zdd_warned then begin
-    zdd_warned := true;
-    !warn_hook msg
-  end
-
 let zdd_from_env () =
-  match parse_zdd_env (Sys.getenv_opt zdd_env_var) with
-  | Zdd_unset -> false
-  | Zdd_enabled b -> b
-  | Zdd_malformed s ->
-      zdd_warn_once
-        (Printf.sprintf
-           "relim: warning: %s=%S is not a boolean (1/0, true/false, yes/no, \
-            on/off); running on the explicit-list path"
-           zdd_env_var s);
-      false
+  flag_from_env zdd_env_var ~fallback:"running on the explicit-list path"
 
 (* [Some b] forces; [None] defers to the environment. *)
 let resolve_zdd = function Some b -> b | None -> zdd_from_env ()
-
-let reset_warned () =
-  warned := false;
-  zdd_warned := false
 
 let domains_from_env () =
   match parse_env (Sys.getenv_opt env_var) with
   | Unset -> 1
   | Domains d -> d
   | Malformed s ->
-      warn_once
+      warn_once env_var
         (Printf.sprintf
            "relim: warning: %s=%S is not a positive integer; running with 1 \
             domain"

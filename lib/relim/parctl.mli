@@ -33,12 +33,31 @@ val domains_from_env : unit -> int
     message on stderr.  Tests may replace it to capture the warning. *)
 val warn_hook : (string -> unit) ref
 
-(** Test-only: forget that the once-per-process warnings (domain count
-    and ZDD toggle alike) were already emitted, so the next malformed
-    read warns again. *)
+(** Test-only: forget that the once-per-process warnings (one per
+    variable) were already emitted, so the next malformed read warns
+    again. *)
 val reset_warned : unit -> unit
 
-(** {1 ZDD path toggle}
+(** {1 Boolean toggles}
+
+    [RELIM_ZDD] and [RELIM_CERTIFY] are read by one reader.  Unset
+    means off; [1]/[true]/[yes]/[on] and [0]/[false]/[no]/[off]/empty
+    mean what they say, in any case and with surrounding blanks;
+    anything else reads as off and warns once per variable through
+    {!warn_hook}. *)
+
+type flag_parsed = Flag_unset | Flag_set of bool | Flag_malformed of string
+
+(** Pure classification of a boolean variable's [Sys.getenv_opt]
+    result; no warning side effect. *)
+val parse_flag_env : string option -> flag_parsed
+
+(** [flag_from_env var ~fallback] reads boolean variable [var].  A
+    malformed value reads as off, and its one warning ends with
+    [fallback], which says what runs instead. *)
+val flag_from_env : string -> fallback:string -> bool
+
+(** {2 ZDD path toggle}
 
     [Rounde]'s box search and maximal-box filter can run on the
     hash-consed family representation from [lib/zdd] instead of
@@ -49,15 +68,8 @@ val reset_warned : unit -> unit
 (** Name of the environment variable: ["RELIM_ZDD"]. *)
 val zdd_env_var : string
 
-type zdd_parsed = Zdd_unset | Zdd_enabled of bool | Zdd_malformed of string
-
-(** Pure classification of [Sys.getenv_opt zdd_env_var]'s result; no
-    warning side effect. *)
-val parse_zdd_env : string option -> zdd_parsed
-
-(** Whether the environment enables the ZDD path (off when unset).  A
-    malformed value warns once through {!warn_hook} and reads as
-    off. *)
+(** Whether the environment enables the ZDD path
+    ({!flag_from_env} on {!zdd_env_var}). *)
 val zdd_from_env : unit -> bool
 
 (** [resolve_zdd zdd] is [b] for [Some b], otherwise

@@ -34,48 +34,37 @@ let canonicalize text =
 (* Request preparation (pure, parallelizable)                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A response line, as [Ok] or [Error] by whether it reports an error:
+   the served_ok/served_error counters read this tag. *)
+type reply = (string, string) result
+
 type prepared =
-  | Ready of string  (* response line, fully determined *)
-  | Do_step of { id : Json.t; problem : Problem.t; canon : string }
-  | Do_fp of {
+  | Ready of reply  (* fully determined at preparation *)
+  | Compute of {
       id : Json.t;
+      op : Protocol.op;
       problem : Problem.t;
       canon : string;
-      max_steps : int option;
     }
-  | Do_autopilot of {
-      id : Json.t;
-      problem : Problem.t;
-      canon : string;
-      max_steps : int option;
-    }
-  | Do_ctl of Protocol.request
+  | Stats of Json.t
+  | Shutdown of Json.t
 
 let prepare line =
   Trace.with_span "daemon.prepare" @@ fun () ->
   match Protocol.decode line with
-  | Error (id, code, msg) -> Ready (Protocol.error_line ~id code msg)
+  | Error (id, code, msg) -> Ready (Error (Protocol.error_line ~id code msg))
   | Ok (Protocol.Ping { id }) ->
-      Ready (Protocol.ok_line ~id [ ("pong", Json.Bool true) ])
-  | Ok ((Protocol.Stats _ | Protocol.Shutdown _) as req) -> Do_ctl req
-  | Ok (Protocol.Step { id; problem }) -> (
+      Ready (Ok (Protocol.ok_line ~id [ ("pong", Json.Bool true) ]))
+  | Ok (Protocol.Stats { id }) -> Stats id
+  | Ok (Protocol.Shutdown { id }) -> Shutdown id
+  | Ok (Protocol.Compute { id; op; problem }) -> (
       match canonicalize problem with
-      | problem, canon -> Do_step { id; problem; canon }
+      | problem, canon -> Compute { id; op; problem; canon }
       | exception Failure msg ->
-          Ready (Protocol.error_line ~id Protocol.Bad_request
-                   ("problem text: " ^ msg)))
-  | Ok (Protocol.Fixed_point { id; problem; max_steps }) -> (
-      match canonicalize problem with
-      | problem, canon -> Do_fp { id; problem; canon; max_steps }
-      | exception Failure msg ->
-          Ready (Protocol.error_line ~id Protocol.Bad_request
-                   ("problem text: " ^ msg)))
-  | Ok (Protocol.Autopilot { id; problem; max_steps }) -> (
-      match canonicalize problem with
-      | problem, canon -> Do_autopilot { id; problem; canon; max_steps }
-      | exception Failure msg ->
-          Ready (Protocol.error_line ~id Protocol.Bad_request
-                   ("problem text: " ^ msg)))
+          Ready
+            (Error
+               (Protocol.error_line ~id Protocol.Bad_request
+                  ("problem text: " ^ msg))))
 
 (* ------------------------------------------------------------------ *)
 (* Compute phase (sequential; the engine parallelizes internally)      *)
@@ -84,11 +73,9 @@ let prepare line =
 type state = {
   store : Disk.t option;
   pool : Parallel.Pool.t;
-  (* Within-batch dedup: canonical text ↦ computed result fields, so n
-     identical requests in one batch cost one engine run. *)
-  step_memo : (string, (string * Json.t) list * bool) Hashtbl.t;
-  fp_memo : (string * int option, (string * Json.t) list * bool) Hashtbl.t;
-  ap_memo : (string * int option, (string * Json.t) list * bool) Hashtbl.t;
+  (* (op, canonical text) ↦ result fields, so n identical requests in
+     one lifetime cost one engine run.  [op] carries [max_steps]. *)
+  memo : (Protocol.op * string, (string * Json.t) list) Hashtbl.t;
   mutable requests : int;
   mutable served_ok : int;
   mutable served_error : int;
@@ -115,39 +102,17 @@ let sample_store_counters st =
            s.Disk.rejected_invalid + s.Disk.rejected_corrupt);
         ]
 
-let compute_step st (p : Problem.t) canon =
-  match
-    match st.store with Some s -> Disk.find_step s p | None -> None
-  with
-  | Some stored ->
-      let parsed = Serialize.of_string stored in
-      (problem_fields stored parsed, true)
-  | None ->
-      let rd = Rounde.r p in
-      let rbd = Rounde.rbar ~pool:st.pool rd.Rounde.problem in
-      let result =
-        {
-          rbd.Rounde.problem with
-          Problem.name = Printf.sprintf "step(%s)" p.Problem.name;
-        }
-      in
-      let result_text = Serialize.to_string result in
-      (match st.store with
-      | None -> ()
-      | Some store ->
-          let cert =
-            Certify.Certificate.of_step_parts ~source:p ~r:rd
-              ~result:{ rbd with Rounde.problem = result }
-          in
-          (match Disk.add_step store ~source:p cert with
-          | Ok () -> ()
-          | Error msg ->
-              (* An inadmissible self-produced certificate is a bug
-                 worth surfacing, but must not fail the request. *)
-              Trace.instant "daemon.store_admission_failed"
-                ~attrs:[ ("error", msg) ]));
-      ignore canon;
-      (problem_fields result_text result, false)
+(* Land a self-produced certificate in the store.  An inadmissible one
+   is a bug worth surfacing, but must not fail the request. *)
+let admit st add =
+  match st.store with
+  | None -> ()
+  | Some store -> (
+      match add store with
+      | Ok () -> ()
+      | Error msg ->
+          Trace.instant "daemon.store_admission_failed"
+            ~attrs:[ ("error", msg) ])
 
 let fp_fields ~steps ~fixed_text (fixed : Problem.t) =
   let verdict = if steps = 1 then "fixed-point" else "reaches-fixed-point" in
@@ -166,138 +131,132 @@ let fp_fields ~steps ~fixed_text (fixed : Problem.t) =
   ]
   @ lb
 
-let compute_fp st (p : Problem.t) canon max_steps =
-  ignore canon;
-  match
-    match st.store with Some s -> Disk.find_fixed_point s p | None -> None
-  with
-  | Some (steps, fixed_text) ->
-      (fp_fields ~steps ~fixed_text (Serialize.of_string fixed_text), true)
-  | None -> (
-      match Fixedpoint.detect ?max_steps ~pool:st.pool p with
-      | Fixedpoint.Fixed_point (q, _) ->
-          let fixed_text = Serialize.to_string q in
-          (match st.store with
-          | None -> ()
-          | Some store -> (
-              match
-                Disk.add_fixed_point store ~source:p ~steps:1
-                  (Certify.Certificate.of_fixed_point q)
-              with
-              | Ok () -> ()
-              | Error msg ->
-                  Trace.instant "daemon.store_admission_failed"
-                    ~attrs:[ ("error", msg) ]));
-          (fp_fields ~steps:1 ~fixed_text q, false)
-      | Fixedpoint.Reaches_fixed_point (i, q) ->
-          let fixed_text = Serialize.to_string q in
-          (match st.store with
-          | None -> ()
-          | Some store -> (
-              match
-                Disk.add_fixed_point store ~source:p ~steps:i
-                  (Certify.Certificate.of_fixed_point q)
-              with
-              | Ok () -> ()
-              | Error msg ->
-                  Trace.instant "daemon.store_admission_failed"
-                    ~attrs:[ ("error", msg) ]));
-          (fp_fields ~steps:i ~fixed_text q, false)
-      | Fixedpoint.No_fixed_point_found last ->
-          (* Budget-dependent, hence never persisted: a larger
-             [max_steps] could still find a fixed point. *)
-          ( [
-              ("verdict", Json.String "none");
-              ("last", Json.String (Serialize.to_string last));
-            ],
-            false ))
-
-let compute_autopilot st (p : Problem.t) canon max_steps =
-  ignore canon;
-  match
-    match st.store with Some s -> Disk.find_autopilot s p | None -> None
-  with
-  | Some result_text ->
-      (* A stored period-1 cycle on (a problem isomorphic to) the
-         canonicalized input: serve it without searching. *)
-      ( [
-          ("verdict", Json.String "fixed-point");
-          ("period", Json.Int 1);
-          ("steps", Json.Int 1);
-          ("fixed", Json.String result_text);
-        ],
-        true )
-  | None ->
-      let limits =
-        match max_steps with
-        | None -> Autopilot.default_limits
-        | Some k -> { Autopilot.default_limits with Autopilot.max_steps = k }
-      in
-      let report = Autopilot.search ~limits ~pool:st.pool p in
-      (* Land every period-1 cycle certificate: the last accepted step
-         is the one that closed the cycle, and its own source problem
-         (not the request's) keys the entry. *)
-      (match (st.store, report.Autopilot.verdict) with
-      | Some store, Autopilot.Fixed_point { period = 1; _ } -> (
-          match List.rev report.Autopilot.steps with
-          | { Autopilot.certificate =
-                Certify.Certificate.Relaxed_step rs as cert;
-              _;
-            }
-            :: _ -> (
-              match Serialize.of_string rs.Certify.Certificate.rs_source with
-              | source -> (
-                  match Disk.add_autopilot store ~source cert with
-                  | Ok () -> ()
-                  | Error msg ->
-                      Trace.instant "daemon.store_admission_failed"
-                        ~attrs:[ ("error", msg) ])
-              | exception Failure msg ->
-                  Trace.instant "daemon.store_admission_failed"
-                    ~attrs:[ ("error", msg) ])
-          | _ -> ())
-      | _ -> ());
-      let base =
+let autopilot_fields (p : Problem.t) (report : Autopilot.report) =
+  let base =
+    [
+      ( "verdict",
+        Json.String
+          (match report.Autopilot.verdict with
+          | Autopilot.Fixed_point _ -> "fixed-point"
+          | Autopilot.Upper_bound _ -> "upper-bound"
+          | Autopilot.Exhausted _ -> "exhausted") );
+      ("steps", Json.Int (List.length report.Autopilot.steps));
+      ("candidates", Json.Int report.Autopilot.candidates_explored);
+      ("budget_skips", Json.Int report.Autopilot.budget_skips);
+      ("certified", Json.Int report.Autopilot.certified_steps);
+    ]
+  in
+  let extra =
+    match report.Autopilot.verdict with
+    | Autopilot.Fixed_point { problem; period } ->
         [
-          ( "verdict",
+          ("period", Json.Int period);
+          ("fixed", Json.String (Serialize.to_string problem));
+          ( "lower_bound",
             Json.String
-              (match report.Autopilot.verdict with
-              | Autopilot.Fixed_point _ -> "fixed-point"
-              | Autopilot.Upper_bound _ -> "upper-bound"
-              | Autopilot.Exhausted _ -> "exhausted") );
-          ("steps", Json.Int (List.length report.Autopilot.steps));
-          ("candidates", Json.Int report.Autopilot.candidates_explored);
-          ("budget_skips", Json.Int report.Autopilot.budget_skips);
-          ("certified", Json.Int report.Autopilot.certified_steps);
+              (Printf.sprintf
+                 "problem %s admits a certified relaxed fixed point: \
+                  Omega(log n) deterministic and Omega(log log n) \
+                  randomized LOCAL lower bounds"
+                 p.Problem.name) );
         ]
-      in
-      let extra =
-        match report.Autopilot.verdict with
-        | Autopilot.Fixed_point { problem; period } ->
-            [
-              ("period", Json.Int period);
-              ("fixed", Json.String (Serialize.to_string problem));
-              ( "lower_bound",
-                Json.String
-                  (Printf.sprintf
-                     "problem %s admits a certified relaxed fixed point: \
-                      Omega(log n) deterministic and Omega(log log n) \
-                      randomized LOCAL lower bounds"
-                     p.Problem.name) );
-            ]
-        | Autopilot.Upper_bound { steps } ->
-            [
-              ( "upper_bound",
-                Json.String
-                  (Printf.sprintf
-                     "solvable in %d round(s) in the PN model on high-girth \
-                      Delta-regular instances"
-                     steps) );
-            ]
-        | Autopilot.Exhausted { last } ->
-            [ ("last", Json.String (Serialize.to_string last)) ]
-      in
-      (base @ extra, false)
+    | Autopilot.Upper_bound { steps } ->
+        [
+          ( "upper_bound",
+            Json.String
+              (Printf.sprintf
+                 "solvable in %d round(s) in the PN model on high-girth \
+                  Delta-regular instances"
+                 steps) );
+        ]
+    | Autopilot.Exhausted { last } ->
+        [ ("last", Json.String (Serialize.to_string last)) ]
+  in
+  base @ extra
+
+(* Serve [op] on [p] from the store, or run the engine and admit what
+   it certifies: the result fields and whether the store served them. *)
+let compute st (op : Protocol.op) (p : Problem.t) =
+  let stored find =
+    match st.store with Some s -> find s p | None -> None
+  in
+  match op with
+  | Protocol.Step -> (
+      match stored Disk.find_step with
+      | Some text -> (problem_fields text (Serialize.of_string text), true)
+      | None ->
+          let rd = Rounde.r p in
+          let rbd = Rounde.rbar ~pool:st.pool rd.Rounde.problem in
+          let result =
+            {
+              rbd.Rounde.problem with
+              Problem.name = Printf.sprintf "step(%s)" p.Problem.name;
+            }
+          in
+          admit st (fun store ->
+              Disk.add_step store ~source:p
+                (Certify.Certificate.of_step_parts ~source:p ~r:rd
+                   ~result:{ rbd with Rounde.problem = result }));
+          (problem_fields (Serialize.to_string result) result, false))
+  | Protocol.Fixed_point max_steps -> (
+      match stored Disk.find_fixed_point with
+      | Some (steps, fixed_text) ->
+          (fp_fields ~steps ~fixed_text (Serialize.of_string fixed_text), true)
+      | None -> (
+          (* [steps] is 1 when the input itself is the fixed point. *)
+          let found steps q =
+            admit st (fun store ->
+                Disk.add_fixed_point store ~source:p ~steps
+                  (Certify.Certificate.of_fixed_point q));
+            (fp_fields ~steps ~fixed_text:(Serialize.to_string q) q, false)
+          in
+          match Fixedpoint.detect ?max_steps ~pool:st.pool p with
+          | Fixedpoint.Fixed_point (q, _) -> found 1 q
+          | Fixedpoint.Reaches_fixed_point (steps, q) -> found steps q
+          | Fixedpoint.No_fixed_point_found last ->
+              (* Budget-dependent, hence never persisted: a larger
+                 [max_steps] could still find a fixed point. *)
+              ( [
+                  ("verdict", Json.String "none");
+                  ("last", Json.String (Serialize.to_string last));
+                ],
+                false )))
+  | Protocol.Autopilot max_steps -> (
+      match stored Disk.find_autopilot with
+      | Some fixed_text ->
+          (* A stored period-1 cycle on (a problem isomorphic to) the
+             canonicalized input: serve it without searching. *)
+          ( [
+              ("verdict", Json.String "fixed-point");
+              ("period", Json.Int 1);
+              ("steps", Json.Int 1);
+              ("fixed", Json.String fixed_text);
+            ],
+            true )
+      | None ->
+          let limits =
+            match max_steps with
+            | None -> Autopilot.default_limits
+            | Some k -> { Autopilot.default_limits with Autopilot.max_steps = k }
+          in
+          let report = Autopilot.search ~limits ~pool:st.pool p in
+          (* Land every period-1 cycle certificate: the last accepted
+             step is the one that closed the cycle, and its own source
+             problem (not the request's) keys the entry. *)
+          (match (report.Autopilot.verdict, List.rev report.Autopilot.steps) with
+          | ( Autopilot.Fixed_point { period = 1; _ },
+              {
+                Autopilot.certificate =
+                  Certify.Certificate.Relaxed_step rs as cert;
+                _;
+              }
+              :: _ ) ->
+              admit st (fun store ->
+                  match Serialize.of_string rs.Certify.Certificate.rs_source with
+                  | source -> Disk.add_autopilot store ~source cert
+                  | exception Failure msg -> Error msg)
+          | _ -> ());
+          (autopilot_fields p report, false))
 
 let stats_fields st =
   let store_fields =
@@ -346,68 +305,43 @@ let stats_fields st =
   ]
   @ store_fields
 
-(* Serve one prepared request; [`Stop] after a shutdown request. *)
+(* A reply's line, counted as served where the reply is produced. *)
+let count st = function
+  | Ok line ->
+      st.served_ok <- st.served_ok + 1;
+      line
+  | Error line ->
+      st.served_error <- st.served_error + 1;
+      line
+
+(* Serve one prepared request. *)
 let answer st prepared =
   st.requests <- st.requests + 1;
-  let ok line = (line, `Continue) in
-  match prepared with
-  | Ready line -> ok line
-  | Do_step { id; problem; canon } -> (
-      Trace.with_span "daemon.request" ~attrs:[ ("op", "step") ] @@ fun () ->
-      match
-        match Hashtbl.find_opt st.step_memo canon with
-        (* A memo replay is a cache hit whatever the first response
-           said — it skipped the engine. *)
-        | Some (fields, _) -> (fields, true)
-        | None ->
-            let result = compute_step st problem canon in
-            Hashtbl.replace st.step_memo canon result;
-            result
-      with
-      | fields, cached -> ok (Protocol.ok_line ~id ~cached fields)
-      | exception Budget.Budget_exceeded { budget; limit } ->
-          ok (Protocol.budget_error_line ~id ~budget ~limit)
-      | exception Failure msg ->
-          ok (Protocol.error_line ~id Protocol.Engine_error msg))
-  | Do_fp { id; problem; canon; max_steps } -> (
-      Trace.with_span "daemon.request" ~attrs:[ ("op", "fixed-point") ]
-      @@ fun () ->
-      match
-        match Hashtbl.find_opt st.fp_memo (canon, max_steps) with
-        | Some (fields, _) -> (fields, true)
-        | None ->
-            let result = compute_fp st problem canon max_steps in
-            Hashtbl.replace st.fp_memo (canon, max_steps) result;
-            result
-      with
-      | fields, cached -> ok (Protocol.ok_line ~id ~cached fields)
-      | exception Budget.Budget_exceeded { budget; limit } ->
-          ok (Protocol.budget_error_line ~id ~budget ~limit)
-      | exception Failure msg ->
-          ok (Protocol.error_line ~id Protocol.Engine_error msg))
-  | Do_autopilot { id; problem; canon; max_steps } -> (
-      Trace.with_span "daemon.request" ~attrs:[ ("op", "autopilot") ]
-      @@ fun () ->
-      match
-        match Hashtbl.find_opt st.ap_memo (canon, max_steps) with
-        | Some (fields, _) -> (fields, true)
-        | None ->
-            let result = compute_autopilot st problem canon max_steps in
-            Hashtbl.replace st.ap_memo (canon, max_steps) result;
-            result
-      with
-      | fields, cached -> ok (Protocol.ok_line ~id ~cached fields)
-      | exception Budget.Budget_exceeded { budget; limit } ->
-          (* The search absorbs per-candidate overruns itself; this
-             only fires for overruns outside the candidate loop. *)
-          ok (Protocol.budget_error_line ~id ~budget ~limit)
-      | exception Failure msg ->
-          ok (Protocol.error_line ~id Protocol.Engine_error msg))
-  | Do_ctl (Protocol.Stats { id }) -> ok (Protocol.ok_line ~id (stats_fields st))
-  | Do_ctl (Protocol.Shutdown { id }) ->
-      (Protocol.ok_line ~id [ ("stopping", Json.Bool true) ], `Stop)
-  | Do_ctl _ -> ok (Protocol.error_line ~id:Json.Null Protocol.Internal_error
-                      "unroutable request")
+  count st
+    (match prepared with
+    | Ready reply -> reply
+    | Compute { id; op; problem; canon } -> (
+        Trace.with_span "daemon.request" ~attrs:[ ("op", Protocol.op_name op) ]
+        @@ fun () ->
+        match
+          match Hashtbl.find_opt st.memo (op, canon) with
+          (* A memo replay is a cache hit whatever the first response
+             said — it skipped the engine. *)
+          | Some fields -> (fields, true)
+          | None ->
+              let fields, cached = compute st op problem in
+              Hashtbl.replace st.memo (op, canon) fields;
+              (fields, cached)
+        with
+        | fields, cached -> Ok (Protocol.ok_line ~id ~cached fields)
+        | exception Budget.Budget_exceeded { budget; limit } ->
+            (* The autopilot absorbs per-candidate overruns itself; for
+               it this only fires outside its candidate loop. *)
+            Error (Protocol.budget_error_line ~id ~budget ~limit)
+        | exception Failure msg ->
+            Error (Protocol.error_line ~id Protocol.Engine_error msg))
+    | Stats id -> Ok (Protocol.ok_line ~id (stats_fields st))
+    | Shutdown id -> Ok (Protocol.ok_line ~id [ ("stopping", Json.Bool true) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Connections and event loop                                          *)
@@ -471,9 +405,7 @@ let serve ?(stop = fun () -> false) (config : config) =
     {
       store = Option.map Disk.open_dir config.store_dir;
       pool;
-      step_memo = Hashtbl.create 64;
-      fp_memo = Hashtbl.create 64;
-      ap_memo = Hashtbl.create 64;
+      memo = Hashtbl.create 64;
       requests = 0;
       served_ok = 0;
       served_error = 0;
@@ -489,18 +421,7 @@ let serve ?(stop = fun () -> false) (config : config) =
       try Unix.close conn.fd with Unix.Unix_error _ -> ()
     end
   in
-  (* The error marker is safe to grep for: inside JSON string values
-     every quote is escaped, so a literal ["ok":false] can only be the
-     response's own status field. *)
-  let is_error_line line =
-    let marker = "\"ok\":false" in
-    let m = String.length marker and n = String.length line in
-    let rec find i = i + m <= n && (String.sub line i m = marker || find (i + 1)) in
-    find 0
-  in
   let send conn line =
-    if is_error_line line then st.served_error <- st.served_error + 1
-    else st.served_ok <- st.served_ok + 1;
     if not conn.closed then
       match write_all conn.fd (line ^ "\n") with
       | () -> ()
@@ -521,15 +442,12 @@ let serve ?(stop = fun () -> false) (config : config) =
         Parallel.Pool.map pool prepare lines
       else Array.map prepare lines
     in
-    let stop_requested = ref false in
     List.iteri
       (fun i (conn, _) ->
-        let line, verdict = answer st prepared.(i) in
-        send conn line;
-        if verdict = `Stop then stop_requested := true)
+        send conn (answer st prepared.(i));
+        match prepared.(i) with Shutdown _ -> stopping := true | _ -> ())
       batch;
-    sample_store_counters st;
-    if !stop_requested then stopping := true
+    sample_store_counters st
   in
   let handle_readable conn =
     let chunk = Bytes.create 65536 in
@@ -540,23 +458,23 @@ let serve ?(stop = fun () -> false) (config : config) =
         conn.eof <- true
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
     let lines = drain_lines conn in
-    (* Oversized partial line: answer with a structured error and drop
-       the connection — the daemon never buffers unboundedly. *)
-    if Buffer.length conn.inbuf > config.max_line then begin
+    (* Oversized line: answer with a structured error and drop the
+       connection — the daemon never buffers unboundedly. *)
+    let overflow () =
       conn.overflowed <- true;
       send conn
-        (Protocol.error_line ~id:Json.Null Protocol.Parse_error
-           (Printf.sprintf "request line exceeds %d bytes" config.max_line))
-    end;
+        (count st
+           (Error
+              (Protocol.error_line ~id:Json.Null Protocol.Parse_error
+                 (Printf.sprintf "request line exceeds %d bytes"
+                    config.max_line))))
+    in
+    if Buffer.length conn.inbuf > config.max_line then overflow ();
     List.filter_map
       (fun line ->
-        if String.length line > config.max_line then begin
-          conn.overflowed <- true;
-          send conn
-            (Protocol.error_line ~id:Json.Null Protocol.Parse_error
-               (Printf.sprintf "request line exceeds %d bytes" config.max_line));
-          None
-        end
+        if String.length line > config.max_line then (
+          overflow ();
+          None)
         else Some (conn, line))
       lines
   in

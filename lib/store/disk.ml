@@ -1,4 +1,7 @@
 open Relim
+module Cert = Certify.Certificate
+
+let ( let* ) = Result.bind
 
 type payload =
   | Step_result of string
@@ -81,6 +84,46 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The claim an entry makes beyond its certificate's own validity,
+   checked at admission and again on load; [Ok] carries the payload the
+   entry serves.  The certificate's kind must match the entry's, and
+   its source must be the key text.  A fixed-point entry records
+   [steps >= 1] detection steps.  An autopilot entry claims a lower
+   bound: its relaxed step must close a period-1 cycle on the key, and
+   the key must not be 0-round solvable. *)
+let claim ~kind ~key_text ~(key_problem : Problem.t) ~steps (cert : Cert.t) =
+  let source_is_key source =
+    if source = key_text then Ok ()
+    else Error "certificate source differs from entry key"
+  in
+  match (kind, cert) with
+  | "step", Cert.Step s ->
+      let* () = source_is_key s.Cert.source in
+      Ok (Step_result s.Cert.result)
+  | "fixed-point", Cert.Fixed_point { problem } ->
+      if steps >= 1 then Ok (Fixed_point (steps, problem))
+      else Error "bad steps field"
+  | "autopilot", Cert.Relaxed_step rs -> (
+      let* () = source_is_key rs.Cert.rs_source in
+      let* result =
+        match Serialize.of_string rs.Cert.rs_result with
+        | p -> Ok p
+        | exception Failure m -> Error ("result problem does not parse: " ^ m)
+      in
+      if
+        not
+          (Iso.equal_up_to_renaming
+             (Simplify.normalize key_problem)
+             (Simplify.normalize result))
+      then Error "autopilot entry does not close a round-elimination cycle"
+      else
+        match Zeroround.solvable_arbitrary_ports key_problem with
+        | Some _ -> Error "autopilot entry key is 0-round solvable"
+        | None -> Ok (Autopilot_cycle rs.Cert.rs_result)
+        | exception Budget.Budget_exceeded { budget; limit } ->
+            Error ("cannot confirm hardness: " ^ Budget.message ~budget ~limit))
+  | k, _ -> Error (Printf.sprintf "kind %S does not match its certificate" k)
+
 (* Parse and fully re-validate one entry file.  @raise Corrupt on
    framing/checksum damage, Invalid when structurally intact but the
    certificate (or key binding) fails re-validation. *)
@@ -154,46 +197,17 @@ let load_entry path =
   if Iso.invariant_hash key_problem <> hash then
     faili "key problem hashes outside its bucket";
   let cert =
-    match Certify.Certificate.of_text cert_text with
+    match Cert.of_text cert_text with
     | Ok c -> c
     | Error m -> faili "%s" m
   in
-  (match Certify.Certificate.validate cert with
+  (match Cert.validate cert with
   | Ok () -> ()
   | Error m -> faili "certificate rejected: %s" m);
   let payload =
-    match (kind, cert) with
-    | "step", Certify.Certificate.Step s ->
-        if s.Certify.Certificate.source <> key_text then
-          faili "certificate source differs from entry key";
-        Step_result s.Certify.Certificate.result
-    | "fixed-point", Certify.Certificate.Fixed_point { problem } ->
-        Fixed_point (steps, problem)
-    | "autopilot", Certify.Certificate.Relaxed_step rs ->
-        (* Beyond the certificate itself (one valid relaxed speedup
-           step), an autopilot entry claims a lower bound: the step
-           must close a period-1 cycle on its own key, and the key must
-           not be 0-round solvable. *)
-        if rs.Certify.Certificate.rs_source <> key_text then
-          faili "certificate source differs from entry key";
-        let result =
-          match Serialize.of_string rs.Certify.Certificate.rs_result with
-          | p -> p
-          | exception Failure m -> faili "result problem does not parse: %s" m
-        in
-        if
-          not
-            (Iso.equal_up_to_renaming
-               (Simplify.normalize key_problem)
-               (Simplify.normalize result))
-        then faili "autopilot entry does not close a round-elimination cycle";
-        (match Zeroround.solvable_arbitrary_ports key_problem with
-        | Some _ -> faili "autopilot entry key is 0-round solvable"
-        | None -> ()
-        | exception Budget.Budget_exceeded { budget; limit } ->
-            faili "cannot confirm hardness: %s" (Budget.message ~budget ~limit));
-        Autopilot_cycle rs.Certify.Certificate.rs_result
-    | k, _ -> faili "kind %S does not match its certificate" k
+    match claim ~kind ~key_text ~key_problem ~steps cert with
+    | Ok payload -> payload
+    | Error m -> faili "%s" m
   in
   { key_text; key_problem; payload }
 
@@ -292,14 +306,13 @@ let free_slot t kind hash =
   in
   go 0
 
-let render ~kind ~hash ?steps ~key_text ~cert_text () =
+let render ~kind ~hash ~steps ~key_text ~cert_text =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "roundelim-store v1\n";
   Buffer.add_string buf (Printf.sprintf "kind %s\n" kind);
   Buffer.add_string buf (Printf.sprintf "hash %x\n" hash);
-  (match steps with
-  | Some k -> Buffer.add_string buf (Printf.sprintf "steps %d\n" k)
-  | None -> ());
+  if kind = "fixed-point" then
+    Buffer.add_string buf (Printf.sprintf "steps %d\n" steps);
   let add_block tag s =
     Buffer.add_string buf (Printf.sprintf "%s %d\n" tag (String.length s));
     Buffer.add_string buf s;
@@ -311,42 +324,35 @@ let render ~kind ~hash ?steps ~key_text ~cert_text () =
     (Printf.sprintf "checksum %s\n" (fnv1a64 (Buffer.contents buf)));
   Buffer.contents buf
 
-let admit t kind ?steps ~(source : Problem.t) cert payload =
+let admit t kind ?(steps = 0) ~(source : Problem.t) cert =
   let key_text = Serialize.to_string source in
   let hash = Iso.invariant_hash source in
-  match Certify.Certificate.validate cert with
-  | Error m -> Error ("refusing to admit entry: " ^ m)
-  | Ok () ->
-      let entries = load_bucket t kind hash in
-      if List.exists (fun e -> same_problem key_text e source) entries then
-        Ok () (* already admitted *)
-      else begin
-        let content =
-          render ~kind ~hash ?steps ~key_text
-            ~cert_text:(Certify.Certificate.to_text cert)
-            ()
-        in
-        write_atomically t (free_slot t kind hash) content;
-        Hashtbl.replace t.buckets (kind, hash)
-          (entries @ [ { key_text; key_problem = source; payload } ]);
-        t.stats.admitted <- t.stats.admitted + 1;
-        Ok ()
-      end
+  let* payload = claim ~kind ~key_text ~key_problem:source ~steps cert in
+  let* () =
+    Result.map_error
+      (fun m -> "refusing to admit entry: " ^ m)
+      (Cert.validate cert)
+  in
+  let entries = load_bucket t kind hash in
+  if List.exists (fun e -> same_problem key_text e source) entries then
+    Ok () (* already admitted *)
+  else begin
+    let content =
+      render ~kind ~hash ~steps ~key_text ~cert_text:(Cert.to_text cert)
+    in
+    write_atomically t (free_slot t kind hash) content;
+    Hashtbl.replace t.buckets (kind, hash)
+      (entries @ [ { key_text; key_problem = source; payload } ]);
+    t.stats.admitted <- t.stats.admitted + 1;
+    Ok ()
+  end
 
 let find_step t p =
   match find t "step" p with
   | Some { payload = Step_result text; _ } -> Some text
   | _ -> None
 
-let add_step t ~source cert =
-  match cert with
-  | Certify.Certificate.Step s ->
-      if s.Certify.Certificate.source <> Serialize.to_string source then
-        Error "certificate source differs from the entry key"
-      else
-        admit t "step" ~source cert
-          (Step_result s.Certify.Certificate.result)
-  | _ -> Error "step entry needs a Step certificate"
+let add_step t ~source cert = admit t "step" ~source cert
 
 let find_fixed_point t p =
   match find t "fixed-point" p with
@@ -354,49 +360,14 @@ let find_fixed_point t p =
   | _ -> None
 
 let add_fixed_point t ~source ~steps cert =
-  match cert with
-  | Certify.Certificate.Fixed_point { problem } ->
-      if steps < 1 then Error "steps must be >= 1"
-      else
-        admit t "fixed-point" ~steps ~source cert (Fixed_point (steps, problem))
-  | _ -> Error "fixed-point entry needs a Fixed_point certificate"
+  admit t "fixed-point" ~steps ~source cert
 
 let find_autopilot t p =
   match find t "autopilot" p with
   | Some { payload = Autopilot_cycle text; _ } -> Some text
   | _ -> None
 
-let add_autopilot t ~source cert =
-  match cert with
-  | Certify.Certificate.Relaxed_step rs -> (
-      if rs.Certify.Certificate.rs_source <> Serialize.to_string source then
-        Error "certificate source differs from the entry key"
-      else
-        match Serialize.of_string rs.Certify.Certificate.rs_result with
-        | exception Failure m -> Error ("result problem does not parse: " ^ m)
-        | result ->
-            if
-              not
-                (Iso.equal_up_to_renaming
-                   (Simplify.normalize source)
-                   (Simplify.normalize result))
-            then
-              Error
-                "autopilot entry must close a period-1 cycle (source and \
-                 result are not isomorphic after normalization)"
-            else (
-              match Zeroround.solvable_arbitrary_ports source with
-              | Some _ ->
-                  Error
-                    "autopilot entry key is 0-round solvable: a cycle on it \
-                     claims no lower bound"
-              | None ->
-                  admit t "autopilot" ~source cert
-                    (Autopilot_cycle rs.Certify.Certificate.rs_result)
-              | exception Budget.Budget_exceeded { budget; limit } ->
-                  Error
-                    ("cannot confirm hardness: " ^ Budget.message ~budget ~limit)))
-  | _ -> Error "autopilot entry needs a Relaxed_step certificate"
+let add_autopilot t ~source cert = admit t "autopilot" ~source cert
 
 let validate_all t =
   let files = entry_files t in

@@ -12,15 +12,29 @@
     An entry is admitted only together with a {!Certify.Certificate}
     that {!Certify.Certificate.validate}s at admission time, and the
     certificate is re-validated when the entry is loaded from disk —
-    so results can be trusted across runs and machines.  On load, an
-    entry is {e rejected, never served} if any of these fail:
+    so results can be trusted across runs and machines.  Beyond the
+    certificate's own validity, one claim check runs at admission and
+    again on load, with the same rejection messages:
+    {ul
+    {- the certificate's kind matches the entry's ([Step] for a step
+       entry, [Fixed_point] for a fixed-point entry, [Relaxed_step] for
+       an autopilot entry);}
+    {- a step or autopilot certificate's source text is the entry's
+       key text;}
+    {- a fixed-point entry records [steps >= 1];}
+    {- an autopilot entry's relaxed step closes a period-1 cycle on its
+       key (result and key are isomorphic after normalization), and
+       the key is not 0-round solvable.}}
+    On load, an entry is {e rejected, never served} if any of these
+    fail:
     {ul
     {- the framing or checksum is wrong (truncated or bit-flipped
        file, e.g. a simulated [kill -9] mid-write — though writes are
        atomic tmp-file + [rename], so a crash normally leaves no
        partial entry at all);}
-    {- the embedded certificate fails independent re-validation;}
-    {- the key problem does not parse, or hashes outside its bucket.}}
+    {- the key problem does not parse, or hashes outside its bucket;}
+    {- the embedded certificate fails independent re-validation, or
+       the claim check.}}
     Rejections are counted in {!stats} and reported by
     {!validate_all}; a rejected file is left in place for inspection.
 
@@ -57,9 +71,10 @@ val stats : t -> stats
 val find_step : t -> Relim.Problem.t -> string option
 
 (** [add_step t ~source cert] admits a step entry keyed by [source].
-    The certificate must be a [Step] whose source text is exactly
-    [Serialize.to_string source]; it is validated before anything is
-    written.  Re-adding an already-present key is a no-op ([Ok]). *)
+    The certificate must pass the claim check (a [Step] whose source
+    text is exactly [Serialize.to_string source]) and validate before
+    anything is written.  Re-adding an already-present key is a no-op
+    ([Ok]). *)
 val add_step :
   t -> source:Relim.Problem.t -> Certify.Certificate.t -> (unit, string) result
 
@@ -71,8 +86,9 @@ val add_step :
 val find_fixed_point : t -> Relim.Problem.t -> (int * string) option
 
 (** [add_fixed_point t ~source ~steps cert] admits a fixed-point entry
-    keyed by [source]; the certificate must be a [Fixed_point] and is
-    validated (a fresh sequential speedup replay) before admission. *)
+    keyed by [source]; the claim check wants a [Fixed_point]
+    certificate and [steps >= 1], and the certificate is validated (a
+    fresh sequential speedup replay) before admission. *)
 val add_fixed_point :
   t ->
   source:Relim.Problem.t ->
@@ -87,12 +103,11 @@ val add_fixed_point :
 val find_autopilot : t -> Relim.Problem.t -> string option
 
 (** [add_autopilot t ~source cert] admits a relaxed-cycle entry keyed
-    by [source].  The certificate must be a [Relaxed_step] whose
-    source text is exactly [Serialize.to_string source], whose result
-    is isomorphic to [source] after normalization (a period-1 cycle),
-    and [source] must not be 0-round solvable — the combination is
-    what makes the entry a lower-bound witness (Ω(log n) LOCAL).  All
-    three conditions are re-checked on load. *)
+    by [source].  The claim check wants a [Relaxed_step] whose source
+    text is exactly [Serialize.to_string source], whose result is
+    isomorphic to [source] after normalization (a period-1 cycle), and
+    a [source] that is not 0-round solvable — the combination is what
+    makes the entry a lower-bound witness (Ω(log n) LOCAL). *)
 val add_autopilot :
   t -> source:Relim.Problem.t -> Certify.Certificate.t -> (unit, string) result
 

@@ -1,27 +1,22 @@
+type op = Step | Fixed_point of int option | Autopilot of int option
+
+let op_name = function
+  | Step -> "step"
+  | Fixed_point _ -> "fixed-point"
+  | Autopilot _ -> "autopilot"
+
 type request =
-  | Step of { id : Json.t; problem : string }
-  | Fixed_point of { id : Json.t; problem : string; max_steps : int option }
-  | Autopilot of { id : Json.t; problem : string; max_steps : int option }
+  | Compute of { id : Json.t; op : op; problem : string }
   | Ping of { id : Json.t }
   | Stats of { id : Json.t }
   | Shutdown of { id : Json.t }
 
-let request_id = function
-  | Step { id; _ }
-  | Fixed_point { id; _ }
-  | Autopilot { id; _ }
-  | Ping { id }
-  | Stats { id }
-  | Shutdown { id } ->
-      id
-
-type error_code = Parse_error | Bad_request | Engine_error | Internal_error
+type error_code = Parse_error | Bad_request | Engine_error
 
 let code_string = function
   | Parse_error -> "parse-error"
   | Bad_request -> "bad-request"
   | Engine_error -> "engine-error"
-  | Internal_error -> "internal-error"
 
 let decode line =
   match Json.of_string line with
@@ -30,33 +25,36 @@ let decode line =
       let id = Option.value ~default:Json.Null (Json.member "id" json) in
       match json with
       | Json.Obj _ -> (
-          let problem () =
-            match Option.bind (Json.member "problem" json) Json.string_opt with
-            | Some p when String.trim p <> "" -> Ok p
-            | Some _ -> Error "empty \"problem\" field"
-            | None -> Error "missing string field \"problem\""
-          in
-          match Option.bind (Json.member "op" json) Json.string_opt with
-          | Some "step" -> (
-              match problem () with
-              | Ok problem -> Ok (Step { id; problem })
-              | Error m -> Error (id, Bad_request, m))
-          | Some (("fixed-point" | "autopilot") as op) -> (
-              match problem () with
-              | Error m -> Error (id, Bad_request, m)
-              | Ok problem -> (
-                  let mk max_steps =
-                    if op = "autopilot" then Autopilot { id; problem; max_steps }
-                    else Fixed_point { id; problem; max_steps }
-                  in
+          let ( let* ) = Result.bind in
+          (* The problem is checked before [max_steps], and a step
+             ignores [max_steps] altogether. *)
+          let compute name =
+            let* problem =
+              match Option.bind (Json.member "problem" json) Json.string_opt with
+              | Some p when String.trim p <> "" -> Ok p
+              | Some _ -> Error "empty \"problem\" field"
+              | None -> Error "missing string field \"problem\""
+            in
+            let* op =
+              if name = "step" then Ok Step
+              else
+                let* max_steps =
                   match Json.member "max_steps" json with
-                  | None -> Ok (mk None)
+                  | None -> Ok None
                   | Some v -> (
                       match Json.int_opt v with
-                      | Some k when k >= 1 -> Ok (mk (Some k))
-                      | _ ->
-                          Error
-                            (id, Bad_request, "\"max_steps\" must be an integer >= 1"))))
+                      | Some k when k >= 1 -> Ok (Some k)
+                      | _ -> Error "\"max_steps\" must be an integer >= 1")
+                in
+                Ok
+                  (if name = "autopilot" then Autopilot max_steps
+                   else Fixed_point max_steps)
+            in
+            Ok (Compute { id; op; problem })
+          in
+          match Option.bind (Json.member "op" json) Json.string_opt with
+          | Some (("step" | "fixed-point" | "autopilot") as name) ->
+              Result.map_error (fun m -> (id, Bad_request, m)) (compute name)
           | Some "ping" -> Ok (Ping { id })
           | Some "stats" -> Ok (Stats { id })
           | Some "shutdown" -> Ok (Shutdown { id })

@@ -25,17 +25,25 @@
     a structured [parse-error]/[bad-request] response, never an
     exception. *)
 
+(** The three uses of round elimination the daemon serves: one
+    speedup step, fixed-point detection, and the certified autopilot
+    search.  The [int option] is the request's [max_steps]. *)
+type op = Step | Fixed_point of int option | Autopilot of int option
+
+(** The op's wire name: ["step"], ["fixed-point"] or ["autopilot"]. *)
+val op_name : op -> string
+
+(** A decoded request.  Every op that runs the engine decodes to one
+    [Compute]: its [problem] is a non-empty text, and [max_steps],
+    when present, is an integer [>= 1] (a [step] request ignores
+    it). *)
 type request =
-  | Step of { id : Json.t; problem : string }
-  | Fixed_point of { id : Json.t; problem : string; max_steps : int option }
-  | Autopilot of { id : Json.t; problem : string; max_steps : int option }
+  | Compute of { id : Json.t; op : op; problem : string }
   | Ping of { id : Json.t }
   | Stats of { id : Json.t }
   | Shutdown of { id : Json.t }
 
-val request_id : request -> Json.t
-
-type error_code = Parse_error | Bad_request | Engine_error | Internal_error
+type error_code = Parse_error | Bad_request | Engine_error
 
 val code_string : error_code -> string
 

@@ -612,6 +612,8 @@ type summary = {
   wall_s : float;
 }
 
+exception Foreign_journal of string
+
 let run ?(clock = Unix.gettimeofday) ?max_cells ?(log = fun _ -> ())
     ~budgets ~out grid =
   let t0 = clock () in
@@ -620,10 +622,11 @@ let run ?(clock = Unix.gettimeofday) ?max_cells ?(log = fun _ -> ())
   let scan = scan_journal out in
   (match scan.header with
   | Some h when Store.Json.to_string h <> Store.Json.to_string header ->
-      failwith
-        (Printf.sprintf
-           "%s holds a journal for a different grid; refusing to mix sweeps"
-           out)
+      raise
+        (Foreign_journal
+           (Printf.sprintf
+              "%s holds a journal for a different grid; refusing to mix sweeps"
+              out))
   | _ -> ());
   if scan.dropped_tail then begin
     Unix.truncate out scan.keep_bytes;

@@ -172,6 +172,10 @@ type summary = {
   wall_s : float;
 }
 
+(** Raised by {!run} when [out] holds a journal for a different grid.
+    The message names [out]; the journal is left untouched. *)
+exception Foreign_journal of string
+
 (** [run ~budgets ~out grid] scans [out], truncates a damaged tail,
     verifies (or writes) the header, then runs every not-yet-journaled
     cell in {!cells} order, appending and flushing one record per cell.
@@ -180,7 +184,8 @@ type summary = {
     mid-grid deterministically.  [log] receives one progress line per
     cell.  Emits [sweep.cell] trace spans and a [sweep.done] instant
     when tracing is enabled.
-    @raise Failure if [out] holds a journal for a different grid. *)
+    @raise Foreign_journal if [out] holds a journal for a different
+    grid. *)
 val run :
   ?clock:(unit -> float) ->
   ?max_cells:int ->

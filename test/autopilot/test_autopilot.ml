@@ -262,6 +262,9 @@ let test_store_admission () =
   | Error _ -> ()
 
 let () =
+  (* The RELIM_CERTIFY and RELIM_TRACE test legs cover this suite too. *)
+  Certify.Hooks.install_if_env ();
+  Trace.setup_from_env ();
   Alcotest.run "autopilot"
     [
       ( "search",

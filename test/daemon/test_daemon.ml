@@ -15,6 +15,21 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+(* [s] with its cache flag reset: a replay must be the computed
+   response, byte for byte, apart from this flag. *)
+let uncached s =
+  let sub = {|"cached":true|} and rep = {|"cached":false|} in
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | Some i ->
+      String.sub s 0 i ^ rep ^ String.sub s (i + n) (String.length s - i - n)
+  | None -> s
+
 let counter = ref 0
 
 let tmpdir () =
@@ -148,20 +163,21 @@ let test_stats_transcript () =
    request is the one speedup step past Pi(5,4,2) — its node
    constraint expansion overruns the default engine budget
    immediately. *)
+let budget_req =
+  lazy
+    (let pi = Core.Family.pi { Core.Family.delta = 5; a = 4; x = 2 } in
+     let { Relim.Rounde.problem = s1; _ } = Relim.Rounde.step pi in
+     let text = Relim.Serialize.to_string (Relim.Simplify.normalize s1) in
+     let escaped = String.concat "\\n" (String.split_on_char '\n' text) in
+     {|{"id":7,"op":"step","problem":"|} ^ escaped ^ {|"}|})
+
 let test_budget_error_transcript () =
-  let budget_req =
-    let pi = Core.Family.pi { Core.Family.delta = 5; a = 4; x = 2 } in
-    let { Relim.Rounde.problem = s1; _ } = Relim.Rounde.step pi in
-    let text = Relim.Serialize.to_string (Relim.Simplify.normalize s1) in
-    let escaped = String.concat "\\n" (String.split_on_char '\n' text) in
-    {|{"id":7,"op":"step","problem":"|} ^ escaped ^ {|"}|}
-  in
   with_daemon @@ fun sock ->
   let c = connect sock in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   check_string "structured budget error, pinned bytes"
     {|{"id":7,"ok":false,"error":{"code":"budget","budget":"Rounde.rbar: node constraint expansion","limit":2000000,"message":"budget exceeded: Rounde.rbar: node constraint expansion (limit 2000000)"}}|}
-    (request c budget_req);
+    (request c (Lazy.force budget_req));
   (* A budget error is an answer, not a connection failure. *)
   check_string "still serving after the budget error"
     {|{"id":8,"ok":true,"result":{"pong":true}}|}
@@ -380,24 +396,8 @@ let test_restart_byte_identity () =
         (contains ~sub:{|"cached":false|} c);
       check_bool (Printf.sprintf "warm %d served from the store" i) true
         (contains ~sub:{|"cached":true|} w);
-      (* Modulo the cache flag, the warm response must be the cold
-         response, byte for byte. *)
-      let subst s =
-        let sub = {|"cached":true|} and rep = {|"cached":false|} in
-        let n = String.length sub in
-        let rec find i =
-          if i + n > String.length s then None
-          else if String.sub s i n = sub then Some i
-          else find (i + 1)
-        in
-        match find 0 with
-        | Some i ->
-            String.sub s 0 i ^ rep
-            ^ String.sub s (i + n) (String.length s - i - n)
-        | None -> s
-      in
       check_string (Printf.sprintf "warm %d byte-identical to cold" i) c
-        (subst w))
+        (uncached w))
     (List.combine cold warm)
 
 let test_restart_survives_corruption () =
@@ -474,7 +474,73 @@ let test_within_run_dedup () =
   check_bool "repeat flagged cached" true
     (contains ~sub:{|"cached":true|} second)
 
+(* One memo serves every op, keyed by the op with its [max_steps] as
+   well as by the problem: the same problem as a step, as fixed-point
+   detection with and without a step cap, and as an autopilot search
+   gets four different answers, and each repeat replays its own. *)
+let test_memo_per_op () =
+  let so = {|"problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n"|} in
+  let reqs =
+    List.map
+      (fun (id, rest) -> Printf.sprintf {|{"id":"%s",%s,%s}|} id so rest)
+      [
+        ("s", {|"op":"step"|});
+        ("f", {|"op":"fixed-point"|});
+        ("f1", {|"op":"fixed-point","max_steps":1|});
+        ("a", {|"op":"autopilot"|});
+      ]
+  in
+  with_daemon @@ fun sock ->
+  let c = connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let first = List.map (request c) reqs in
+  let again = List.map (request c) reqs in
+  List.iteri
+    (fun i (f, a) ->
+      check_bool (Printf.sprintf "answer %d computed" i) true
+        (contains ~sub:{|"cached":false|} f);
+      check_bool (Printf.sprintf "repeat %d flagged cached" i) true
+        (contains ~sub:{|"cached":true|} a);
+      check_string (Printf.sprintf "repeat %d replays answer %d" i i) f
+        (uncached a))
+    (List.combine first again);
+  (* Distinct past the echoed id. *)
+  let results =
+    List.map
+      (fun r ->
+        let i = String.index r ',' in
+        String.sub r i (String.length r - i))
+      first
+  in
+  check_int "four distinct answers" 4
+    (List.length (List.sort_uniq compare results))
+
+(* The stats op's request and outcome counts after mixed traffic: a
+   ping and a step (ok), a parse error, a budget error, and an oversized
+   line, which ends its connection without reaching the request count. *)
+let test_stats_counts () =
+  with_daemon ~max_line:8192 @@ fun sock ->
+  let c = connect sock in
+  ignore (request c {|{"id":1,"op":"ping"}|});
+  ignore (request c step_req);
+  ignore (request c "not json");
+  ignore (request c (Lazy.force budget_req));
+  ignore
+    (request c
+       ({|{"id":2,"op":"ping","pad":"|} ^ String.make 10_000 'x' ^ {|"}|}));
+  Client.close c;
+  let c2 = connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c2) @@ fun () ->
+  let stats = request c2 {|{"id":3,"op":"stats"}|} in
+  check_bool ("request and outcome counts: " ^ stats) true
+    (contains
+       ~sub:{|"result":{"requests":5,"served_ok":2,"served_error":3,|}
+       stats)
+
 let () =
+  (* The RELIM_CERTIFY and RELIM_TRACE test legs cover this suite too. *)
+  Certify.Hooks.install_if_env ();
+  Trace.setup_from_env ();
   Alcotest.run "daemon"
     [
       ( "wire",
@@ -507,5 +573,8 @@ let () =
           Alcotest.test_case "restart survives corruption" `Quick
             test_restart_survives_corruption;
           Alcotest.test_case "within-run dedup" `Quick test_within_run_dedup;
+          Alcotest.test_case "one memo keyed by op" `Quick test_memo_per_op;
+          Alcotest.test_case "stats counts after mixed traffic" `Quick
+            test_stats_counts;
         ] );
     ]

@@ -441,6 +441,7 @@ let synthesis_vs_zeroround_qcheck =
   ]
 
 let () =
+  Certify.Hooks.install_if_env ();
   Trace.setup_from_env ();
   Alcotest.run "localsim"
     [

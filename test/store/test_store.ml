@@ -102,16 +102,32 @@ let test_json_numbers () =
 
 let test_protocol_decode () =
   (match Protocol.decode {|{"id":7,"op":"step","problem":"text"}|} with
-  | Ok (Protocol.Step { id = Json.Int 7; problem = "text" }) -> ()
+  | Ok
+      (Protocol.Compute
+        { id = Json.Int 7; op = Protocol.Step; problem = "text" }) ->
+      ()
   | _ -> Alcotest.fail "step decode");
   (match
      Protocol.decode {|{"id":"x","op":"fixed-point","problem":"t","max_steps":5}|}
    with
   | Ok
-      (Protocol.Fixed_point
-        { id = Json.String "x"; problem = "t"; max_steps = Some 5 }) ->
+      (Protocol.Compute
+        {
+          id = Json.String "x";
+          op = Protocol.Fixed_point (Some 5);
+          problem = "t";
+        }) ->
       ()
   | _ -> Alcotest.fail "fixed-point decode");
+  (match Protocol.decode {|{"id":1,"op":"autopilot","problem":"t"}|} with
+  | Ok (Protocol.Compute { op = Protocol.Autopilot None; _ }) -> ()
+  | _ -> Alcotest.fail "autopilot decode");
+  (* A step ignores max_steps, even a malformed one. *)
+  (match
+     Protocol.decode {|{"id":1,"op":"step","problem":"t","max_steps":"many"}|}
+   with
+  | Ok (Protocol.Compute { op = Protocol.Step; _ }) -> ()
+  | _ -> Alcotest.fail "step ignores max_steps");
   (match Protocol.decode {|{"op":"ping"}|} with
   | Ok (Protocol.Ping { id = Json.Null }) -> ()
   | _ -> Alcotest.fail "ping decode, id defaults to null")
@@ -511,6 +527,9 @@ let test_disk_fixed_point_entries () =
   | _ -> Alcotest.fail "SO should reach a fixed point"
 
 let () =
+  (* The RELIM_CERTIFY and RELIM_TRACE test legs cover this suite too. *)
+  Certify.Hooks.install_if_env ();
+  Trace.setup_from_env ();
   Alcotest.run "store"
     [
       ( "json",

@@ -399,7 +399,7 @@ let test_refuses_foreign_journal () =
         Sweep.run ~clock:fixed_clock ~budgets:tight_budgets ~out:path other
       with
       | _ -> Alcotest.fail "accepted a journal for a different grid"
-      | exception Failure msg ->
+      | exception Sweep.Foreign_journal msg ->
           Alcotest.(check bool)
             "names the refusal" true
             (String.length msg > 0)
@@ -679,7 +679,27 @@ let test_cli_bad_arguments () =
     [
       ("--families nope", "unknown family nope");
       ("--fp-steps 0", "--fp-steps must be at least 1");
-    ]
+    ];
+  (* A journal for a different grid is refused before any cell runs,
+     and left as it was. *)
+  let journal = Filename.temp_file "cli_foreign" ".jsonl" in
+  let header = Store.Json.to_string (Sweep.header_json small_grid) ^ "\n" in
+  write_file journal header;
+  let code, stdout, stderr =
+    run_cmd (exe "RELIMSWEEP")
+      (Printf.sprintf "--out %s %s" (Filename.quote journal) cli_grid_args)
+  in
+  let after = read_file journal in
+  Sys.remove journal;
+  Alcotest.(check int) "foreign journal: exit code 2" 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "foreign journal: message on stderr: %s" stderr)
+    true
+    (contains
+       ~sub:("relimsweep: " ^ journal ^ " holds a journal for a different grid")
+       stderr);
+  Alcotest.(check string) "foreign journal: nothing on stdout" "" stdout;
+  Alcotest.(check string) "foreign journal: untouched" header after
 
 let test_cli_markdown () =
   let _, md = Lazy.force cli_artifacts in

@@ -715,29 +715,60 @@ let test_wall_col21_streaming () =
 
 let test_parctl_zdd_parse () =
   let open Parctl in
-  check_bool "unset" true (parse_zdd_env None = Zdd_unset);
+  check_bool "unset" true (parse_flag_env None = Flag_unset);
   List.iter
-    (fun s -> check_bool s true (parse_zdd_env (Some s) = Zdd_enabled true))
+    (fun s -> check_bool s true (parse_flag_env (Some s) = Flag_set true))
     [ "1"; "true"; "YES"; " on " ];
   List.iter
-    (fun s -> check_bool s true (parse_zdd_env (Some s) = Zdd_enabled false))
+    (fun s -> check_bool s true (parse_flag_env (Some s) = Flag_set false))
     [ "0"; "false"; "no"; "OFF"; "" ];
   check_bool "malformed" true
-    (parse_zdd_env (Some "maybe") = Zdd_malformed "maybe");
+    (parse_flag_env (Some "maybe") = Flag_malformed "maybe");
   check_bool "resolve Some wins" true (resolve_zdd (Some true));
   (* malformed env warns exactly once and reads as off *)
   let warnings = ref [] in
-  let saved = !warn_hook in
+  let saved = !warn_hook and saved_env = Sys.getenv_opt zdd_env_var in
   warn_hook := (fun m -> warnings := m :: !warnings);
   reset_warned ();
   Unix.putenv zdd_env_var "maybe";
   check_bool "malformed reads off" false (zdd_from_env ());
   check_bool "second read stays quiet" false (zdd_from_env ());
-  Unix.putenv zdd_env_var "";
+  (* restored, so the RELIM_ZDD=1 test leg keeps the toggle afterwards *)
+  Unix.putenv zdd_env_var (Option.value saved_env ~default:"");
   warn_hook := saved;
   check_int "warned once" 1 (List.length !warnings);
   check_bool "warning names the variable" true
     (contains ~sub:"RELIM_ZDD" (List.hd !warnings))
+
+(* RELIM_CERTIFY goes through the same reader: every boolean spelling
+   RELIM_ZDD accepts, and one warning for a malformed value. *)
+let test_certify_env_parse () =
+  let var = Certify.Hooks.env_var in
+  let saved = Sys.getenv_opt var and saved_hook = !Parctl.warn_hook in
+  let warnings = ref [] in
+  Parctl.warn_hook := (fun m -> warnings := m :: !warnings);
+  Parctl.reset_warned ();
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv var (Option.value saved ~default:"");
+      Parctl.warn_hook := saved_hook)
+  @@ fun () ->
+  let reads s =
+    Unix.putenv var s;
+    Certify.Hooks.enabled_in_env ()
+  in
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "%S reads on" s) true (reads s))
+    [ "1"; "true"; "TRUE"; "yes"; "on"; " 1" ];
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "%S reads off" s) false (reads s))
+    [ "0"; "false"; "no"; "OFF"; "" ];
+  check_int "no warning for a boolean" 0 (List.length !warnings);
+  check_bool "malformed reads off" false (reads "maybe");
+  check_bool "second read stays quiet" false (reads "maybe");
+  check_int "warned once" 1 (List.length !warnings);
+  check_bool "warning names the variable" true
+    (contains ~sub:"RELIM_CERTIFY" (List.hd !warnings))
 
 let test_zdd_stats () =
   Zdd.reset_stats ();
@@ -756,6 +787,9 @@ let test_zdd_stats () =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  (* The RELIM_CERTIFY and RELIM_TRACE test legs cover this suite too. *)
+  Certify.Hooks.install_if_env ();
+  Trace.setup_from_env ();
   Alcotest.run "zdd"
     [
       ( "engine",
@@ -803,6 +837,8 @@ let () =
       ( "plumbing",
         [
           Alcotest.test_case "RELIM_ZDD parsing" `Quick test_parctl_zdd_parse;
+          Alcotest.test_case "RELIM_CERTIFY parsing" `Quick
+            test_certify_env_parse;
           Alcotest.test_case "global stats" `Quick test_zdd_stats;
         ] );
     ]

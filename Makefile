@@ -31,7 +31,10 @@ relbench-smoke:
 # A/B comparison against a checkout of the parent commit, for a perf
 # claim: 10 alternating pairs of runs of WORKLOAD, each as long as
 # BENCHMARK.json's run_seconds, a new seed per pair; prints every run,
-# then each end-to-end metric's medians, quartiles and wins
+# then each end-to-end metric's medians, quartiles and wins, then, from
+# each run's relbench-out/result-*.json, each operation's median time
+# per side with change/parent and wins (steps jobs and autopilot
+# searches; daemon results have no operations)
 # (scripts/relbench_ab.ml).  Not in CI: a 30-s pair takes over a
 # minute.  Example:
 #   git worktree add ../parent HEAD~1 && make relbench-ab PARENT=../parent

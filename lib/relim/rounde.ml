@@ -759,128 +759,289 @@ let symbolic_boxes_impl (p : Problem.t) =
       Some boxes
     end
 
-(* Precomputed dominance keys.  If [box_leq b b'] (every set of [b]
-   matched injectively into a superset in [b']) then necessarily:
-   support(b) ⊆ support(b'), the total cardinality of [b] is at most
-   that of [b'], and the ascending sorted cardinality vectors dominate
-   elementwise (the matching sends the i-th smallest set of [b] into a
-   set of [b'] of at least its size, for every prefix).  All three are
-   word-level/O(Δ) screens, applied before the exact transportation
-   matching; scanning candidates in decreasing total-cardinality order
-   additionally confines possible dominators to a prefix. *)
-type box_key = {
-  sets : Labelset.t array;  (* canonical form: the sets in increasing order *)
-  sizes : int array;  (* set cardinalities, ascending *)
-  total : int;
-  support : Labelset.t;
+(* The maximal-box filter.  Box [b] is dominated by [b'] when an
+   injective map sends every set of [b] into a superset in [b'].  Then
+   necessarily support(b) ⊆ support(b'), the total cardinality of [b]
+   is at most that of [b'], and the ascending sorted cardinality
+   vectors dominate elementwise (the matching sends the i-th smallest
+   set of [b] into a set of [b'] of at least its size, for every
+   prefix).  All three are word-level/O(Δ) screens, applied before the
+   exact matching; scanning candidates in decreasing total order
+   confines possible dominators to a prefix.
+
+   Layout: no per-box record.  A box's rank in the scan order is its
+   scan position [q], and its data lives in flat int arrays at that
+   position: its sets, sorted, at [sets.(q·Δ) …], its ascending size
+   vector at [sizes.(q·Δ) …], and its support at [support.(q)].  A
+   box's scan walks positions [0 .. ends.(q) − 1] front to back. *)
+
+(* Comparisons of the slices of flat arrays at offsets [pa] and [pb],
+   from index [i] down, stopping at the first index that decides. *)
+let rec slices_equal (a : int array) pa (b : int array) pb i =
+  i < 0 || (a.(pa + i) = b.(pb + i) && slices_equal a pa b pb (i - 1))
+
+let rec slice_dominated (a : int array) pa pb i =
+  i < 0 || (a.(pa + i) <= a.(pb + i) && slice_dominated a pa pb (i - 1))
+
+(* Insertion sort of the slice [a.(off) … a.(off + len − 1)]. *)
+let sort_slice (a : int array) off len =
+  for k = off + 1 to off + len - 1 do
+    let x = a.(k) in
+    let j = ref (k - 1) in
+    while !j >= off && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Transport-memo keys: bit k = i·Δ + j says whether set i of the
+   dominated box is a subset of set j of the candidate; the Δ² bits are
+   packed 63 to an int, so from Δ = 8 a key spans several words. *)
+let key_words delta = ((delta * delta) + 62) / 63
+
+(* Write the key of the boxes at offsets [pa] (dominated) and [pb]
+   (candidate) of [sets] into [key].  Label sets are non-negative ints,
+   so [a ⊆ b] iff [a land lnot b] is 0, iff that minus one is negative:
+   its sign bit, bit 62, is the matrix bit, and no test branches. *)
+let build_key key (sets : int array) pa pb d =
+  let word = ref 0 and acc = ref 0 and bit = ref 0 in
+  for i = 0 to d - 1 do
+    let a = sets.(pa + i) in
+    for j = 0 to d - 1 do
+      acc := !acc lor ((((a land lnot sets.(pb + j)) - 1) lsr 62) lsl !bit);
+      if !bit = 62 then begin
+        key.(!word) <- !acc;
+        incr word;
+        acc := 0;
+        bit := 0
+      end
+      else incr bit
+    done
+  done;
+  if !bit > 0 then key.(!word) <- !acc
+
+let key_bit key d i j =
+  let k = (i * d) + j in
+  (key.(k / 63) lsr (k mod 63)) land 1 = 1
+
+(* The transport memo: an open-addressing table from keys to verdicts,
+   [words] ints per slot, probed linearly.  [verdicts] holds '\000' for
+   an empty slot, '\001' for infeasible and '\002' for feasible.  A
+   lookup hashes the key words directly and allocates nothing; the
+   table doubles when it would pass half full. *)
+type memo = {
+  words : int;
+  mutable keys : int array;
+  mutable verdicts : Bytes.t;
+  mutable size : int;
 }
 
-let box_key box =
-  let sets = Array.of_list box in
-  Array.sort Labelset.compare sets;
-  let sizes = Array.map Labelset.cardinal sets in
-  Array.sort Int.compare sizes;
-  {
-    sets;
-    sizes;
-    total = Array.fold_left ( + ) 0 sizes;
-    support = Array.fold_left Labelset.union Labelset.empty sets;
-  }
+let rec hash_words (a : int array) off w h =
+  if w < 0 then h lxor (h lsr 31)
+  else hash_words a off (w - 1) ((h lxor a.(off + w)) * 0x2545F4914F6CDD1D)
 
-(* The array comparisons below run over the common length Δ (boxes of
-   one constraint share the arity) from index [i] down, and stop at the
-   first index that decides. *)
-let rec ints_equal (a : int array) b i = i < 0 || (a.(i) = b.(i) && ints_equal a b (i - 1))
+(* The slot holding the key at [src.(off) …], or the empty slot where
+   it belongs. *)
+let find_slot memo src off =
+  let mask = Bytes.length memo.verdicts - 1 and w = memo.words in
+  let slot = ref (hash_words src off (w - 1) 0 land mask) in
+  while
+    Bytes.get memo.verdicts !slot <> '\000'
+    && not (slices_equal memo.keys (!slot * w) src off (w - 1))
+  do
+    slot := (!slot + 1) land mask
+  done;
+  !slot
 
-let rec sizes_dominated (a : int array) b i =
-  i < 0 || (a.(i) <= b.(i) && sizes_dominated a b (i - 1))
+let place memo src off verdict =
+  let slot = find_slot memo src off in
+  Array.blit src off memo.keys (slot * memo.words) memo.words;
+  Bytes.set memo.verdicts slot verdict;
+  memo.size <- memo.size + 1
 
-let rec sets_equal a b i = i < 0 || (Labelset.equal a.(i) b.(i) && sets_equal a b (i - 1))
+(* Store the verdict of a key that is not in the table yet. *)
+let remember memo key verdict =
+  if 2 * (memo.size + 1) > Bytes.length memo.verdicts then begin
+    let keys = memo.keys and verdicts = memo.verdicts in
+    let capacity = 2 * Bytes.length verdicts in
+    memo.keys <- Array.make (capacity * memo.words) 0;
+    memo.verdicts <- Bytes.make capacity '\000';
+    memo.size <- 0;
+    Bytes.iteri (fun s v -> if v <> '\000' then place memo keys (s * memo.words) v) verdicts
+  end;
+  place memo key 0 verdict
 
-(* Transport-memo keys: the Δ×Δ subset-relation matrix, packed 63 bits
-   to an int. *)
-module KeyTbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal a b = ints_equal a b (Array.length a - 1)
-
-  let hash (k : t) = Hashtbl.hash k
-end)
-
-(* Per-worker accumulator for the dominance screen.  The transport memo
-   lives here too, keeping it race-free; the hit counter is therefore
-   schedule-dependent when [domains > 1] (the only stats field that
-   is — see the .mli).  [key] is scratch space for the matrix of the
-   pair at hand; it is copied only when a new verdict is stored. *)
-type dom_local = {
+(* Per-worker state of the scan: the counters, the key scratch, the
+   transport memo and the matcher's scratch ([owner.(j)] is the row
+   matched to column [j], or −1; [seen.(j)] is the stamp of the last
+   augmenting search that reached column [j]).  Keeping the memo per
+   worker keeps it race-free; the hit counter is therefore
+   schedule-dependent when [domains > 1] (the only stats field that is
+   — see the .mli). *)
+type scan = {
   mutable checks : int;
   mutable cheap_skips : int;
   mutable transport_calls : int;
   mutable cache_hits : int;
-  memo : bool KeyTbl.t;
   key : int array;
+  memo : memo;
+  owner : int array;
+  seen : int array;
+  mutable stamp : int;
 }
 
-(* The exact transportation verdict for [bi ≤ bj] — does an injective
-   map send every set of [bi] into a superset in [bj]? — with two
-   layers in front of the matching search.  Fast path: if the ascending
-   size vectors are equal, an injective matching into supersets has
-   slack sum zero, hence forces set-wise equality, so feasibility
-   reduces to equality of the canonical forms.  Memo: with all-ones
-   supply/demand of the common arity Δ, the verdict is a function of
-   the Δ×Δ subset-relation matrix alone — and the same matrix pattern
-   recurs across many box pairs (the pairs themselves never repeat, so
-   nothing finer could ever hit).  The matrix costs Δ² word-level
-   subset tests, which the matching search would perform anyway. *)
-let transport_verdict local bi bj =
-  local.transport_calls <- local.transport_calls + 1;
-  let d = Array.length bi.sets in
-  if ints_equal bi.sizes bj.sizes (d - 1) then sets_equal bi.sets bj.sets (d - 1)
-  else begin
-    let a = bi.sets and b = bj.sets and key = local.key in
-    Array.fill key 0 (Array.length key) 0;
-    let word = ref 0 and bit = ref 0 in
-    for i = 0 to d - 1 do
-      for j = 0 to d - 1 do
-        if Labelset.subset a.(i) b.(j) then key.(!word) <- key.(!word) lor (1 lsl !bit);
-        if !bit = 62 then begin
-          bit := 0;
-          incr word
+let new_scan d =
+  let words = key_words d in
+  {
+    checks = 0;
+    cheap_skips = 0;
+    transport_calls = 0;
+    cache_hits = 0;
+    key = Array.make words 0;
+    memo = { words; keys = Array.make (256 * words) 0; verdicts = Bytes.make 256 '\000'; size = 0 };
+    owner = Array.make d (-1);
+    seen = Array.make d 0;
+    stamp = 0;
+  }
+
+(* Kuhn's augmenting-path search: can row [i] be matched, trying the
+   columns from [j] on, re-matching owners as needed? *)
+let rec augment w d i j =
+  j < d
+  && (if w.seen.(j) <> w.stamp && key_bit w.key d i j then begin
+        w.seen.(j) <- w.stamp;
+        let o = w.owner.(j) in
+        if o < 0 || augment w d o 0 then begin
+          w.owner.(j) <- i;
+          true
         end
-        else incr bit
-      done
-    done;
-    match KeyTbl.find local.memo key with
+        else augment w d i (j + 1)
+      end
+      else augment w d i (j + 1))
+
+let rec match_rows w d i =
+  i = d
+  || begin
+       w.stamp <- w.stamp + 1;
+       augment w d i 0 && match_rows w d (i + 1)
+     end
+
+(* Does the relation in [w.key] have a perfect matching?  The exact
+   transportation verdict with all-ones supply and demand, O(Δ³) at
+   worst, with no allocation. *)
+let perfect_matching w d =
+  Array.fill w.owner 0 d (-1);
+  match_rows w d 0
+
+let box_leq a b =
+  let d = Array.length a in
+  if Array.length b <> d then invalid_arg "Rounde.box_leq: boxes of different lengths";
+  let sets = Array.map Labelset.to_bits (Array.append a b) in
+  let w = new_scan d in
+  build_key w.key sets 0 d d;
+  perfect_matching w d
+
+(* The exact verdict for the box at offset [pa] below the one at [pb],
+   whose sets differ, with two layers in front of the matching.  Fast
+   path: if the ascending size vectors are equal, an injective matching
+   into supersets has slack sum zero, hence forces set-wise equality,
+   so the verdict is no.  Memo: the verdict is a function of the key
+   alone, and the same key recurs across many box pairs (the pairs
+   themselves never repeat, so nothing finer could ever hit).  The key
+   costs Δ² subset tests, which the matching would perform anyway. *)
+let transport w (sets : int array) sizes d pa pb =
+  w.transport_calls <- w.transport_calls + 1;
+  if slices_equal sizes pa sizes pb (d - 1) then false
+  else begin
+    build_key w.key sets pa pb d;
+    match Bytes.get w.memo.verdicts (find_slot w.memo w.key 0) with
+    | '\000' ->
+        let v = perfect_matching w d in
+        remember w.memo w.key (if v then '\002' else '\001');
+        v
     | v ->
-        local.cache_hits <- local.cache_hits + 1;
-        v
-    | exception Not_found ->
-        let v =
-          Util.transport_feasible ~supply:(Array.make d 1)
-            ~demand:(Array.make d 1)
-            ~allowed:(fun i j ->
-              let bit = (i * d) + j in
-              (key.(bit / 63) lsr (bit mod 63)) land 1 = 1)
-        in
-        KeyTbl.add local.memo (Array.copy key) v;
-        v
+        w.cache_hits <- w.cache_hits + 1;
+        v = '\002'
   end
+
+(* Is the box at scan position [p] dominated?  Counts every pair it
+   examines in [w]. *)
+let dominated w ~d ~sets ~sizes ~support ~ends p =
+  let pa = p * d and sup = support.(p) and stop = ends.(p) in
+  let q = ref 0 and found = ref false in
+  while (not !found) && !q < stop do
+    if !q <> p then begin
+      w.checks <- w.checks + 1;
+      let pb = !q * d in
+      if sup land lnot support.(!q) <> 0 || not (slice_dominated sizes pa pb (d - 1)) then
+        w.cheap_skips <- w.cheap_skips + 1
+      else if not (slices_equal sets pa sets pb (d - 1)) then found := transport w sets sizes d pa pb
+    end;
+    incr q
+  done;
+  !found
+
+let rec write_sets sets off = function
+  | [] -> ()
+  | s :: rest ->
+      sets.(off) <- Labelset.to_bits s;
+      write_sets sets (off + 1) rest
+
+let box_total d box =
+  if List.length box <> d then invalid_arg "Rounde.maximal_boxes: boxes of different lengths";
+  List.fold_left (fun t s -> t + Labelset.cardinal s) 0 box
 
 let maximal_boxes_impl ?pool ~zdd boxes =
   let pool = Parctl.resolve pool in
-  let keyed = Array.of_list (List.map box_key boxes) in
-  let m = Array.length keyed in
-  (* Candidate dominators, in non-increasing total cardinality. *)
-  let order = Array.init m Fun.id in
-  Array.sort (fun i j -> Int.compare keyed.(j).total keyed.(i).total) order;
+  let d = match boxes with [] -> 0 | box :: _ -> List.length box in
+  let m = List.length boxes in
+  (* Scan order: non-increasing total cardinality.  [Array.sort] on
+     [total lsl 32 lor index], compared by total alone, makes the same
+     comparisons as sorting the indices by total, so ties land in the
+     same order too: the order fixes every counter and memo hit. *)
+  let order = Array.make m 0 in
+  List.iteri (fun i box -> order.(i) <- (box_total d box lsl 32) lor i) boxes;
+  Array.sort (fun a b -> Int.compare (b lsr 32) (a lsr 32)) order;
+  (* [pos.(i)]: box [i]'s scan position, and −1 once it is found
+     dominated. *)
+  let pos = Array.make m 0 in
+  Array.iteri (fun q packed -> pos.(packed land 0xFFFF_FFFF) <- q) order;
+  (* [ends.(q)]: the first scan position whose total is smaller than
+     [q]'s, written over [order]. *)
+  let ends = order in
+  let q = ref 0 in
+  while !q < m do
+    let total = order.(!q) lsr 32 in
+    let e = ref (!q + 1) in
+    while !e < m && order.(!e) lsr 32 = total do
+      incr e
+    done;
+    Array.fill ends !q (!e - !q) !e;
+    q := !e
+  done;
+  let sets = Array.make (m * d) 0 and sizes = Array.make (m * d) 0 in
+  let support = Array.make m 0 in
+  List.iteri
+    (fun i box ->
+      let q = pos.(i) in
+      let off = q * d in
+      write_sets sets off box;
+      sort_slice sets off d;
+      for k = off to off + d - 1 do
+        sizes.(k) <- Labelset.cardinal (Labelset.of_bits sets.(k));
+        support.(q) <- support.(q) lor sets.(k)
+      done;
+      sort_slice sizes off d)
+    boxes;
   (* Under [~zdd] the quadratic scan is charged against the same work
      limit as enumeration, through a shared atomic counter.
      Each box's check count is a fixed property of the instance (the
-     scan order and early exits read only the immutable [keyed]/[order]
-     tables), so the grand total — and hence the trip verdict — is
-     identical for every domain count and schedule.  Without [~zdd] the
-     scan stays uncharged: its inputs already passed the explicit
-     enumeration budget, and its cost is bounded by them. *)
+     scan order and early exits read only the immutable flat arrays),
+     so the grand total — and hence the trip verdict — is identical for
+     every domain count and schedule.  Without [~zdd] the scan stays
+     uncharged: its inputs already passed the explicit enumeration
+     budget, and its cost is bounded by them. *)
   let scan_work = Atomic.make 0 in
   let charge_scan amount =
     if zdd then begin
@@ -890,55 +1051,25 @@ let maximal_boxes_impl ?pool ~zdd boxes =
           ~limit:(float_of_int box_work_limit)
     end
   in
-  let delta = if m = 0 then 0 else Array.length keyed.(0).sets in
-  let dominated local i =
-    let bi = keyed.(i) in
-    let rec scan idx =
-      if idx >= m then false
-      else
-        let j = order.(idx) in
-        if keyed.(j).total < bi.total then false
-        else if j = i then scan (idx + 1)
-        else begin
-          local.checks <- local.checks + 1;
-          let bj = keyed.(j) in
-          if
-            (not (Labelset.subset bi.support bj.support))
-            || not (sizes_dominated bi.sizes bj.sizes (delta - 1))
-          then begin
-            local.cheap_skips <- local.cheap_skips + 1;
-            scan (idx + 1)
-          end
-          else if sets_equal bi.sets bj.sets (delta - 1) then scan (idx + 1)
-          else if transport_verdict local bi bj then true
-          else scan (idx + 1)
-        end
-    in
-    scan 0
-  in
-  (* Each box's verdict is independent of the others' (the screen reads
-     only the immutable [keyed]/[order] tables), so the boxes fan out
-     over the pool; the flags array is written index-addressed and read
-     after the join, preserving the input order exactly. *)
-  let flags = Array.make (max 1 m) false in
+  (* Each box's verdict is independent of the others', so the boxes fan
+     out over the pool in input order; a worker writes only its own
+     boxes' [pos] entries, which are read after the join. *)
   Parallel.Pool.run ~chunk:16 pool ~n:m
-    ~init:(fun () ->
-      { checks = 0; cheap_skips = 0; transport_calls = 0; cache_hits = 0;
-        memo = KeyTbl.create 256; key = Array.make (((delta * delta) + 62) / 63) 0 })
-    ~body:(fun local i ->
+    ~init:(fun () -> new_scan d)
+    ~body:(fun w i ->
       (* The charge is settled once per box (one atomic op, not one per
          check); a single box's scan is at most [m] checks, so the
          overshoot before a trip is registered stays bounded. *)
-      let checks_before = local.checks in
-      let verdict = dominated local i in
-      charge_scan (local.checks - checks_before);
-      flags.(i) <- verdict)
-    ~merge:(fun l ->
-      stats.box_dom_checks <- stats.box_dom_checks + l.checks;
-      stats.box_dom_cheap_skips <- stats.box_dom_cheap_skips + l.cheap_skips;
-      stats.box_transport_calls <- stats.box_transport_calls + l.transport_calls;
-      stats.transport_cache_hits <- stats.transport_cache_hits + l.cache_hits);
-  List.filteri (fun i _ -> not flags.(i)) boxes
+      let checks_before = w.checks in
+      let verdict = dominated w ~d ~sets ~sizes ~support ~ends pos.(i) in
+      charge_scan (w.checks - checks_before);
+      if verdict then pos.(i) <- -1)
+    ~merge:(fun w ->
+      stats.box_dom_checks <- stats.box_dom_checks + w.checks;
+      stats.box_dom_cheap_skips <- stats.box_dom_cheap_skips + w.cheap_skips;
+      stats.box_transport_calls <- stats.box_transport_calls + w.transport_calls;
+      stats.transport_cache_hits <- stats.transport_cache_hits + w.cache_hits);
+  List.filteri (fun i _ -> pos.(i) >= 0) boxes
 
 let maximal_boxes ?pool ~zdd boxes =
   Trace.with_span "rounde.maximal_boxes"

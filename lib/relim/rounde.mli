@@ -164,6 +164,41 @@ val rbar :
   ?expand_limit:float -> ?rc_limit:int -> ?pool:Parallel.Pool.t ->
   ?zdd:bool -> Problem.t -> denoted
 
+(** [maximal_boxes ?pool ~zdd boxes] keeps the boxes no other box of
+    [boxes] dominates, in input order.  Box [b] is dominated by [b']
+    when their sets differ and an injective map sends every set of [b]
+    into a superset in [b'] — the maximality filter of R̄ on its DFS
+    rungs.  All boxes must have the same length Δ.
+
+    Cost: one scan per box over the candidates of at least its total
+    cardinality, in decreasing total order, so O(boxes²) pair checks
+    at worst.  Box data lives in flat int arrays in that order, a few
+    ints per set and per box.  A pair first meets two O(Δ) screens
+    (support inclusion, elementwise domination of the sorted size
+    vectors); a pair that passes and has different sets is decided by
+    a per-worker memo of transport verdicts keyed on the pair's Δ×Δ
+    subset-relation matrix, which costs Δ² subset tests, and a miss
+    runs a bipartite matching.  The counters this adds to {!stats}:
+    [box_dom_checks] counts the ordered pairs examined,
+    [box_dom_cheap_skips] those the two screens reject,
+    [box_transport_calls] those that needed the exact verdict (whether
+    answered by equal size vectors, the memo, or a fresh matching) and
+    [transport_cache_hits] the memo's hits.  Boxes are visited in input
+    order, in chunks of 16 over [?pool].
+
+    Under [~zdd] every check is charged against the box-work budget,
+    which trips as ["Rounde.rbar: maximal box scan work (zdd)"].
+    @raise Invalid_argument if the boxes differ in length.
+    @raise Budget.Budget_exceeded if that budget is exceeded. *)
+val maximal_boxes :
+  ?pool:Parallel.Pool.t -> zdd:bool -> Labelset.t list list -> Labelset.t list list
+
+(** [box_leq a b]: does an injective map send every set of [a] into a
+    superset in [b]?  Decided by the filter's own key packing and
+    matcher, without the memo or the screens.
+    @raise Invalid_argument if [a] and [b] differ in length. *)
+val box_leq : Labelset.t array -> Labelset.t array -> bool
+
 (** [step p] is [rbar (r p)], trimmed, with a composed name.  The
     denotations relate labels of the result to labels of [r p].
     [?pool] and [?zdd] are passed through to {!rbar}. *)

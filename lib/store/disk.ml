@@ -327,6 +327,9 @@ let render ~kind ~hash ~steps ~key_text ~cert_text =
 let admit t kind ?(steps = 0) ~(source : Problem.t) cert =
   let key_text = Serialize.to_string source in
   let hash = Iso.invariant_hash source in
+  (* The checks come before the bucket lookup, also for a stored key:
+     looking the key up first would answer [Ok] to a forged certificate
+     for it (test/store "admission gate"). *)
   let* payload = claim ~kind ~key_text ~key_problem:source ~steps cert in
   let* () =
     Result.map_error

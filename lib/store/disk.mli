@@ -73,8 +73,12 @@ val find_step : t -> Relim.Problem.t -> string option
 (** [add_step t ~source cert] admits a step entry keyed by [source].
     The certificate must pass the claim check (a [Step] whose source
     text is exactly [Serialize.to_string source]) and validate before
-    anything is written.  Re-adding an already-present key is a no-op
-    ([Ok]). *)
+    anything is written.  Re-adding an already-present key with a valid
+    certificate is a no-op ([Ok]).  The checks run before the key is
+    looked up, for every admission ([add_fixed_point] and
+    [add_autopilot] too): re-adding a stored key costs a full
+    validation, and a forged certificate for it is refused ([Error]),
+    never answered [Ok] on the strength of the stored entry. *)
 val add_step :
   t -> source:Relim.Problem.t -> Certify.Certificate.t -> (unit, string) result
 

@@ -15,7 +15,15 @@
    for neither), whether the medians differ by more than the parent's
    interquartile range, and whether the change stays within the
    metric's bound.  Every run is printed as well.  It stops and exits 1
-   as soon as a run reports "correct": false or prints no result. *)
+   as soon as a run reports "correct": false or prints no result.
+
+   It then reads each run's full result,
+   relbench-out/result-W-seedS-trace0.json in that run's checkout, and
+   for every operation under its "ops" (the per-job medians of `steps`
+   and the per-search medians of `autopilot`) prints each side's median
+   of the per-run "median_ms", change/parent and the change's wins.  A
+   workload whose results carry no "ops" (`daemon`) prints no such
+   table. *)
 
 open Store
 
@@ -58,7 +66,29 @@ let benchmark dir =
       in
       (seconds, metrics)
 
-(* One benchmark run in [dir]; returns the metric values it reports. *)
+(* The per-operation medians of the full result file a run in [dir]
+   wrote: [(id, median_ms)] in file order, [] when it has no "ops". *)
+let op_medians ~side dir ~workload ~seed =
+  let path =
+    Filename.concat dir (Printf.sprintf "relbench-out/result-%s-seed%d-trace0.json" workload seed)
+  in
+  let text = try In_channel.with_open_bin path In_channel.input_all with Sys_error e -> fail "%s" e in
+  match Json.of_string text with
+  | Error e -> fail "%s (seed %d): %s: %s" side seed path e
+  | Ok j -> (
+      match Json.member "ops" j with
+      | None -> []
+      | Some (Json.Obj ops) ->
+          List.map
+            (fun (id, op) ->
+              match Option.bind (Json.member "median_ms" op) number with
+              | Some ms -> (id, ms)
+              | None -> fail "%s (seed %d): op %s has no median_ms" side seed id)
+            ops
+      | Some _ -> fail "%s (seed %d): %s: ops is not an object" side seed path)
+
+(* One benchmark run in [dir]; returns the metric values it reports and
+   its per-operation medians. *)
 let run_once ~side dir ~workload ~seed ~seconds =
   let cmd =
     Printf.sprintf "cd %s && sh relbench/run.sh --workload %s --seed %d --seconds %g --trace 0"
@@ -78,13 +108,15 @@ let run_once ~side dir ~workload ~seed ~seconds =
   | Ok j ->
       if Option.bind (Json.member "correct" j) Json.bool_opt <> Some true then
         fail "%s (seed %d) is not correct: %s" side seed !last;
-      fun name ->
+      let metric name =
         match Option.bind (Json.member "metrics" j) (Json.member name) with
         | Some m -> (
             match Option.bind (Json.member "value" m) number with
             | Some v -> v
             | None -> fail "%s (seed %d): metric %s has no value" side seed name)
         | None -> fail "%s (seed %d): metric %s missing" side seed name
+      in
+      (metric, op_medians ~side dir ~workload ~seed)
 
 (* Linear interpolation between order statistics; [quantile 0.5] is the
    median relbench itself reports. *)
@@ -122,10 +154,12 @@ let () =
             (run "parent" !parent, c)
         in
         Printf.printf "pair %d seed %d (%s first):" (k + 1) seed (if k mod 2 = 0 then "parent" else "change");
-        List.iter (fun m -> Printf.printf " %s %g -> %g" m.name (p m.name) (c m.name)) metrics;
+        List.iter (fun m -> Printf.printf " %s %g -> %g" m.name (fst p m.name) (fst c m.name)) metrics;
         print_newline ();
         (p, c))
   in
+  let ops = List.map (fun ((_, po), (_, co)) -> (po, co)) runs in
+  let runs = List.map (fun ((p, _), (c, _)) -> (p, c)) runs in
   Printf.printf
     "\n| metric | parent median [q1, q3] | change median [q1, q3] | change/parent | change wins | gap > parent IQR | within bound |\n";
   Printf.printf "|---|---|---|---|---|---|---|\n";
@@ -142,4 +176,23 @@ let () =
       Printf.printf "| %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %.3f | %d/%d | %b | %b (bound %g) |\n" m.name pm
         (quantile 0.25 ps) (quantile 0.75 ps) cm (quantile 0.25 cs) (quantile 0.75 cs) (cm /. pm) wins pairs
         (Float.abs (cm -. pm) > iqr) within m.bound)
-    metrics
+    metrics;
+  (* The per-operation table, in the order of the change's first run; an
+     operation missing from any run stops the script. *)
+  match ops with
+  | [] | (_, []) :: _ -> ()
+  | (_, first) :: _ ->
+      Printf.printf "\n| operation | parent median ms | change median ms | change/parent | change wins |\n";
+      Printf.printf "|---|---|---|---|---|\n";
+      List.iter
+        (fun (id, _) ->
+          let get side k run =
+            match List.assoc_opt id run with
+            | Some ms -> ms
+            | None -> fail "%s (seed %d): op %s missing" side (first_seed + k) id
+          in
+          let medians = List.mapi (fun k (po, co) -> (get "parent" k po, get "change" k co)) ops in
+          let pm = quantile 0.5 (List.map fst medians) and cm = quantile 0.5 (List.map snd medians) in
+          let wins = List.length (List.filter (fun (p, c) -> c < p) medians) in
+          Printf.printf "| %s | %.4g | %.4g | %.3f | %d/%d |\n" id pm cm (cm /. pm) wins pairs)
+        first

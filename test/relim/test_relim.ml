@@ -1678,6 +1678,15 @@ let clique_reference_qcheck =
 (* Rbar old-vs-new equivalence                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Box dominance by definition: a perfect matching of [b]'s sets into
+   supersets in [a], decided by the max-flow of [Util.transport_feasible]. *)
+let dominates a b =
+  let a = Array.of_list a and b = Array.of_list b in
+  Util.transport_feasible
+    ~supply:(Array.map (fun _ -> 1) b)
+    ~demand:(Array.map (fun _ -> 1) a)
+    ~allowed:(fun i j -> Labelset.subset b.(i) a.(j))
+
 (* Independent reimplementation of R̄ following the seed: right-closed
    sets by subset filter, candidate boxes by a brute multiset sweep,
    maximality by pairwise transport domination, edge pairs by choice
@@ -1697,13 +1706,6 @@ let reference_rbar (p' : Problem.t) =
         go [] sets
       in
       if ok then valid := sets :: !valid);
-  let dominates a b =
-    let a = Array.of_list a and b = Array.of_list b in
-    Util.transport_feasible
-      ~supply:(Array.map (fun _ -> 1) b)
-      ~demand:(Array.map (fun _ -> 1) a)
-      ~allowed:(fun i j -> Labelset.subset b.(i) a.(j))
-  in
   let maximal =
     List.filter
       (fun b -> not (List.exists (fun a -> a != b && dominates a b) !valid))
@@ -2817,6 +2819,92 @@ let test_streaming_filter_is_explicit () =
   check Alcotest.string "same outcome" explicit_outcome zdd_outcome;
   check Alcotest.(list int) "same scan counters" explicit_counts zdd_counts
 
+(* The maximal-box filter on its own, against definitions.  Boxes are
+   random lists of Δ non-empty sets over a few labels, Δ from 1 to 10.
+   Half of the cases draw every set from a pool of a few sets, so boxes
+   share sets and size vectors; the rest draw each set afresh.  Boxes
+   equal as multisets are dropped, so every pair is distinct. *)
+let gen_filter_boxes =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun delta ->
+    int_range 1 6 >>= fun labels ->
+    let set = map (fun x -> 1 + (x mod ((1 lsl labels) - 1))) nat in
+    list_size (int_range 1 8) set >>= fun pool ->
+    bool >>= fun shared ->
+    list_size (int_range 1 90) (list_size (return delta) (if shared then oneofl pool else set))
+    >|= fun boxes ->
+    let seen = Hashtbl.create 64 in
+    List.filter_map
+      (fun box ->
+        let canon = List.sort compare box in
+        if Hashtbl.mem seen canon then None
+        else begin
+          Hashtbl.add seen canon ();
+          Some (List.map Labelset.of_bits box)
+        end)
+      boxes)
+
+let arb_filter_boxes =
+  QCheck.make gen_filter_boxes
+    ~print:
+      QCheck.Print.(
+        list (fun box -> String.concat " " (List.map (fun s -> string_of_int (Labelset.to_bits s)) box)))
+
+let maximal_boxes_qcheck =
+  let seq = Parallel.Pool.sequential in
+  [
+    QCheck.Test.make ~name:"filter-equals-pairwise-bruteforce" ~count:150 arb_filter_boxes
+      (fun boxes ->
+        let indexed = List.mapi (fun i b -> (i, b)) boxes in
+        let brute =
+          List.filteri
+            (fun i b -> not (List.exists (fun (k, a) -> k <> i && dominates a b) indexed))
+            boxes
+        in
+        Rounde.maximal_boxes ~pool:seq ~zdd:false boxes = brute);
+    QCheck.Test.make ~name:"one-and-two-domains-agree" ~count:60 arb_filter_boxes (fun boxes ->
+        let run pool =
+          Rounde.reset_stats ();
+          let kept = Rounde.maximal_boxes ~pool ~zdd:false boxes in
+          let s = Rounde.stats in
+          (kept, [ s.Rounde.box_dom_checks; s.Rounde.box_dom_cheap_skips; s.Rounde.box_transport_calls ])
+        in
+        let pool2 = Parallel.Pool.create ~domains:2 in
+        let one = run seq in
+        let two = run pool2 in
+        Parallel.Pool.shutdown pool2;
+        one = two);
+    (* Relation [r] realized as boxes: row i is the singleton {i} and
+       column j the set of rows related to j, so [{i} ⊆ b_j] iff
+       [r.(i).(j)].  Half of the relations hold a planted permutation,
+       maybe with one edge dropped, so a perfect matching often hinges
+       on a single bit; Δ reaches 12, a key of three words. *)
+    QCheck.Test.make ~name:"matcher-equals-transport-feasible" ~count:400
+      QCheck.(
+        make
+          Gen.(
+            int_range 1 12 >>= fun d ->
+            int_range 0 60 >>= fun density ->
+            shuffle_l (List.init d Fun.id) >>= fun perm ->
+            int_range 0 d >>= fun dropped ->
+            bool >>= fun planted ->
+            array_size (return (d * d)) (int_bound 99) >|= fun cells ->
+            let perm = Array.of_list perm in
+            Array.init d (fun i ->
+                Array.init d (fun j ->
+                    (planted && perm.(i) = j && i <> dropped) || cells.((i * d) + j) < density))))
+      (fun r ->
+        let d = Array.length r in
+        let a = Array.init d Labelset.singleton in
+        let b =
+          Array.init d (fun j ->
+              Labelset.of_list (List.filter (fun i -> r.(i).(j)) (List.init d Fun.id)))
+        in
+        Rounde.box_leq a b
+        = Util.transport_feasible ~supply:(Array.make d 1) ~demand:(Array.make d 1)
+            ~allowed:(fun i j -> r.(i).(j)));
+  ]
+
 let extra_suites =
   [
     ( "work-accounting",
@@ -2825,6 +2913,7 @@ let extra_suites =
         Alcotest.test_case "streaming filter is the explicit filter" `Quick
           test_streaming_filter_is_explicit;
       ] );
+    qsuite "maximal-box-filter-props" maximal_boxes_qcheck;
     ( "parallel-pool",
       [
         Alcotest.test_case "map/filter_mapi order" `Quick test_pool_map_order;

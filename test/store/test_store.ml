@@ -503,7 +503,23 @@ let test_disk_admission_gate () =
   (match Disk.add_step t ~source:other (step_certificate p) with
   | Ok () -> Alcotest.fail "admitted a certificate for another problem"
   | Error _ -> ());
-  check_int "still nothing written" 0 (List.length (entry_files dir))
+  check_int "still nothing written" 0 (List.length (entry_files dir));
+  (* Admission validates before it looks the key up, so once the key is
+     stored the forged certificate is still refused, not waved through
+     as a re-admission, and the stored entry keeps serving. *)
+  let p, expect = admit_mis t in
+  let files = entry_files dir in
+  let read f = In_channel.with_open_bin (entry_path dir f) In_channel.input_all in
+  let contents = List.map read files in
+  (match Disk.add_step t ~source:p forged with
+  | Ok () -> Alcotest.fail "re-admission accepted a forged certificate"
+  | Error _ -> ());
+  check_bool "no file written on forged re-admission" true
+    (entry_files dir = files && List.map read files = contents);
+  check_int "admitted unchanged" 1 (Disk.stats t).Disk.admitted;
+  match Disk.find_step t p with
+  | Some got -> check_string "original still served" expect got
+  | None -> Alcotest.fail "stored entry no longer served"
 
 let test_disk_fixed_point_entries () =
   let so = Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I" in

@@ -47,7 +47,9 @@ relbench-ab:
 	  --workload $(WORKLOAD)
 
 # End-to-end smoke of the round-elimination daemon and its
-# certificate-gated result store: cold batch, garbage rejection (bad
+# certificate-gated result store: cold batch (including a one-step
+# fixed-point request for a relabelled X/Y/Z copy of MIS, sent right
+# after MIS, which must be answered in X/Y/Z), garbage rejection (bad
 # JSON, a cut-off request, a step with a label name the alphabet
 # refuses) with the daemon still answering a ping, kill -9, on-disk
 # corruption caught by validate-store (--strict exits non-zero), and a

@@ -14,9 +14,8 @@
    - counter totals reconcile with the span structure: the final value
      of rounde.r_calls must equal the number of closed rounde.r spans
      (likewise rounde.rbar_calls / rounde.rbar and
-     zeroround.clique_calls / zeroround.arbitrary_ports), and
-     fixedpoint.steps_applied = cache_hits + cache_misses = number of
-     closed fixedpoint.step spans.
+     zeroround.clique_calls / zeroround.arbitrary_ports, and
+     fixedpoint.steps_applied / fixedpoint.step).
 
    Exit code 0 iff every file passes; 1 on a validation failure; 2 on
    usage errors.  Failure messages name the file, the line (JSONL) or
@@ -196,20 +195,6 @@ let validate_events ~path ~check_counters (events : norm list) =
                     "%s: final %s = %d but the trace closes %d %S span(s)"
                     path series v c span)))
     span_counts;
-  (match
-     ( (if check_counters then Hashtbl.find_opt final "fixedpoint.steps_applied"
-        else None),
-       Hashtbl.find_opt final "fixedpoint.cache_hits",
-       Hashtbl.find_opt final "fixedpoint.cache_misses" )
-   with
-  | Some steps, Some hits, Some misses when steps <> hits + misses ->
-      raise
-        (Invalid
-           (Printf.sprintf
-              "%s: fixedpoint.steps_applied = %d but cache_hits + cache_misses \
-               = %d"
-              path steps (hits + misses)))
-  | _ -> ());
   (!n_events, Hashtbl.length doms, Hashtbl.fold (fun _ st acc -> acc + st.spans_closed) doms 0)
 
 let read_file path =

@@ -106,7 +106,7 @@ val check_relaxation :
   ?work_budget:int -> source:Relim.Problem.t -> Relim.Rounde.denoted -> unit
 
 (** [check_fixed_point p] replays one speedup step from scratch —
-    sequentially, bypassing the [Fixedpoint] memo cache — and confirms
+    sequentially, without [Fixedpoint.detect] — and confirms
     [Simplify.normalize (step p) ≅ Simplify.normalize p] via {!Iso}.
     When the certificate hooks are installed the replayed step's own
     [R]/[R̄] outputs are certified too (the engine observers fire

@@ -3,88 +3,24 @@ type verdict =
   | Reaches_fixed_point of int * Problem.t
   | No_fixed_point_found of Problem.t
 
-type stats = {
-  mutable steps_applied : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable hash_conflicts : int;
-  mutable step_time_s : float;
-  mutable normalize_time_s : float;
-}
+type stats = { mutable steps_applied : int }
 
-let stats =
-  {
-    steps_applied = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    hash_conflicts = 0;
-    step_time_s = 0.;
-    normalize_time_s = 0.;
-  }
+let stats = { steps_applied = 0 }
 
-let reset_stats () =
-  stats.steps_applied <- 0;
-  stats.cache_hits <- 0;
-  stats.cache_misses <- 0;
-  stats.hash_conflicts <- 0;
-  stats.step_time_s <- 0.;
-  stats.normalize_time_s <- 0.
+let reset_stats () = stats.steps_applied <- 0
 
 (* Fired with the fixed problem whenever [detect] confirms a fixed
    point (immediate or eventual).  Installed by [Certify.Hooks], whose
-   checker replays one sequential speedup step from scratch — so a
-   claim established entirely from the memo cache is still re-verified
-   against a fresh computation. *)
+   checker replays one sequential speedup step from scratch. *)
 let fixed_point_observer : (Problem.t -> unit) option ref = ref None
 
 let notify_fixed_point p =
   match !fixed_point_observer with None -> () | Some f -> f p
 
-(* Memo of normalized problem ↦ normalized speedup result, bucketed by
-   the renaming-invariant hash; within a bucket candidates are compared
-   up to isomorphism (cheap exact check first).  Since [R̄ ∘ R] commutes
-   with label renaming, the cached result of an isomorphic input is a
-   valid representative of the step result's isomorphism class — which
-   is all fixed-point detection ever inspects. *)
-let memo : (int, (Problem.t * Problem.t) list ref) Hashtbl.t = Hashtbl.create 64
-
-let clear_cache () = Hashtbl.reset memo
-
-let same_problem (a : Problem.t) (b : Problem.t) =
-  (Alphabet.equal a.alpha b.alpha
-   && Constr.equal a.node b.node && Constr.equal a.edge b.edge)
-  || Iso.equal_up_to_renaming a b
-
-(* Scan a bucket for an entry isomorphic to [p], counting the bucket
-   entries that share [p]'s invariant hash but fail the isomorphism
-   check.  [Iso.invariant_hash] is only ~64 bits of structure folded
-   through [Hashtbl.hash]'s bounded traversal, so genuine collisions
-   between non-isomorphic problems occur (see the engineered pair in
-   the regression tests); trusting the hash alone would silently serve
-   the wrong step result.  The conflict counter makes every such
-   near-miss observable in [stats] and in the trace. *)
-let bucket_find (p : Problem.t) entries =
-  let rec scan skipped = function
-    | [] ->
-        stats.hash_conflicts <- stats.hash_conflicts + skipped;
-        None
-    | (q, next) :: rest ->
-        if same_problem q p then begin
-          stats.hash_conflicts <- stats.hash_conflicts + skipped;
-          Some next
-        end
-        else scan (skipped + 1) rest
-  in
-  scan 0 entries
+let clear_cache () = ()
 
 let sample_counters () =
-  Trace.counters
-    [
-      ("fixedpoint.steps_applied", stats.steps_applied);
-      ("fixedpoint.cache_hits", stats.cache_hits);
-      ("fixedpoint.cache_misses", stats.cache_misses);
-      ("fixedpoint.hash_conflicts", stats.hash_conflicts);
-    ]
+  Trace.counters [ ("fixedpoint.steps_applied", stats.steps_applied) ]
 
 let step_normalized ?expand_limit ?pool (p : Problem.t) =
   Trace.with_span "fixedpoint.step"
@@ -92,31 +28,8 @@ let step_normalized ?expand_limit ?pool (p : Problem.t) =
   @@ fun () ->
   Fun.protect ~finally:sample_counters @@ fun () ->
   stats.steps_applied <- stats.steps_applied + 1;
-  let key = Iso.invariant_hash p in
-  let bucket =
-    match Hashtbl.find_opt memo key with
-    | Some b -> b
-    | None ->
-        let b = ref [] in
-        Hashtbl.add memo key b;
-        b
-  in
-  match bucket_find p !bucket with
-  | Some next ->
-      stats.cache_hits <- stats.cache_hits + 1;
-      next
-  | None ->
-      stats.cache_misses <- stats.cache_misses + 1;
-      (* Wall time, not CPU time: the step may fan out over domains. *)
-      let t0 = Unix.gettimeofday () in
-      let { Rounde.problem = next; _ } = Rounde.step ?expand_limit ?pool p in
-      let t1 = Unix.gettimeofday () in
-      let next = Simplify.normalize next in
-      let t2 = Unix.gettimeofday () in
-      stats.normalize_time_s <- stats.normalize_time_s +. (t2 -. t1);
-      stats.step_time_s <- stats.step_time_s +. (t2 -. t0);
-      bucket := (p, next) :: !bucket;
-      next
+  let { Rounde.problem = next; _ } = Rounde.step ?expand_limit ?pool p in
+  Simplify.normalize next
 
 let detect ?(max_steps = 5) ?expand_limit ?pool (p : Problem.t) =
   Trace.with_span "fixedpoint.detect"

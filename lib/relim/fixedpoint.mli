@@ -28,47 +28,32 @@ type verdict =
     [R̄ ∘ R] applications; the first application always runs, whatever
     [max_steps] is.
 
-    Speedup results are memoized across calls in a process-global
-    cache keyed by the normalized problem up to isomorphism
-    ({!Iso.invariant_hash} buckets + isomorphism check), so repeated
-    detection over a family of related problems reuses work.  A cache
-    hit may return an isomorphic representative of the step result
-    rather than the structurally identical problem — detection only
-    ever compares up to renaming, so verdicts are unaffected.  The
-    cache ignores [expand_limit] (memoized values are limit-independent
-    results of successful steps) and [pool] (results are identical for
-    every domain count, so the pool is purely a performance knob; it is
-    passed through to {!Rounde.step}, defaulting to {!Parctl.default}).
+    Every call computes its steps afresh, so the verdict, and the
+    problems it carries, depend only on the arguments: on [p] itself,
+    not on an isomorphic problem seen by an earlier call.  [pool] is
+    passed through to {!Rounde.step} (defaulting to {!Parctl.default});
+    results are identical for every domain count.
     @raise Budget.Budget_exceeded if a step exceeds the engine's
     budgets. *)
 val detect :
   ?max_steps:int -> ?expand_limit:float -> ?pool:Parallel.Pool.t ->
   Problem.t -> verdict
 
-(** Counters for the memoized driver: logical step applications
-    (including cache hits), cache hits/misses, and wall seconds spent in
-    uncached steps (wall, not CPU: steps may fan out over domains).  [step_time_s] covers [Rounde.step] plus the
-    subsequent [Simplify.normalize]; [normalize_time_s] is the
-    normalization share of it. *)
-type stats = {
-  mutable steps_applied : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable hash_conflicts : int;
-      (** Bucket entries whose {!Iso.invariant_hash} matched the query
-          but which failed the in-bucket isomorphism check — i.e. hash
-          collisions between non-isomorphic problems that the cache
-          survived rather than trusted.  Also mirrored into the trace
-          as [fixedpoint.hash_conflicts]. *)
-  mutable step_time_s : float;
-  mutable normalize_time_s : float;
-}
+(** [steps_applied] counts [R̄ ∘ R] applications since the last
+    {!reset_stats}; a [Reaches_fixed_point (i, _)] verdict adds [i].
+    Mirrored into the trace as the [fixedpoint.steps_applied] counter,
+    sampled at the end of every [fixedpoint.step] span, whose wall time
+    covers the step and its normalization. *)
+type stats = { mutable steps_applied : int }
 
 val stats : stats
 
 val reset_stats : unit -> unit
 
-(** Drop all memoized speedup results. *)
+(** A no-op: {!detect} keeps no state between calls.  It remains only
+    because [relbench/engine_wl.ml] calls it before every search; the
+    call and this function go together at the next change to that
+    benchmark. *)
 val clear_cache : unit -> unit
 
 (** Certificate emission hook.  When set, it is invoked with the fixed
@@ -76,7 +61,7 @@ val clear_cache : unit -> unit
     ([Fixed_point]) or eventual ([Reaches_fixed_point]) — before the
     verdict is returned.  Intended for the independent re-checkers in
     [Certify.Hooks], which replay one sequential speedup step from
-    scratch, bypassing the memo cache.  [None] by default. *)
+    scratch.  [None] by default. *)
 val fixed_point_observer : (Problem.t -> unit) option ref
 
 (** Convenience: [Some (det, rand)] lower-bound statement strings when

@@ -281,13 +281,6 @@ let stats_fields st =
     ("requests", Json.Int st.requests);
     ("served_ok", Json.Int st.served_ok);
     ("served_error", Json.Int st.served_error);
-    ( "fixedpoint_cache",
-      Json.Obj
-        [
-          ("hits", Json.Int Fixedpoint.stats.Fixedpoint.cache_hits);
-          ("misses", Json.Int Fixedpoint.stats.Fixedpoint.cache_misses);
-          ("hash_conflicts", Json.Int Fixedpoint.stats.Fixedpoint.hash_conflicts);
-        ] );
     ( "zdd",
       Json.Obj
         [

@@ -31,8 +31,14 @@
        cycles; a budget-dependent "none" or a search that closes no
        cycle is not stored).}}
     A budget overrun answers with the structured [budget] error and
-    any other engine [Failure] with [engine-error].  Control requests
-    ([ping], [stats], [shutdown]) answer directly.  The stats op's
+    any other engine [Failure] with [engine-error].  Fixed-point
+    detection keeps no memo of its own, so an answer that neither the
+    memo nor the store gives is computed from the request's own problem
+    text, whatever this daemon answered before.  Control
+    requests ([ping], [stats], [shutdown]) answer directly.  The stats
+    op answers [requests], [served_ok], [served_error], a [zdd] object
+    (the process-wide ZDD counters and the symbolic R̄ family sizes)
+    and [store] (the store's counters, [null] without one).
     [requests] counts every line that reaches a batch (an oversized
     one does not), and [served_ok]/[served_error] count every response
     line by the outcome it reports, oversized-line errors included.

@@ -38,11 +38,10 @@
     Rejections are counted in {!stats} and reported by
     {!validate_all}; a rejected file is left in place for inspection.
 
-    Lookups may return an {e isomorphic representative}: as with the
-    in-process [Fixedpoint] memo, a hit for a renamed variant serves
-    the stored entry's texts.  Byte-identity between warm and cold
-    responses is guaranteed for byte-identical (canonicalized)
-    inputs. *)
+    Lookups may return an {e isomorphic representative}: a hit for a
+    renamed variant serves the stored entry's texts.  Byte-identity
+    between warm and cold responses is guaranteed for byte-identical
+    (canonicalized) inputs. *)
 
 type t
 

@@ -173,11 +173,7 @@ let with_certify certify f =
 let reset_engine_state () =
   Relim.Rounde.reset_stats ();
   Relim.Zeroround.reset_stats ();
-  Relim.Fixedpoint.reset_stats ();
-  (* The memo cache persists across calls; serving a later cell from a
-     hit would make its counters depend on which cells ran earlier in
-     the same process — fatal for the resume byte-identity contract. *)
-  Relim.Fixedpoint.clear_cache ()
+  Relim.Fixedpoint.reset_stats ()
 
 let run_cell ?(clock = Unix.gettimeofday) ~budgets c =
   let open Store.Json in
@@ -356,14 +352,11 @@ let run_cell ?(clock = Unix.gettimeofday) ~budgets c =
                   Printf.sprintf "reaches-fixed-point(%d)" i
               | Relim.Fixedpoint.No_fixed_point_found _ -> "none"
             in
-            let f = Relim.Fixedpoint.stats in
             fp_counters :=
               Obj
                 [
-                  ("steps_applied", Int f.Relim.Fixedpoint.steps_applied);
-                  ("cache_hits", Int f.Relim.Fixedpoint.cache_hits);
-                  ("cache_misses", Int f.Relim.Fixedpoint.cache_misses);
-                  ("hash_conflicts", Int f.Relim.Fixedpoint.hash_conflicts);
+                  ( "steps_applied",
+                    Int Relim.Fixedpoint.stats.Relim.Fixedpoint.steps_applied );
                 ];
             let lb = Relim.Fixedpoint.lower_bound_statement v in
             Obj

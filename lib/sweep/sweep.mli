@@ -18,8 +18,9 @@
     the [clock] argument ([Unix.gettimeofday] by default; pass a
     constant clock for byte-determinism, as [relimsweep --fixed-clock]
     and the resume tests do).  To make this hold the runner resets all
-    engine statistics {e and} the fixed-point memo cache before every
-    cell, pins the worker pool and the ZDD toggle to the cell's own
+    engine statistics before every cell (the engine keeps no memo
+    across calls, so nothing else carries over from earlier cells),
+    pins the worker pool and the ZDD toggle to the cell's own
     engine configuration (the [RELIM_DOMAINS] / [RELIM_ZDD]
     environment is overridden for the cell's duration), and records
     [transport_cache_hits] — the one counter that depends on worker

@@ -44,8 +44,10 @@
     {- counter samples are cumulative, hence non-decreasing per
        counter name.}}
     [bench/validate_trace.ml] re-checks all three on the emitted file,
-    plus the reconciliation of engine counter totals against the
-    legacy [Rounde.stats] / [Fixedpoint.stats] records. *)
+    and reconciles the final value of each engine call counter
+    ([rounde.r_calls], [rounde.rbar_calls], [zeroround.clique_calls],
+    [fixedpoint.steps_applied]) with the number of closed spans of
+    its operation. *)
 
 type format = Jsonl | Chrome
 

@@ -2,15 +2,18 @@
 # End-to-end smoke for roundelimd and its certificate-gated result
 # store, driving the real binary over a Unix socket:
 #
-#   1. cold mixed batch (step + fixed-point) against an empty store;
+#   1. cold mixed batch against an empty store: a step, a fixed-point
+#      detection, and one-step fixed-point detections of MIS and then
+#      of its relabelled X/Y/Z copy, which must be answered in X/Y/Z;
 #   2. garbage input (bad JSON, a cut-off request, a step whose label
 #      name the alphabet refuses) answered with structured errors,
 #      daemon survives;
 #   3. kill -9 the daemon, truncate a persisted entry on disk;
 #   4. validate-store reports the damage (--strict exits non-zero);
 #   5. restart over the damaged store: the intact entry is served warm,
-#      the damaged one is recomputed — responses byte-identical to the
-#      cold run modulo the "cached" flag;
+#      the damaged one and the unstored one-step answers are
+#      recomputed — responses byte-identical to the cold run modulo
+#      the "cached" flag;
 #   6. clean shutdown through the protocol.
 set -eu
 
@@ -25,16 +28,25 @@ say() { echo "daemond-smoke: $*"; }
 
 REQ_STEP='{"id":1,"op":"step","problem":"problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n"}'
 REQ_FP='{"id":2,"op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n"}'
+REQ_FP1_MIS='{"id":6,"op":"fixed-point","problem":"problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n","max_steps":1}'
+REQ_FP1_XYZ='{"id":7,"op":"fixed-point","problem":"problem MIS\ndelta 3\nnode:\nX^3\nY Z^2\nedge:\nZ^2\nX [YZ]\n","max_steps":1}'
 REQ_BAD_LABEL='{"id":5,"op":"step","problem":"problem x\nnode:\nA( A( A(\nedge:\nA( A(\n"}'
 
 "$ROUNDELIMD" serve --socket "$SOCK" --store "$STORE" > "$WORK/serve1.log" &
 DPID=$!
 
-# 1. Cold batch (the client retries while the daemon binds).
-printf '%s\n%s\n' "$REQ_STEP" "$REQ_FP" \
+# 1. Cold batch (the client retries while the daemon binds).  The
+#    X/Y/Z copy of MIS, asked right after MIS, must get its own step,
+#    not MIS's step written in M/P/O.
+printf '%s\n' "$REQ_STEP" "$REQ_FP" "$REQ_FP1_MIS" "$REQ_FP1_XYZ" \
   | "$ROUNDELIMD" client --socket "$SOCK" > "$WORK/cold.out"
 grep -q '"cached":false' "$WORK/cold.out"
-say "cold batch served ($(wc -l < "$WORK/cold.out") responses)"
+grep '"id":7,' "$WORK/cold.out" > "$WORK/xyz.out"
+if ! grep -q 'X,XZ' "$WORK/xyz.out" || grep -q 'M,MO' "$WORK/xyz.out"; then
+  echo "daemond-smoke: FAIL: the X/Y/Z copy of MIS was not answered in X/Y/Z" >&2
+  exit 1
+fi
+say "cold batch served ($(wc -l < "$WORK/cold.out") responses); X/Y/Z copy answered in X/Y/Z"
 
 # 2. Garbage comes back as structured errors (client exits non-zero),
 #    and the daemon keeps serving.
@@ -70,10 +82,11 @@ fi
 say "validate-store rejects the damaged entry (--strict exits non-zero)"
 
 # 5. Restart over the damaged store: rejected entry recomputed, intact
-#    entry served warm; bytes equal to the cold run modulo the flag.
+#    entry served warm, the one-step "none" answers (never stored)
+#    recomputed; bytes equal to the cold run modulo the flag.
 "$ROUNDELIMD" serve --socket "$SOCK" --store "$STORE" > "$WORK/serve2.log" &
 DPID=$!
-printf '%s\n%s\n' "$REQ_STEP" "$REQ_FP" \
+printf '%s\n' "$REQ_STEP" "$REQ_FP" "$REQ_FP1_MIS" "$REQ_FP1_XYZ" \
   | "$ROUNDELIMD" client --socket "$SOCK" > "$WORK/warm.out"
 grep -q '"cached":true' "$WORK/warm.out"
 sed 's/"cached":true/"cached":false/' "$WORK/warm.out" > "$WORK/warm.norm"

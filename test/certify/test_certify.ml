@@ -186,7 +186,6 @@ let test_pi5_run_certified () =
     (s.Certify.Check.rbar_certified >= 1)
 
 let test_so_fixed_point_certified () =
-  Fixedpoint.clear_cache ();
   Certify.Check.reset_stats ();
   Certify.Hooks.with_hooks (fun () ->
       let so = Lcl.Encodings.sinkless_orientation ~delta:3 in

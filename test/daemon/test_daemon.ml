@@ -129,7 +129,6 @@ let test_golden_transcript () =
    All global counters are reset before the daemon spawns, so the
    bytes are deterministic regardless of suite order. *)
 let test_stats_transcript () =
-  Relim.Fixedpoint.reset_stats ();
   Zdd.reset_stats ();
   Relim.Rounde.reset_stats ();
   with_daemon @@ fun sock ->
@@ -137,8 +136,7 @@ let test_stats_transcript () =
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   check_string "stats shape, pinned bytes"
     ({|{"id":1,"ok":true,"result":{"requests":1,"served_ok":0,|}
-   ^ {|"served_error":0,"fixedpoint_cache":{"hits":0,"misses":0,|}
-   ^ {|"hash_conflicts":0},"zdd":{"nodes":0,"cache_hits":0,|}
+   ^ {|"served_error":0,"zdd":{"nodes":0,"cache_hits":0,|}
    ^ {|"peak_unique":0,"maxbox_tuples":0,"maxbox_cubes":0,|}
    ^ {|"maxbox_maximal":0,"maxbox_enumerated":0},"store":null}}|})
     (request c {|{"id":1,"op":"stats"}|});
@@ -156,6 +154,30 @@ let test_stats_transcript () =
   else
     check_bool "explicit step leaves zdd counters at zero" true
       (contains ~sub:{|"zdd":{"nodes":0,"cache_hits":0,"peak_unique":0,|} stats)
+
+(* Fixed-point detection keeps nothing between requests: a store-less
+   daemon answers a relabelled copy of MIS, asked right after MIS, in
+   the copy's own labels X/Y/Z, not with MIS's step in M/P/O. *)
+let fp1_req id node edge =
+  Printf.sprintf
+    {|{"id":"%s","op":"fixed-point","problem":"problem MIS\ndelta 3\nnode:\n%s\nedge:\n%s\n","max_steps":1}|}
+    id node edge
+
+let test_relabelled_fixed_point () =
+  with_daemon @@ fun sock ->
+  let c = connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let mis = request c (fp1_req "mis" {|M^3\nP O^2|} {|O^2\nM [PO]|}) in
+  check_bool "MIS answered in M/P/O" true
+    (contains ~sub:{|"cached":false|} mis
+    && contains ~sub:{|\nnode:\nM,MO^3\n|} mis);
+  check_string "X/Y/Z copy answered in X/Y/Z, pinned bytes"
+    ({|{"id":"xyz","ok":true,"cached":false,"result":{"verdict":"none",|}
+   ^ {|"last":"problem step(MIS)\ndelta 3\nnode:\nX,XZ^3\nXZ,YZ^3\n|}
+   ^ {|XZ^2 X,XZ,YZ\nYZ Z,XZ,YZ^2\nedge:\nX,XZ,YZ^2\nZ,XZ,YZ^2\n|}
+   ^ {|XZ Z,XZ,YZ\nX,XZ YZ\nX,XZ XZ,YZ\nX,XZ X,XZ,YZ\nX,XZ Z,XZ,YZ\n|}
+   ^ {|YZ X,XZ,YZ\nXZ,YZ X,XZ,YZ\nXZ,YZ Z,XZ,YZ\nX,XZ,YZ Z,XZ,YZ\n"}}|})
+    (request c (fp1_req "xyz" {|X^3\nY Z^2|} {|Z^2\nX [YZ]|}))
 
 (* Regression: a budget overrun inside the engine used to surface as a
    generic engine-error Failure; it is now a structured "budget" error
@@ -547,6 +569,8 @@ let () =
         [
           Alcotest.test_case "golden transcript" `Quick test_golden_transcript;
           Alcotest.test_case "stats transcript" `Quick test_stats_transcript;
+          Alcotest.test_case "relabelled fixed-point" `Quick
+            test_relabelled_fixed_point;
           Alcotest.test_case "budget error transcript" `Quick
             test_budget_error_transcript;
           Alcotest.test_case "zdd budget error transcript" `Quick

@@ -1253,50 +1253,22 @@ let test_line_make_zero_count () =
   check_int "merged arity" 3 (Line.arity l)
 
 (* ------------------------------------------------------------------ *)
-(* Fixedpoint step counter and memo cache                              *)
+(* Fixedpoint step counter                                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_fixedpoint_counter_matches_steps () =
   let so = Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I" in
-  Fixedpoint.clear_cache ();
   Fixedpoint.reset_stats ();
   (* The verdict's step index must equal the number of R̄∘R
      applications the driver actually performed. *)
-  (match Fixedpoint.detect so with
+  match Fixedpoint.detect so with
   | Fixedpoint.Reaches_fixed_point (i, _) ->
       check_int "verdict index = applications" i
         Fixedpoint.stats.Fixedpoint.steps_applied
   | Fixedpoint.Fixed_point _ ->
       check_int "fixed point after one application" 1
         Fixedpoint.stats.Fixedpoint.steps_applied
-  | Fixedpoint.No_fixed_point_found _ -> Alcotest.fail "SO must stabilize");
-  let first_run = Fixedpoint.stats.Fixedpoint.steps_applied in
-  let misses = Fixedpoint.stats.Fixedpoint.cache_misses in
-  (* A second detection of the same problem replays entirely from the
-     memo: same number of applications, zero additional misses. *)
-  ignore (Fixedpoint.detect so);
-  check_int "second run applies the same count" (2 * first_run)
-    Fixedpoint.stats.Fixedpoint.steps_applied;
-  check_int "no new cache misses" misses
-    Fixedpoint.stats.Fixedpoint.cache_misses;
-  check_bool "cache hits recorded" true
-    (Fixedpoint.stats.Fixedpoint.cache_hits >= first_run);
-  Fixedpoint.clear_cache ()
-
-let test_fixedpoint_cache_isomorphic_input () =
-  (* The memo is keyed up to renaming: a renamed copy of a cached
-     problem must hit the cache. *)
-  let so = Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I" in
-  Fixedpoint.clear_cache ();
-  ignore (Fixedpoint.detect so);
-  Fixedpoint.reset_stats ();
-  let renamed = Iso.apply_renaming so [ ("O", "Z"); ("I", "J") ] in
-  ignore (Fixedpoint.detect renamed);
-  check_int "renamed input misses nothing" 0
-    Fixedpoint.stats.Fixedpoint.cache_misses;
-  check_bool "renamed input hits" true
-    (Fixedpoint.stats.Fixedpoint.cache_hits > 0);
-  Fixedpoint.clear_cache ()
+  | Fixedpoint.No_fixed_point_found _ -> Alcotest.fail "SO must stabilize"
 
 (* ------------------------------------------------------------------ *)
 (* R: closed-set enumeration vs the seed's subset enumeration          *)
@@ -1996,32 +1968,18 @@ let simplify_prune_qcheck =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Fixedpoint timing split                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_fixedpoint_normalize_timer () =
-  Fixedpoint.clear_cache ();
-  Fixedpoint.reset_stats ();
-  ignore
-    (Fixedpoint.detect (Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I"));
-  let s = Fixedpoint.stats in
-  check_bool "normalize share within step time" true
-    (s.Fixedpoint.normalize_time_s >= 0.
-    && s.Fixedpoint.normalize_time_s <= s.Fixedpoint.step_time_s +. 1e-9);
-  Fixedpoint.clear_cache ()
-
-(* ------------------------------------------------------------------ *)
-(* Fixedpoint memo under hash collisions                               *)
+(* Fixedpoint answers depend only on the input                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Two non-isomorphic 5-label problems engineered to share an
    [Iso.invariant_hash]: [Hashtbl.hash]'s bounded traversal stops
    before it reaches the part of the sorted signature list where the
    edge constraints differ (one self-loop line vs. a wildcard line).
-   Both survive [Simplify.normalize] still colliding, which is what
-   the memo-cache lookup keys on.  Five labels keeps the bijection
-   search in [Iso.equal_up_to_renaming] trivial (≤ 120 candidates), so
-   proving the pair non-isomorphic stays fast. *)
+   Both survive [Simplify.normalize] still colliding.  [Store.Disk]
+   buckets its entries by this hash, so a bucket can hold both.  Five
+   labels keeps the bijection search in [Iso.equal_up_to_renaming]
+   trivial (≤ 120 candidates), so proving the pair non-isomorphic
+   stays fast. *)
 let collision_pair () =
   let mk name self_loop =
     let k = 5 in
@@ -2049,39 +2007,66 @@ let test_collision_pair_is_engineered () =
   let a, b = collision_pair () in
   check_int "same invariant hash" (Iso.invariant_hash a) (Iso.invariant_hash b);
   check_bool "but not isomorphic" false (Iso.equal_up_to_renaming a b);
-  (* The memo keys on the *normalized* problems — the collision must
-     survive normalization for the regression test to mean anything. *)
+  (* Stores key on the *normalized* problems — the collision must
+     survive normalization for the pair to mean anything. *)
   let na = Simplify.normalize a and nb = Simplify.normalize b in
   check_int "normalized: same hash" (Iso.invariant_hash na)
     (Iso.invariant_hash nb);
   check_bool "normalized: not isomorphic" false (Iso.equal_up_to_renaming na nb)
 
-(* Regression: a hash-trusting cache would serve collA's step result
-   for collB (1 hit / 1 miss).  The sound cache confirms candidates
-   with [Iso.equal_up_to_renaming], so both problems miss, and the
-   rejected candidate is counted in [hash_conflicts]. *)
-let test_fixedpoint_cache_hash_collision () =
-  Fixedpoint.clear_cache ();
-  Fixedpoint.reset_stats ();
-  let a, b = collision_pair () in
-  ignore (Fixedpoint.detect ~max_steps:1 a);
-  ignore (Fixedpoint.detect ~max_steps:1 b);
-  let s = Fixedpoint.stats in
-  check_int "both colliding problems computed fresh" 2
-    s.Fixedpoint.cache_misses;
-  check_int "no false cache hit across the collision" 0
-    s.Fixedpoint.cache_hits;
-  check_bool "rejected in-bucket candidate counted" true
-    (s.Fixedpoint.hash_conflicts >= 1);
-  (* Replays of the exact same inputs do hit, despite sharing the
-     bucket — the iso confirmation finds the right entry. *)
-  ignore (Fixedpoint.detect ~max_steps:1 a);
-  ignore (Fixedpoint.detect ~max_steps:1 b);
-  check_int "identical replays served from cache" 2
-    Fixedpoint.stats.Fixedpoint.cache_hits;
-  check_int "no extra misses on replay" 2
-    Fixedpoint.stats.Fixedpoint.cache_misses;
-  Fixedpoint.clear_cache ()
+let fixedpoint_verdict_text = function
+  | Fixedpoint.Fixed_point (q, _) -> "fixed-point\n" ^ Serialize.to_string q
+  | Fixedpoint.Reaches_fixed_point (i, q) ->
+      Printf.sprintf "reaches-fixed-point(%d)\n%s" i (Serialize.to_string q)
+  | Fixedpoint.No_fixed_point_found q -> "none\n" ^ Serialize.to_string q
+
+(* [detect ~max_steps:1]'s verdict computed directly from its
+   definition: one normalized speedup step on the normalized input. *)
+let one_step_verdict_text p =
+  let p0 = Simplify.normalize p in
+  let { Rounde.problem = next; _ } = Rounde.step p0 in
+  let next = Simplify.normalize next in
+  fixedpoint_verdict_text
+    (match Iso.find_renaming next p0 with
+    | Some assoc -> Fixedpoint.Fixed_point (p0, assoc)
+    | None -> Fixedpoint.No_fixed_point_found next)
+
+(* Each problem of [pair] must get the direct computation's verdict
+   from [detect ~max_steps:1], both before and after [detect] has run
+   on the other. *)
+let check_detect_input_only pair =
+  let expect = List.map (fun (p, _) -> one_step_verdict_text p) pair in
+  for round = 1 to 2 do
+    List.iter2
+      (fun (p, name) e ->
+        check Alcotest.string
+          (Printf.sprintf "%s, round %d" name round)
+          e
+          (fixedpoint_verdict_text (Fixedpoint.detect ~max_steps:1 p)))
+      pair expect
+  done
+
+(* The next two cases keep the names they had while [detect] memoised
+   its steps up to isomorphism; they now check the reverse contract,
+   that no call's result reaches another.  Regression: that memo
+   answered a renamed copy of MIS, asked after MIS, with MIS's own
+   step, written in M/P/O. *)
+let test_fixedpoint_renamed_input_only () =
+  let xyz = Iso.apply_renaming mis3 [ ("M", "X"); ("P", "Y"); ("O", "Z") ] in
+  check_detect_input_only [ (mis3, "MIS"); (xyz, "X/Y/Z") ];
+  let rec first_node_line = function
+    | "node:" :: line :: _ -> line
+    | _ :: rest -> first_node_line rest
+    | [] -> ""
+  in
+  check Alcotest.string "X/Y/Z step written in X/Y/Z" "X,XZ^3"
+    (first_node_line
+       (String.split_on_char '\n' (one_step_verdict_text xyz)))
+
+(* A non-isomorphic pair with the same [Iso.invariant_hash]. *)
+let test_fixedpoint_collision_input_only () =
+  let coll_a, coll_b = collision_pair () in
+  check_detect_input_only [ (coll_a, "collA"); (coll_b, "collB") ]
 
 (* ------------------------------------------------------------------ *)
 (* Parctl: RELIM_DOMAINS parsing and the once-per-process warning      *)
@@ -2941,13 +2926,11 @@ let extra_suites =
         Alcotest.test_case "counter = applications" `Quick
           test_fixedpoint_counter_matches_steps;
         Alcotest.test_case "cache up to renaming" `Quick
-          test_fixedpoint_cache_isomorphic_input;
-        Alcotest.test_case "normalize timer" `Quick
-          test_fixedpoint_normalize_timer;
+          test_fixedpoint_renamed_input_only;
         Alcotest.test_case "engineered hash collision pair" `Quick
           test_collision_pair_is_engineered;
         Alcotest.test_case "cache sound under hash collision" `Quick
-          test_fixedpoint_cache_hash_collision;
+          test_fixedpoint_collision_input_only;
       ] );
     ( "parctl",
       [

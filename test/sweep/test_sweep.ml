@@ -214,7 +214,6 @@ let mega_row buf name p =
          match Relim.Zeroround.randomized_failure_bound ~limit:mega_expand p with
          | Some f -> Printf.sprintf "%.9g" f
          | None -> "solvable"));
-  Relim.Fixedpoint.clear_cache ();
   add "fixed_point"
     (budget_str (fun () ->
          match

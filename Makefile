@@ -1,6 +1,6 @@
 .PHONY: all build test check bench relbench-smoke relbench-ab fuzz-smoke \
 	examples-smoke trace-smoke daemond-smoke autopilot-smoke zdd-smoke \
-	sweep-smoke clean
+	sweep-smoke certify-smoke clean
 
 all: build
 
@@ -89,6 +89,16 @@ autopilot-smoke:
 	  | grep 'verdict: upper-bound (3 steps)  (7 candidates explored, 1 budget-skipped, 3 certified steps'
 	dune exec bin/roundelim.exe -- autopilot -p mm -d 3 --certify \
 	  | grep 'verdict: exhausted  (3 candidates explored, 0 budget-skipped, 3 certified steps'
+
+# Certifier smoke through the CLI (scripts/certify_smoke.sh): the
+# certified step of Pi(8,6,1) must print its pinned summary line (both
+# steps certified, one sub-check skipped on budget; about 1.5 s), and
+# the certified step of a 57-label chain, whose R completeness charge
+# overflows an int, must finish under `timeout 60` with its scan
+# skipped on budget.
+certify-smoke:
+	dune build bin
+	sh scripts/certify_smoke.sh
 
 # Differential fuzzing smoke, pinned and CI-sized (well under 30s): 500
 # random problems through the optimized pipeline with every output

@@ -7,15 +7,29 @@
     ([Problem], [Constr], [Line], [Labelset], [Multiset]).  None of
     the optimized machinery is involved: no Galois-closure lattice, no
     node diagram or right-closed-set enumeration, no dominance
-    screening, no memo caches.  The checkers are deliberately
+    screening, no memo of engine results.  The checkers are deliberately
     unoptimized (nested loops and backtracking over small sets), so a
     bug in the fast paths cannot also hide here.
 
-    One piece is shared with the engine: every membership test of a
-    configuration in a constraint goes through [Constr.mem], which
+    One piece is shared with the engine: every membership verdict of a
+    configuration in a constraint comes from [Constr.mem], which
     screens each line by support and decides the rest with
     [Line.contains], a [Util.transport_feasible] max-flow, the same
     solver the engine uses.  A bug in that solver could hide in both.
+
+    The checkers keep one cache, a {!membership} table per sub-check
+    call: the R node recomputation and R̄'s validity and maximality
+    scans meet each configuration once per choice of representatives
+    that lands on it, and the table asks [Constr.mem] only the first
+    time.  It keys on the configuration itself (its labels in
+    ascending order, one byte each), so a hit returns the verdict
+    [Constr.mem] gave for the very same multiset of the same
+    constraint.  It holds nothing the engine computed and dies with
+    the call, so it cannot carry an engine bug, or a verdict about
+    another problem, into a check.  It changes no enumeration and
+    charges no work of its own: every choice is still visited and
+    charged, so budgets, skips, verdicts and messages are what plain
+    [Constr.mem] calls give.
 
     Exhaustive sub-checks that are exponential in the label count
     (e.g. the completeness scan over all 2^n label subsets) are
@@ -47,6 +61,20 @@ type stats = {
 val stats : stats
 
 val reset_stats : unit -> unit
+
+(** The membership verdicts of one constraint, each decided by
+    [Constr.mem] the first time it is asked and remembered after. *)
+type membership
+
+(** [membership c] is an empty table for [c]. *)
+val membership : Relim.Constr.t -> membership
+
+(** [member t labels]: is the configuration with these labels, in any
+    order and with repeats, allowed by [t]'s constraint?  [labels] is
+    only read.
+    @raise Invalid_argument if [labels]' length is not the
+    constraint's arity or a label is not below [Labelset.max_label]. *)
+val member : membership -> int array -> bool
 
 (** [check_r ~source d] certifies [d = Rounde.r source]:
     denotations are distinct non-empty subsets of the source alphabet;

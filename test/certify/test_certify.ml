@@ -15,10 +15,29 @@ let check_int = Alcotest.(check int)
 let mis () = Parse.problem ~name:"MIS" ~node:"M M M\nP O O" ~edge:"M [PO]\nO O"
 let trivial () = Parse.problem ~name:"trivial" ~node:"A A A" ~edge:"A A"
 
-let violates f =
+let violation f =
   match f () with
-  | () -> false
-  | (exception Certify.Check.Violation _) -> true
+  | () -> None
+  | exception Certify.Check.Violation msg -> Some msg
+
+let violates f = Option.is_some (violation f)
+
+let sequential = Parallel.Pool.sequential
+
+(* An n-label problem whose node diagram is a chain: label i may sit
+   next to every label j with i + j >= n - 1, and the edge allows every
+   pair.  Its R completeness scan would visit all 2^n label subsets. *)
+let chain n =
+  let name i = Printf.sprintf "l%d" i in
+  let node =
+    List.init n (fun i ->
+        match List.filter (fun j -> i + j >= n - 1) (List.init n Fun.id) with
+        | [ j ] -> Printf.sprintf "%s %s" (name i) (name j)
+        | js -> Printf.sprintf "%s [%s]" (name i) (String.concat " " (List.map name js)))
+  in
+  let all = String.concat " " (List.init n name) in
+  Parse.problem ~name:(Printf.sprintf "chain%d" n) ~node:(String.concat "\n" node)
+    ~edge:(Printf.sprintf "[%s] [%s]" all all)
 
 (* ------------------------------------------------------------------ *)
 (* Direct certificates on real engine outputs                          *)
@@ -55,6 +74,41 @@ let test_fixed_point_pass_and_fail () =
   (* MIS is not a fixed point of Rbar o R. *)
   check_bool "MIS rejected as fixed point" true
     (violates (fun () -> Certify.Check.check_fixed_point (mis ())))
+
+(* The completeness charge 2^n · n overflows from n = 57 on; the scan
+   must still be skipped on budget, not run. *)
+let test_wide_completeness_skipped () =
+  List.iter
+    (fun n ->
+      let p = chain n in
+      let d = Rounde.r p in
+      let before = Certify.Check.stats.Certify.Check.skipped_subchecks in
+      Certify.Check.check_r ~source:p d;
+      check_int
+        (Printf.sprintf "chain%d: one sub-check skipped" n)
+        (before + 1) Certify.Check.stats.Certify.Check.skipped_subchecks)
+    [ 57; 60 ]
+
+(* The step certificates of Π(8,6,1) and Π(5,4,2), pinned: on Π(8,6,1)
+   R's node recomputation runs out of budget and is skipped, and every
+   other sub-check of both steps runs to the end.  The steps run on the
+   explicit engine whatever RELIM_ZDD says: the ZDD rungs trip their
+   maximal-box scan budget on Π(8,6,1). *)
+let test_pi_steps_pinned () =
+  List.iter
+    (fun (delta, a, x, skipped) ->
+      let what = Printf.sprintf "Pi(%d,%d,%d)" delta a x in
+      Certify.Check.reset_stats ();
+      Certify.Hooks.with_hooks (fun () ->
+          ignore
+            (Rounde.step ~pool:sequential ~zdd:false
+               (Core.Family.pi { Core.Family.delta; a; x })));
+      let s = Certify.Check.stats in
+      check_int (what ^ ": R certified") 1 s.Certify.Check.r_certified;
+      check_int (what ^ ": Rbar certified") 1 s.Certify.Check.rbar_certified;
+      check_int (what ^ ": sub-checks skipped") skipped
+        s.Certify.Check.skipped_subchecks)
+    [ (8, 6, 1, 1); (5, 4, 2, 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Tampered outputs are rejected                                       *)
@@ -136,6 +190,104 @@ let test_tampered_zero_round () =
   check_bool "bogus None caught" true
     (violates (fun () ->
          Certify.Check.check_zero_round ~mode:`Mirrored (trivial ()) None))
+
+(* The next four tampers reach the configurations the membership table
+   answers for: R's node recomputation and R̄'s validity and maximality
+   scans.  Each pins the exact violation, and each first certifies the
+   untampered steps of MIS and of Q.  The checks of MIS's outputs never
+   hinge on a multiplicity; Q's do, since Q allows A A B but not A B B,
+   so a table that merged two multisets would fail there. *)
+let q () = Parse.problem ~name:"Q" ~node:"A A B" ~edge:"A B\nB B"
+
+let certify_clean_steps () =
+  List.iter
+    (fun p ->
+      let d = Rounde.r p in
+      Certify.Check.check_r ~source:p d;
+      let r = d.Rounde.problem in
+      Certify.Check.check_rbar ~source:r (Rounde.rbar ~pool:sequential r))
+    [ mis (); q () ]
+
+let config (p : Problem.t) names =
+  Multiset.of_list (List.map (Alphabet.find p.Problem.alpha) names)
+
+let with_node (d : Rounde.denoted) lines =
+  let p = d.Rounde.problem in
+  {
+    d with
+    Rounde.problem =
+      Problem.make ~name:p.Problem.name ~alpha:p.Problem.alpha
+        ~node:(Constr.make lines) ~edge:p.Problem.edge;
+  }
+
+let with_denotation (d : Rounde.denoted) label f =
+  let i = Alphabet.find d.Rounde.problem.Problem.alpha label in
+  {
+    d with
+    Rounde.denotations =
+      Array.mapi (fun j s -> if j = i then f s else s) d.Rounde.denotations;
+  }
+
+let check_violation what expected f =
+  Alcotest.(check (option string)) what (Some expected) (violation f)
+
+let test_dropped_node_line () =
+  certify_clean_steps ();
+  let p = mis () in
+  let d = Rounde.r p in
+  (* R(MIS)'s node constraint as concrete lines, without O PO^2, which
+     shares its support with the kept O^2 PO. *)
+  let dropped = config d.Rounde.problem [ "O"; "PO"; "PO" ] in
+  let lines =
+    List.filter_map
+      (fun m -> if Multiset.equal m dropped then None else Some (Line.of_multiset m))
+      (Constr.expand d.Rounde.problem.Problem.node)
+  in
+  check_violation "dropped node line caught"
+    "R certificate (MIS): node configuration O\nPO^2 admits an allowed choice \
+     but is not in the node constraint"
+    (fun () -> Certify.Check.check_r ~source:p (with_node d lines))
+
+let test_added_node_configuration () =
+  certify_clean_steps ();
+  let p = mis () in
+  let d = Rounde.r p in
+  (* M O^2's one choice, M O O, is not an MIS node; M^2 O, with the same
+     support, is not emitted either. *)
+  let added = Line.of_multiset (config d.Rounde.problem [ "M"; "O"; "O" ]) in
+  check_violation "added node configuration caught"
+    "R certificate (MIS): node configuration M\nO^2 has no allowed choice of \
+     representatives"
+    (fun () ->
+      Certify.Check.check_r ~source:p
+        (with_node d (added :: Constr.lines d.Rounde.problem.Problem.node)))
+
+let test_widened_denotation () =
+  certify_clean_steps ();
+  let r = (Rounde.r (mis ())).Rounde.problem in
+  let d = Rounde.rbar ~pool:sequential r in
+  (* MO standing for O as well puts the choice O O M into the box
+     MO^2 [M MO PO]. *)
+  let o = Alphabet.find r.Problem.alpha "O" in
+  check_violation "widened denotation caught"
+    "Rbar certificate (R(MIS)): box [O,MO O,MO M,MO,PO] has the disallowed \
+     choice M\nO^2"
+    (fun () ->
+      Certify.Check.check_rbar ~source:r (with_denotation d "MO" (Labelset.add o)))
+
+let test_narrowed_denotation () =
+  certify_clean_steps ();
+  let r = (Rounde.r (mis ())).Rounde.problem in
+  let d = Rounde.rbar ~pool:sequential r in
+  (* O,MO,PO standing for O and PO only leaves the box PO [O PO]^2, and
+     MO still fits beside them. *)
+  let mo = Alphabet.find r.Problem.alpha "MO" in
+  check_violation "narrowed denotation caught"
+    "Rbar certificate (R(MIS)): box [PO O,PO O,PO] is not maximal — label MO \
+     fits at position 1"
+    (fun () ->
+      Certify.Check.check_rbar ~source:r
+        (with_denotation d "O,MO,PO" (Labelset.remove mo)))
 
 (* ------------------------------------------------------------------ *)
 (* Hooks                                                               *)
@@ -281,6 +433,69 @@ let fuzz_qcheck =
         | Certify.Fuzz.Failed _ -> false);
   ]
 
+(* [Check.member] against [Constr.mem] on random constraints of arity up
+   to 12 over labels up to 59.  Each constraint draws its labels from a
+   pool of two to four, so configurations repeat labels and share
+   supports; every configuration is asked three times, once with its
+   labels shuffled, so a key that overflows or merges two multisets
+   answers one of them wrongly. *)
+let membership_qcheck =
+  [
+    QCheck.Test.make ~name:"member-agrees-with-Constr.mem" ~count:300
+      QCheck.(int_range 0 1_000_000)
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let int k = Random.State.int rng k in
+        let delta = 1 + int 12 in
+        let pool = Array.init (2 + int 3) (fun _ -> int Labelset.max_label) in
+        let pick () = pool.(int (Array.length pool)) in
+        let set () =
+          List.fold_left
+            (fun s _ -> Labelset.add (pick ()) s)
+            Labelset.empty
+            (List.init (1 + int 2) Fun.id)
+        in
+        let rec groups left =
+          if left = 0 then []
+          else
+            let k = 1 + int left in
+            (set (), k) :: groups (left - k)
+        in
+        let lines = List.init (1 + int 3) (fun _ -> Line.make (groups delta)) in
+        let c = Constr.make lines in
+        let element s =
+          let l = Labelset.elements s in
+          List.nth l (int (List.length l))
+        in
+        let line_member l =
+          Array.of_list
+            (List.concat_map
+               (fun (s, k) -> List.init k (fun _ -> element s))
+               (Line.groups l))
+        in
+        let configs =
+          List.init 40 (fun i ->
+              if i mod 2 = 0 then line_member (List.nth lines (int (List.length lines)))
+              else Array.init delta (fun _ -> pick ()))
+        in
+        let shuffled a =
+          let a = Array.copy a in
+          for i = Array.length a - 1 downto 1 do
+            let j = int (i + 1) in
+            let t = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- t
+          done;
+          a
+        in
+        let t = Certify.Check.membership c in
+        List.for_all
+          (fun a ->
+            Certify.Check.member t a
+            = Constr.mem c (Multiset.of_list (Array.to_list a)))
+          (configs @ List.map shuffled configs @ List.rev configs));
+  ]
+
 let () =
   Certify.Hooks.install_if_env ();
   Trace.setup_from_env ();
@@ -294,6 +509,10 @@ let () =
           Alcotest.test_case "zero-round pass" `Quick test_zero_round_pass;
           Alcotest.test_case "fixed point pass and fail" `Quick
             test_fixed_point_pass_and_fail;
+          Alcotest.test_case "wide R completeness skipped" `Quick
+            test_wide_completeness_skipped;
+          Alcotest.test_case "Pi step certificates pinned" `Quick
+            test_pi_steps_pinned;
         ] );
       ( "tampering",
         [
@@ -302,6 +521,13 @@ let () =
           Alcotest.test_case "dropped Rbar box" `Quick test_tampered_rbar_box;
           Alcotest.test_case "bogus zero-round verdicts" `Quick
             test_tampered_zero_round;
+          Alcotest.test_case "dropped node line" `Quick test_dropped_node_line;
+          Alcotest.test_case "added node configuration" `Quick
+            test_added_node_configuration;
+          Alcotest.test_case "widened Rbar denotation" `Quick
+            test_widened_denotation;
+          Alcotest.test_case "narrowed Rbar denotation" `Quick
+            test_narrowed_denotation;
         ] );
       ( "hooks",
         [
@@ -330,4 +556,5 @@ let () =
             test_injected_fault_caught_and_shrunk;
         ] );
       qsuite "fuzz-props" fuzz_qcheck;
+      qsuite "membership-props" membership_qcheck;
     ]

@@ -484,6 +484,48 @@ let test_autopilot_store_roundtrip () =
   check_bool "original request searches again" true
     (contains ~sub:{|"cached":false|} on_request)
 
+(* A 57-label problem whose node diagram is a chain (label i may sit
+   next to every label j with i + j >= 56; the edge allows every pair).
+   Admitting its step validates the certificate, whose R completeness
+   scan would visit 2^57 label subsets; the checker skips that scan on
+   budget, so the entry is admitted and the daemon keeps answering. *)
+let chain57_step_req =
+  let n = 57 in
+  let name i = Printf.sprintf "l%d" i in
+  let node =
+    List.init n (fun i ->
+        match List.filter (fun j -> i + j >= n - 1) (List.init n Fun.id) with
+        | [ j ] -> Printf.sprintf "%s %s" (name i) (name j)
+        | js -> Printf.sprintf "%s [%s]" (name i) (String.concat " " (List.map name js)))
+  in
+  let all = String.concat " " (List.init n name) in
+  let p =
+    Relim.Parse.problem ~name:"chain57" ~node:(String.concat "\n" node)
+      ~edge:(Printf.sprintf "[%s] [%s]" all all)
+  in
+  Store.Json.(
+    to_string
+      (Obj
+         [
+           ("id", Int 1);
+           ("op", String "step");
+           ("problem", String (Relim.Serialize.to_string p));
+         ]))
+
+let test_wide_step_admitted () =
+  let store_dir = Filename.concat (tmpdir ()) "store" in
+  with_daemon ~store_dir @@ fun sock ->
+  let c = connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let step = request c chain57_step_req in
+  check_bool ("step computed: " ^ step) true
+    (contains ~sub:{|{"id":1,"ok":true,"cached":false,|} step);
+  check_string "ping answered after it" {|{"id":2,"ok":true,"result":{"pong":true}}|}
+    (request c {|{"id":2,"op":"ping"}|});
+  let stats = request c {|{"id":3,"op":"stats"}|} in
+  check_bool ("step entry admitted: " ^ stats) true
+    (contains ~sub:{|"admitted":1,"rejected_invalid":0|} stats)
+
 (* Within one lifetime, a repeated request is served from memory and
    flagged cached. *)
 let test_within_run_dedup () =
@@ -600,5 +642,7 @@ let () =
           Alcotest.test_case "one memo keyed by op" `Quick test_memo_per_op;
           Alcotest.test_case "stats counts after mixed traffic" `Quick
             test_stats_counts;
+          Alcotest.test_case "57-label step admitted" `Quick
+            test_wide_step_admitted;
         ] );
     ]

@@ -31,9 +31,18 @@
     charged, so budgets, skips, verdicts and messages are what plain
     [Constr.mem] calls give.
 
+    Two properties are not searched for but derived from checks that
+    already ran.  R's completeness needs no scan of the 2^n label
+    subsets: validity and maximality make every emitted side a closed
+    set, so it is enough that the sides hold every non-empty
+    N(\{y\}) and every non-empty intersection of two sides.  R̄'s
+    non-dominance needs no pairwise box scan: once every box is valid
+    and per-position maximal, no box can dominate another.  The
+    arguments are at the checks, in [check.ml].
+
     Exhaustive sub-checks that are exponential in the label count
-    (e.g. the completeness scan over all 2^n label subsets) are
-    guarded by a work budget; when the budget would be exceeded the
+    (e.g. R's node recomputation over every multiset of output labels)
+    are guarded by a work budget; when the budget would be exceeded the
     sub-check is {e skipped} and counted in [skipped_subchecks] — the
     certificate is then partial, never wrong. *)
 
@@ -81,7 +90,10 @@ val member : membership -> int array -> bool
     every emitted edge pair (A, B) is valid (all cross choices
     edge-compatible in the source) and maximal (no label addable to
     either side); the emitted pair set dominates every valid pair
-    (completeness — [2^n] scan, budget-guarded); and the new node
+    (completeness: with N(S) the source labels compatible with all of
+    S, the emitted sides hold every non-empty N(\{y\}) and every
+    non-empty intersection of two sides, n + |E|² set operations over
+    the at most 60 sides E, never skipped); and the new node
     constraint is extensionally exactly the set of configurations
     admitting a choice of representatives allowed by the source node
     constraint (budget-guarded).
@@ -92,11 +104,24 @@ val check_r : ?work_budget:int -> source:Relim.Problem.t -> Relim.Rounde.denoted
     [source] is the problem [rbar] was applied to, i.e. [R(Π)]): every
     emitted box is valid (every choice of representatives is an
     allowed source node configuration) and maximal (no label addable
-    at any position); no emitted box is dominated by another (checked
-    with a fresh backtracking matcher, not the engine's transport
-    solver); every allowed source configuration is covered by some
-    box; and the new edge constraint contains exactly the pairs of
-    used sets admitting a compatible choice.
+    at any position), budget-guarded; every allowed source
+    configuration is covered by some box (a fresh backtracking
+    matcher, not the engine's transport solver); and the new edge
+    constraint contains exactly the pairs of used sets admitting a
+    compatible choice.  That no emitted box is dominated by another
+    follows from validity and maximality and is not checked apart: a
+    strictly dominated box could be extended within the dominating
+    one, a disjunctive line has two expansions one slot apart, one of
+    which could be extended the same way, and no box is emitted twice.
+    If the validity and maximality scan is skipped, non-dominance is
+    part of that one skip.
+
+    Not checked: that {e every} maximal box is emitted.  Coverage only
+    asks that every allowed configuration lies in some box.  With Q's
+    node constraint [a b], [a c], [b c] and edge constraint
+    [[abc] [abc]], R̄(Q) has the boxes [a bc], [b ac] and
+    [ab c]; a result with only the first two, over the labels a, bc,
+    b and ac with every edge pair among them, is certified.
     @raise Violation on any mismatch. *)
 val check_rbar : ?work_budget:int -> source:Relim.Problem.t -> Relim.Rounde.denoted -> unit
 

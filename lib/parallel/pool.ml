@@ -73,12 +73,20 @@ let shutdown t =
   Array.iter Domain.join t.workers;
   t.workers <- [||]
 
+(* [merge] runs also when a body raises, before the exception goes on:
+   a budget trip keeps the work its call counted. *)
 let run_seq ~n ~init ~body ~merge =
   let local = init () in
-  for i = 0 to n - 1 do
-    body local i
-  done;
-  merge local
+  match
+    for i = 0 to n - 1 do
+      body local i
+    done
+  with
+  | () -> merge local
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      merge local;
+      Printexc.raise_with_backtrace e bt
 
 let run ?(chunk = 1) t ~n ~init ~body ~merge =
   let chunk = max 1 chunk in
@@ -141,9 +149,10 @@ let run ?(chunk = 1) t ~n ~init ~body ~merge =
     done;
     t.job <- None;
     Mutex.unlock t.lock;
+    Array.iter merge locals;
     match Atomic.get err with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> Array.iter merge locals
+    | None -> ()
 
 let mapi ?chunk t f arr =
   let n = Array.length arr in

@@ -26,10 +26,12 @@
       for every domain count.
 
     Exceptions raised by a body are caught, the remaining work is
-    cancelled (at chunk granularity), and the first captured exception
-    is re-raised in the calling domain with its backtrace.  If the body
-    can only raise one distinct exception per loop (the usual budget
-    [Failure]), propagation is deterministic too.
+    cancelled (at chunk granularity), every worker's state is merged,
+    and the first captured exception is re-raised in the calling domain
+    with its backtrace.  If the body can only raise one distinct
+    exception per loop (the usual budget [Failure]), propagation is
+    deterministic too; what the states hold by then depends on the
+    schedule, unless the loop runs on one worker.
 
     A pool is meant to be driven from one domain at a time; nested
     parallel calls from inside a worker body fall back to sequential
@@ -55,7 +57,8 @@ val domains : t -> int
     Indices are claimed in contiguous chunks of [chunk] (default 1) in
     increasing order.  With an effective single worker the loop runs
     [i = 0 .. n-1] in order — bit-compatible with hand-written
-    sequential code.  If any [body] raises, [merge] is skipped and the
+    sequential code.  If any [body] raises, the remaining indices are
+    cancelled, [merge] still runs on every local state, and then the
     first exception is re-raised. *)
 val run :
   ?chunk:int ->

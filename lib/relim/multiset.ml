@@ -139,11 +139,15 @@ let sub_multisets_of_size k m f =
   in
   go 0 k
 
+(* In a horizontal box of its own, as [Line.pp]: outside any box,
+   [Format.asprintf] may break the line at every space. *)
 let pp alpha fmt m =
+  Format.pp_open_hbox fmt ();
   let pp_item fmt (l, c) =
     if c = 1 then Alphabet.pp_label alpha fmt l
     else Format.fprintf fmt "%a^%d" (Alphabet.pp_label alpha) l c
   in
-  Format.pp_print_list ~pp_sep:Format.pp_print_space pp_item fmt (counts m)
+  Format.pp_print_list ~pp_sep:Format.pp_print_space pp_item fmt (counts m);
+  Format.pp_close_box fmt ()
 
 let to_string alpha m = Format.asprintf "%a" (pp alpha) m

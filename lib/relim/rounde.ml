@@ -616,8 +616,10 @@ let valid_boxes_zdd_impl (p : Problem.t) ~expand_limit =
                        (exact-diagram invariant broken)")
         end
       in
-      go 0 0 [] [| 0 |];
-      stats.boxes_emitted <- stats.boxes_emitted + !emitted;
+      (* Counted also when the search trips a budget. *)
+      Fun.protect
+        ~finally:(fun () -> stats.boxes_emitted <- stats.boxes_emitted + !emitted)
+        (fun () -> go 0 0 [] [| 0 |]);
       (* Prepend order = last emission first: exactly the order the
          explicit path returns (sequentially and after its branch
          merge alike). *)

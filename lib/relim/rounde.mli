@@ -24,16 +24,13 @@ type denoted = {
     [r] / [rbar] call since the last {!reset_stats}.  Times are wall
     seconds ([Unix.gettimeofday]): the hot paths may fan out over
     domains, where CPU time would sum across workers.  A call that ends
-    in [Budget.Budget_exceeded] adds its time too, but none of the
-    counters that the tripped box search or filter scan was
-    accumulating: [boxes_emitted] and [boxes_pruned] for a box search,
-    the [box_dom_*], [box_transport_calls] and [transport_cache_hits]
-    counts for a [~zdd] maximal-box scan.  So [--stats] and the trace
-    show the time of that work but not the work itself: in
-    [test/relim]'s work-accounting golden, col11's tripped box search
-    reads [boxes_emitted=0] and mis3-zdd's tripped scan
-    [box_dom_checks=0].  With more than one domain, the counts reached
-    at a trip would depend on the schedule.
+    in [Budget.Budget_exceeded] adds its time and the counts its box
+    search or filter scan reached before the trip: in [test/relim]'s
+    work-accounting golden, col11's tripped box search and mis3-zdd's
+    tripped [~zdd] scan show the boxes emitted and pruned and the
+    dominance checks made up to the trip.  With more than one domain,
+    those counts depend on the schedule, since workers stop at
+    different points.
 
     Parallel sections accumulate into per-domain records that are
     merged into this global record when the section joins, so every

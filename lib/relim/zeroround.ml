@@ -59,90 +59,30 @@ let solvable_mirrored p =
   notify `Mirrored p verdict;
   verdict
 
-(* Maximal cliques of the compatibility graph, restricted to the
-   self-compatible labels (a label incompatible with itself can never
-   appear in a usable pool: the adversary may connect two equal ports),
-   by bitset Bron–Kerbosch with pivoting.  [f] is called once per
-   maximal clique; raise from [f] (e.g. a [Found] exception) to stop
-   early.  [max_expansions] bounds the recursion-tree size: the number
-   of maximal cliques can be exponential (Moon–Moser), so unlike the
-   old silent 2^n subset sweep the enumeration fails loudly when the
-   instance really is infeasible. *)
-let iter_maximal_cliques ?(max_expansions = 1_000_000) compat n f =
-  let vertices = ref Labelset.empty in
-  for a = 0 to n - 1 do
-    if compat.(a).(a) then vertices := Labelset.add a !vertices
-  done;
-  let nbr =
-    Array.init n (fun a ->
-        let acc = ref Labelset.empty in
-        if compat.(a).(a) then
-          Labelset.iter
-            (fun b -> if b <> a && compat.(a).(b) then acc := Labelset.add b !acc)
-            !vertices;
-        !acc)
-  in
-  let expansions = ref 0 in
-  let rec bk r p x =
-    incr expansions;
-    stats.bk_expansions <- stats.bk_expansions + 1;
-    if !expansions > max_expansions then
-      Budget.exceeded ~budget:"Zeroround: maximal-clique enumeration"
-        ~limit:(float_of_int max_expansions);
-    if Labelset.is_empty p && Labelset.is_empty x then begin
-      if not (Labelset.is_empty r) then begin
-        stats.maximal_cliques <- stats.maximal_cliques + 1;
-        f r
-      end
-    end
-    else begin
-      (* Pivot on a vertex of P ∪ X with the most neighbors in P; only
-         non-neighbors of the pivot start branches. *)
-      let pivot = ref (-1) and best = ref (-1) in
-      Labelset.iter
-        (fun u ->
-          let c = Labelset.inter_cardinal p nbr.(u) in
-          if c > !best then begin
-            best := c;
-            pivot := u
-          end)
-        (Labelset.union p x);
-      let p = ref p and x = ref x in
-      Labelset.iter
-        (fun v ->
-          bk (Labelset.add v r) (Labelset.inter !p nbr.(v))
-            (Labelset.inter !x nbr.(v));
-          p := Labelset.remove v !p;
-          x := Labelset.add v !x)
-        (Labelset.diff !p nbr.(!pivot))
-    end
-  in
-  bk Labelset.empty !vertices Labelset.empty
-
 (* Per-worker accumulator for the parallel clique search, merged into
    the global [stats] at join. *)
 type bk_local = { mutable cliques : int; mutable expansions : int }
 
-let clique_search ~max_expansions pool p =
-  let compat = Problem.compat_matrix p in
-  let n = Alphabet.size p.alpha in
-  let lines = Constr.lines p.node in
-  (* A pool works iff every group of some node line meets it, and that
-     predicate is monotone in the pool; since every clique extends to a
-     maximal one, scanning maximal cliques only is complete.  The
-     witness drawn by [pick_from_pool] is supported inside
-     [line-sets ∩ clique], so no membership re-check is needed.
+(* Maximal cliques of the compatibility graph, restricted to the
+   self-compatible labels (a label incompatible with itself can never
+   appear in a usable pool: the adversary may connect two equal ports),
+   by bitset Bron–Kerbosch with pivoting.  [max_expansions] bounds the
+   recursion-tree size: the number of maximal cliques can be
+   exponential (Moon–Moser), so the enumeration fails loudly when the
+   instance really is infeasible.
 
-     The Bron–Kerbosch root is unrolled by hand: its children (one per
-     non-neighbor of the root pivot) are independent subtrees, which
-     fan out over the pool.  Every subtree runs to completion (stopping
-     only at its own first witness), so the set of cliques visited, the
-     merged counters, and the verdict — the DFS-first witness of the
-     lowest-indexed subtree, exactly the witness the sequential search
-     returns — are identical for every domain count.  The expansion
-     budget is shared through an atomic counter for the same reason:
-     the total demand is fixed, so whether it trips does not depend on
-     the schedule. *)
+   The root is unrolled by hand: its children (one per non-neighbor of
+   the root pivot) are independent subtrees, which fan out over the
+   pool.  Each subtree stops at its first clique [f] answers [Some]
+   for, and the answer is the lowest-indexed subtree's, exactly the
+   answer the sequential search reaches first.  Since every subtree
+   otherwise runs to completion, the set of cliques visited, the merged
+   counters and the answer are identical for every domain count.  The
+   expansion budget is shared through an atomic counter for the same
+   reason: the total demand is fixed, so whether it trips does not
+   depend on the schedule. *)
+let find_maximal_clique (type a) ?(max_expansions = 1_000_000) ~pool compat n
+    (f : Labelset.t -> a option) : a option =
   let budget = Atomic.make 0 in
   let charge local =
     local.expansions <- local.expansions + 1;
@@ -165,6 +105,8 @@ let clique_search ~max_expansions pool p =
             vertices;
         !acc)
   in
+  (* Pivot on a vertex of P ∪ X with the most neighbors in P; only
+     non-neighbors of the pivot start branches. *)
   let pivot_of p x =
     let pivot = ref (-1) and best = ref (-1) in
     Labelset.iter
@@ -178,7 +120,7 @@ let clique_search ~max_expansions pool p =
     !pivot
   in
   (* The root is an expansion like any other (so [max_expansions = 0]
-     still fails loudly); it never emits a clique itself because its
+     still fails loudly); it never reaches a clique itself because its
      [r] is empty. *)
   let root = { cliques = 0; expansions = 0 } in
   charge root;
@@ -202,18 +144,14 @@ let clique_search ~max_expansions pool p =
       Array.of_list (List.rev !acc)
     in
     let results = Array.make (max 1 (Array.length branches)) None in
-    let exception Found_in_branch of Multiset.t in
+    let exception Found_in_branch of a in
     let run_branch local k =
       let rec bk r p x =
         charge local;
         if Labelset.is_empty p && Labelset.is_empty x then begin
           (* [r] is non-empty: every branch starts from a singleton. *)
           local.cliques <- local.cliques + 1;
-          match
-            List.find_map (fun line -> pick_from_pool line r) lines
-          with
-          | Some witness -> raise (Found_in_branch witness)
-          | None -> ()
+          match f r with Some v -> raise (Found_in_branch v) | None -> ()
         end
         else begin
           let pivot = pivot_of p x in
@@ -230,7 +168,7 @@ let clique_search ~max_expansions pool p =
       let r, p0, x0 = branches.(k) in
       match bk r p0 x0 with
       | () -> ()
-      | exception Found_in_branch witness -> results.(k) <- Some witness
+      | exception Found_in_branch v -> results.(k) <- Some v
     in
     Parallel.Pool.run ~chunk:1 pool ~n:(Array.length branches)
       ~init:(fun () -> { cliques = 0; expansions = 0 })
@@ -242,6 +180,19 @@ let clique_search ~max_expansions pool p =
       (fun acc r -> match acc with Some _ -> acc | None -> r)
       None results
   end
+
+(* A pool works iff every group of some node line meets it, and that
+   predicate is monotone in the pool; since every clique extends to a
+   maximal one, scanning maximal cliques only is complete.  The witness
+   drawn by [pick_from_pool] is supported inside [line-sets ∩ clique],
+   so no membership re-check is needed.  Every subtree runs to
+   completion unless it finds a witness, so on solvable instances the
+   counters include subtrees beyond the witness-bearing one. *)
+let clique_search ~max_expansions pool (p : Problem.t) =
+  let lines = Constr.lines p.node in
+  find_maximal_clique ~max_expansions ~pool (Problem.compat_matrix p)
+    (Alphabet.size p.alpha)
+    (fun clique -> List.find_map (fun line -> pick_from_pool line clique) lines)
 
 (* The time is added also when the search ends in [Budget_exceeded]. *)
 let solvable_arbitrary_ports_impl ?(max_expansions = 1_000_000) ?pool p =

@@ -49,14 +49,26 @@ val solvable_arbitrary_ports :
   ?max_expansions:int -> ?pool:Parallel.Pool.t -> Problem.t ->
   Multiset.t option
 
-(** [iter_maximal_cliques compat n f] calls [f] on every maximal clique
-    of the compatibility graph on labels [0 .. n-1], restricted to
-    self-compatible labels.  Exposed for the equivalence tests and the
-    benchmark harness.  Raise from [f] to stop early.
+(** [find_maximal_clique ~pool compat n f] runs the Bron–Kerbosch
+    search {!solvable_arbitrary_ports} decides with, on the
+    compatibility graph on labels [0 .. n-1] restricted to
+    self-compatible labels: [f] is called on maximal cliques, each
+    root subtree stops at its first clique [f] answers [Some v] for,
+    and the result is the lowest-indexed subtree's [v] (the first the
+    sequential search finds), or [None].  With [f] always [None], [f]
+    sees every maximal clique once; on a pool of several domains it is
+    then called from several domains at once.  Counts into {!stats}
+    ([maximal_cliques], [bk_expansions]) as the decider does.  Exposed
+    for the equivalence tests.
     @raise Budget.Budget_exceeded when [max_expansions] (default 10⁶)
     is exceeded. *)
-val iter_maximal_cliques :
-  ?max_expansions:int -> bool array array -> int -> (Labelset.t -> unit) -> unit
+val find_maximal_clique :
+  ?max_expansions:int ->
+  pool:Parallel.Pool.t ->
+  bool array array ->
+  int ->
+  (Labelset.t -> 'a option) ->
+  'a option
 
 (** Lemma 15 generalized: when [solvable_mirrored p = None], every
     allowed configuration contains a label that is not self-compatible,

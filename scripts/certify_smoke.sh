@@ -7,19 +7,20 @@
 #      (R's node recomputation) skipped on budget;
 #   2. the step of a 57-label problem whose node diagram is a chain
 #      (label i may sit next to every label j with i + j >= 56; the
-#      edge allows every pair), under `timeout 60`: the work charge of
-#      its R completeness scan, 2^57 * 57, overflows an OCaml int, and
-#      the scan must be skipped on budget, not run.
+#      edge allows every pair), under `timeout 60`: R completeness is
+#      decided from the emitted sides, not by a scan of all 2^57 label
+#      subsets, so both steps are certified with no sub-check skipped.
 set -eu
 
 ROUNDELIM=${ROUNDELIM:-_build/default/bin/roundelim.exe}
 
 say() { echo "certify-smoke: $*"; }
 
-SUMMARY='certified: 1 R steps, 1 Rbar steps, 0 zero-round verdicts, 0 fixed points (1 sub-checks skipped on budget'
+SUMMARY='certified: 1 R steps, 1 Rbar steps, 0 zero-round verdicts, 0 fixed points'
 
 say "Pi(8,6,1) step"
-"$ROUNDELIM" step -p pi -d 8 -a 6 -x 1 --certify 2>&1 >/dev/null | grep "$SUMMARY"
+"$ROUNDELIM" step -p pi -d 8 -a 6 -x 1 --certify 2>&1 >/dev/null \
+  | grep "$SUMMARY (1 sub-checks skipped on budget"
 
 N=57
 NODE=$(awk -v n=$N 'BEGIN {
@@ -34,6 +35,6 @@ ALL=$(awk -v n=$N 'BEGIN { for (i = 0; i < n; i++) printf "%sl%d", (i ? " " : ""
 
 say "$N-label chain step"
 timeout 60 "$ROUNDELIM" step --node "$NODE" --edge "[$ALL] [$ALL]" --certify 2>&1 >/dev/null \
-  | grep "$SUMMARY"
+  | grep "$SUMMARY (0 sub-checks skipped on budget"
 
 say "ok"

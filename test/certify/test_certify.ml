@@ -24,19 +24,23 @@ let violates f = Option.is_some (violation f)
 
 let sequential = Parallel.Pool.sequential
 
-(* An n-label problem whose node diagram is a chain: label i may sit
-   next to every label j with i + j >= n - 1, and the edge allows every
+(* Line i of the n-label threshold relation: l_i with every l_j such
+   that i + j >= n - 1. *)
+let threshold_lines n =
+  let name i = Printf.sprintf "l%d" i in
+  String.concat "\n"
+    (List.init n (fun i ->
+         match List.filter (fun j -> i + j >= n - 1) (List.init n Fun.id) with
+         | [ j ] -> Printf.sprintf "%s %s" (name i) (name j)
+         | js ->
+             Printf.sprintf "%s [%s]" (name i) (String.concat " " (List.map name js))))
+
+(* An n-label problem whose node diagram is a chain (the node
+   constraint is the threshold relation) and whose edge allows every
    pair.  Its R completeness scan would visit all 2^n label subsets. *)
 let chain n =
-  let name i = Printf.sprintf "l%d" i in
-  let node =
-    List.init n (fun i ->
-        match List.filter (fun j -> i + j >= n - 1) (List.init n Fun.id) with
-        | [ j ] -> Printf.sprintf "%s %s" (name i) (name j)
-        | js -> Printf.sprintf "%s [%s]" (name i) (String.concat " " (List.map name js)))
-  in
-  let all = String.concat " " (List.init n name) in
-  Parse.problem ~name:(Printf.sprintf "chain%d" n) ~node:(String.concat "\n" node)
+  let all = String.concat " " (List.init n (Printf.sprintf "l%d")) in
+  Parse.problem ~name:(Printf.sprintf "chain%d" n) ~node:(threshold_lines n)
     ~edge:(Printf.sprintf "[%s] [%s]" all all)
 
 (* ------------------------------------------------------------------ *)
@@ -75,9 +79,9 @@ let test_fixed_point_pass_and_fail () =
   check_bool "MIS rejected as fixed point" true
     (violates (fun () -> Certify.Check.check_fixed_point (mis ())))
 
-(* The completeness charge 2^n · n overflows from n = 57 on; the scan
-   must still be skipped on budget, not run. *)
-let test_wide_completeness_skipped () =
+(* R completeness costs n + |E|² set operations, so it runs on the
+   widest sources too: the chains' certificates skip nothing. *)
+let test_wide_completeness_checked () =
   List.iter
     (fun n ->
       let p = chain n in
@@ -85,9 +89,52 @@ let test_wide_completeness_skipped () =
       let before = Certify.Check.stats.Certify.Check.skipped_subchecks in
       Certify.Check.check_r ~source:p d;
       check_int
-        (Printf.sprintf "chain%d: one sub-check skipped" n)
-        (before + 1) Certify.Check.stats.Certify.Check.skipped_subchecks)
+        (Printf.sprintf "chain%d: no sub-check skipped" n)
+        before Certify.Check.stats.Certify.Check.skipped_subchecks)
     [ 57; 60 ]
+
+(* The threshold relation as both constraints: R's sides are the n
+   sets { l_j | j >= k }. *)
+let threshold n =
+  let text = threshold_lines n in
+  Parse.problem ~name:(Printf.sprintf "threshold%d" n) ~node:text ~edge:text
+
+let with_edge (d : Rounde.denoted) lines =
+  let p = d.Rounde.problem in
+  {
+    d with
+    Rounde.problem =
+      Problem.make ~name:p.Problem.name ~alpha:p.Problem.alpha ~node:p.Problem.node
+        ~edge:(Constr.make lines);
+  }
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let completeness_message = "is dominated by no emitted pair"
+
+(* Dropping R's first edge pair leaves its two sides unemitted.  The
+   check must catch that at every width, also from 17 labels on, where
+   a scan of the 2^n label subsets would exceed the default work
+   budget of 2·10⁶. *)
+let test_threshold_dropped_pair () =
+  List.iter
+    (fun n ->
+      let p = threshold n in
+      let d = Rounde.r p in
+      let lines = Constr.lines d.Rounde.problem.Problem.edge in
+      let v =
+        violation (fun () ->
+            Certify.Check.check_r ~source:p (with_edge d (List.tl lines)))
+      in
+      check_bool
+        (Printf.sprintf "threshold%d without its first pair: %s" n
+           (Option.value v ~default:"accepted"))
+        true
+        (match v with Some m -> contains ~sub:completeness_message m | None -> false))
+    [ 12; 16; 17; 20 ]
 
 (* The step certificates of Π(8,6,1) and Π(5,4,2), pinned: on Π(8,6,1)
    R's node recomputation runs out of budget and is skipped, and every
@@ -244,7 +291,7 @@ let test_dropped_node_line () =
       (Constr.expand d.Rounde.problem.Problem.node)
   in
   check_violation "dropped node line caught"
-    "R certificate (MIS): node configuration O\nPO^2 admits an allowed choice \
+    "R certificate (MIS): node configuration O PO^2 admits an allowed choice \
      but is not in the node constraint"
     (fun () -> Certify.Check.check_r ~source:p (with_node d lines))
 
@@ -256,7 +303,7 @@ let test_added_node_configuration () =
      support, is not emitted either. *)
   let added = Line.of_multiset (config d.Rounde.problem [ "M"; "O"; "O" ]) in
   check_violation "added node configuration caught"
-    "R certificate (MIS): node configuration M\nO^2 has no allowed choice of \
+    "R certificate (MIS): node configuration M O^2 has no allowed choice of \
      representatives"
     (fun () ->
       Certify.Check.check_r ~source:p
@@ -271,7 +318,7 @@ let test_widened_denotation () =
   let o = Alphabet.find r.Problem.alpha "O" in
   check_violation "widened denotation caught"
     "Rbar certificate (R(MIS)): box [O,MO O,MO M,MO,PO] has the disallowed \
-     choice M\nO^2"
+     choice M O^2"
     (fun () ->
       Certify.Check.check_rbar ~source:r (with_denotation d "MO" (Labelset.add o)))
 
@@ -496,6 +543,306 @@ let membership_qcheck =
           (configs @ List.map shuffled configs @ List.rev configs));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The checks that replaced two scans, against those scans             *)
+(* ------------------------------------------------------------------ *)
+
+(* The source's edge compatibility, from its concrete edge pairs. *)
+let compat_of (p : Problem.t) =
+  let n = Problem.label_count p in
+  let compat = Array.make_matrix n n false in
+  List.iter
+    (fun m ->
+      match Multiset.to_list m with
+      | [ a; b ] ->
+          compat.(a).(b) <- true;
+          compat.(b).(a) <- true
+      | _ -> assert false)
+    (Constr.expand p.Problem.edge);
+  compat
+
+let pairs_of (c : Constr.t) =
+  List.map
+    (fun m -> match Multiset.to_list m with [ i; j ] -> (i, j) | _ -> assert false)
+    (Constr.expand c)
+
+(* Reference R completeness, as [Check.check_r] ran it before: every
+   pair (S, N(S)) over the 2^n non-empty label subsets S is dominated
+   by an emitted pair. *)
+let reference_r_complete (p : Problem.t) (d : Rounde.denoted) =
+  let compat = compat_of p in
+  let n = Problem.label_count p in
+  let denots = d.Rounde.denotations in
+  let pairs = pairs_of d.Rounde.problem.Problem.edge in
+  List.for_all
+    (fun s ->
+      let b =
+        Labelset.filter
+          (fun y -> Labelset.for_all (fun x -> compat.(x).(y)) s)
+          (Labelset.full n)
+      in
+      Labelset.is_empty b
+      || List.exists
+           (fun (i, j) ->
+             (Labelset.subset s denots.(i) && Labelset.subset b denots.(j))
+             || (Labelset.subset s denots.(j) && Labelset.subset b denots.(i)))
+           pairs)
+    (Labelset.nonempty_subsets (Labelset.full n))
+
+(* Distinct non-empty denotations, and every emitted pair valid and
+   maximal: what [check_r] checks before completeness. *)
+let reference_r_edges_ok (p : Problem.t) (d : Rounde.denoted) =
+  let compat = compat_of p in
+  let n = Problem.label_count p in
+  let denots = d.Rounde.denotations in
+  let partners s =
+    Labelset.filter
+      (fun y -> Labelset.for_all (fun x -> compat.(x).(y)) s)
+      (Labelset.full n)
+  in
+  Array.for_all (fun s -> not (Labelset.is_empty s)) denots
+  && List.length (List.sort_uniq Labelset.compare (Array.to_list denots))
+     = Array.length denots
+  && List.for_all
+       (fun (i, j) ->
+         Labelset.equal denots.(i) (partners denots.(j))
+         && Labelset.equal denots.(j) (partners denots.(i)))
+       (pairs_of d.Rounde.problem.Problem.edge)
+
+let pair_line i j = Line.of_multiset (Multiset.of_list [ i; j ])
+
+(* A random problem of up to 12 labels: each label pair is compatible
+   with one probability, and one to three random node lines. *)
+let gen_r_source rng =
+  let int k = Random.State.int rng k in
+  let n = 1 + int 12 in
+  let density = 1 + int 4 in
+  let edge =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if j >= i && int 5 < density then Some (pair_line i j) else None)
+          (List.init n Fun.id))
+      (List.init n Fun.id)
+  in
+  let edge = if edge = [] then [ pair_line 0 0 ] else edge in
+  let set () = Labelset.of_bits (1 + int ((1 lsl n) - 1)) in
+  let delta = 1 + int 3 in
+  let node =
+    List.init (1 + int 3) (fun _ -> Line.make (List.init delta (fun _ -> (set (), 1))))
+  in
+  Problem.make ~name:"random"
+    ~alpha:(Alphabet.create (List.init n (Printf.sprintf "a%d")))
+    ~node:(Constr.make node) ~edge:(Constr.make edge)
+
+(* R(p) untampered, or with one edge pair dropped or added, or one
+   denotation grown or shrunk by a source label. *)
+let tamper_r rng (p : Problem.t) (d : Rounde.denoted) =
+  let int k = Random.State.int rng k in
+  let pairs = pairs_of d.Rounde.problem.Problem.edge in
+  let n = Problem.label_count p and n' = Array.length d.Rounde.denotations in
+  let edge_of pairs = with_edge d (List.map (fun (i, j) -> pair_line i j) pairs) in
+  let denotation f =
+    let k = int n' in
+    with_denotation d
+      (Alphabet.name d.Rounde.problem.Problem.alpha k)
+      (fun s -> f s (int n))
+  in
+  match int 5 with
+  | 1 when List.length pairs >= 2 ->
+      let k = int (List.length pairs) in
+      edge_of (List.filteri (fun i _ -> i <> k) pairs)
+  | 2 ->
+      let i = int n' and j = int n' in
+      let pair = (min i j, max i j) in
+      if List.mem pair pairs then d else edge_of (pair :: pairs)
+  | 3 -> denotation (fun s z -> Labelset.add z s)
+  | 4 -> denotation (fun s z -> Labelset.remove z s)
+  | _ -> d
+
+(* [check_r] accepts, or fails only at its node recomputation, exactly
+   when the denotations, validity, maximality and the 2^n scan all
+   pass; it reports a completeness violation exactly when all but the
+   scan pass. *)
+(* The crown on x1..x4 and y1..y4 (x_i and y_j compatible iff i <> j):
+   R's pair ({x1, x2}, {y3, y4}) has two sides that are no N({z}), so
+   only the intersection half of the closure test misses it. *)
+let test_crown_dropped_pair () =
+  let lines =
+    List.init 4 (fun i ->
+        Printf.sprintf "x%d [%s]" (i + 1)
+          (String.concat " "
+             (List.filter_map
+                (fun j -> if i <> j then Some (Printf.sprintf "y%d" (j + 1)) else None)
+                (List.init 4 Fun.id))))
+  in
+  let text = String.concat "\n" lines in
+  let p = Parse.problem ~name:"crown4" ~node:text ~edge:text in
+  let d = Rounde.r p in
+  let label names =
+    let s = Labelset.of_list (List.map (Alphabet.find p.Problem.alpha) names) in
+    let i = ref (-1) in
+    Array.iteri (fun k t -> if Labelset.equal s t then i := k) d.Rounde.denotations;
+    !i
+  in
+  let dropped = Multiset.of_list [ label [ "x1"; "x2" ]; label [ "y3"; "y4" ] ] in
+  let kept =
+    List.filter_map
+      (fun m -> if Multiset.equal m dropped then None else Some (Line.of_multiset m))
+      (Constr.expand d.Rounde.problem.Problem.edge)
+  in
+  check_int "one pair dropped"
+    (List.length (Constr.expand d.Rounde.problem.Problem.edge) - 1)
+    (List.length kept);
+  check_violation "crown pair caught"
+    "R certificate (crown4): valid pair (y3,y4, x1,x2) is dominated by no emitted pair"
+    (fun () -> Certify.Check.check_r ~source:p (with_edge d kept))
+
+let r_completeness_qcheck =
+  [
+    QCheck.Test.make ~name:"R-completeness-equals-subset-scan" ~count:300
+      QCheck.(int_range 0 1_000_000)
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let p = gen_r_source rng in
+        match Rounde.r p with
+        | exception (Budget.Budget_exceeded _ | Failure _) -> true
+        | d -> (
+            let d = tamper_r rng p d in
+            let edges_ok = reference_r_edges_ok p d in
+            let complete = reference_r_complete p d in
+            match violation (fun () -> Certify.Check.check_r ~source:p d) with
+            | None -> edges_ok && complete
+            | Some m when contains ~sub:completeness_message m -> edges_ok && not complete
+            | Some m when contains ~sub:"node configuration" m -> edges_ok && complete
+            | Some _ -> not edges_ok));
+  ]
+
+(* Reference R̄ non-dominance, as [Check.check_rbar] ran it before: no
+   box injectively embeds, set by set into supersets, into another. *)
+let reference_box_dominated bi bj =
+  let d = Array.length bj in
+  let used = Array.make d false in
+  let rec go = function
+    | [] -> true
+    | s :: rest ->
+        let rec try_slot j =
+          if j >= d then false
+          else if (not used.(j)) && Labelset.subset s bj.(j) then begin
+            used.(j) <- true;
+            if go rest then true
+            else begin
+              used.(j) <- false;
+              try_slot (j + 1)
+            end
+          end
+          else try_slot (j + 1)
+        in
+        try_slot 0
+  in
+  go (Array.to_list bi)
+
+let reference_no_dominated_box (d : Rounde.denoted) =
+  let boxes =
+    List.concat_map
+      (fun line ->
+        let acc = ref [] in
+        Line.expand line (fun m ->
+            acc :=
+              Array.of_list
+                (List.map (fun l -> d.Rounde.denotations.(l)) (Multiset.to_list m))
+              :: !acc);
+        !acc)
+      (Constr.lines d.Rounde.problem.Problem.node)
+    |> Array.of_list
+  in
+  let nb = Array.length boxes in
+  let dominated = ref false in
+  for i = 0 to nb - 1 do
+    for j = 0 to nb - 1 do
+      if i <> j && reference_box_dominated boxes.(i) boxes.(j) then dominated := true
+    done
+  done;
+  not !dominated
+
+(* R̄(r) untampered, or with a box dropped, a copy of a box with one
+   set shrunk added (under a fresh label when no label denotes the
+   smaller set), or a box split into a disjunctive line. *)
+let tamper_rbar rng (d : Rounde.denoted) =
+  let int k = Random.State.int rng k in
+  let q = d.Rounde.problem in
+  let lines = Constr.lines q.Problem.node in
+  let line = List.nth lines (int (List.length lines)) in
+  let labels = Array.of_list (Multiset.to_list (Option.get (Line.to_multiset line))) in
+  let slot = int (Array.length labels) in
+  let denots = d.Rounde.denotations in
+  let n' = Array.length denots in
+  let replace_slot l =
+    Line.of_multiset
+      (Multiset.of_list
+         (Array.to_list (Array.mapi (fun k x -> if k = slot then l else x) labels)))
+  in
+  match int 4 with
+  | 1 when List.length lines >= 2 -> with_node d (List.filter (fun l -> l != line) lines)
+  | 2 when Labelset.cardinal denots.(labels.(slot)) >= 2 -> (
+      let s = denots.(labels.(slot)) in
+      let elements = Labelset.elements s in
+      let smaller = Labelset.remove (List.nth elements (int (List.length elements))) s in
+      match
+        List.find_opt (fun l -> Labelset.equal denots.(l) smaller) (List.init n' Fun.id)
+      with
+      | Some l -> with_node d (replace_slot l :: lines)
+      | None ->
+          let names = List.init n' (Alphabet.name q.Problem.alpha) in
+          {
+            Rounde.problem =
+              Problem.make ~name:q.Problem.name
+                ~alpha:(Alphabet.create (names @ [ "shrunk" ]))
+                ~node:(Constr.make (replace_slot n' :: lines))
+                ~edge:q.Problem.edge;
+            denotations = Array.append denots [| smaller |];
+          })
+  | 3 when n' >= 2 ->
+      let other = (labels.(slot) + 1 + int (n' - 1)) mod n' in
+      let groups =
+        Array.to_list
+          (Array.mapi
+             (fun k x ->
+               if k = slot then (Labelset.of_list [ x; other ], 1)
+               else (Labelset.singleton x, 1))
+             labels)
+      in
+      with_node d (Line.make groups :: List.filter (fun l -> l != line) lines)
+  | _ -> d
+
+(* Whenever [check_rbar]'s validity and maximality scan runs to the
+   end and passes, the pairwise scan finds no dominated box. *)
+let rbar_nondominance_qcheck =
+  [
+    QCheck.Test.make ~name:"Rbar-valid-maximal-boxes-nondominated" ~count:300
+      QCheck.(int_range 0 1_000_000)
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let p = Certify.Fuzz.gen_problem rng in
+        match
+          let r = (Rounde.r p).Rounde.problem in
+          (r, Rounde.rbar ~pool:sequential r)
+        with
+        | exception (Budget.Budget_exceeded _ | Failure _) -> true
+        | r, d ->
+            let d = tamper_rbar rng d in
+            let before = Certify.Check.stats.Certify.Check.skipped_subchecks in
+            let v = violation (fun () -> Certify.Check.check_rbar ~source:r d) in
+            let scanned = Certify.Check.stats.Certify.Check.skipped_subchecks = before in
+            let passed =
+              match v with
+              | None -> true
+              | Some m ->
+                  contains ~sub:"covered by no box" m || contains ~sub:"compatible choice" m
+            in
+            not (scanned && passed) || reference_no_dominated_box d);
+  ]
+
 let () =
   Certify.Hooks.install_if_env ();
   Trace.setup_from_env ();
@@ -509,8 +856,8 @@ let () =
           Alcotest.test_case "zero-round pass" `Quick test_zero_round_pass;
           Alcotest.test_case "fixed point pass and fail" `Quick
             test_fixed_point_pass_and_fail;
-          Alcotest.test_case "wide R completeness skipped" `Quick
-            test_wide_completeness_skipped;
+          Alcotest.test_case "wide R completeness checked" `Quick
+            test_wide_completeness_checked;
           Alcotest.test_case "Pi step certificates pinned" `Quick
             test_pi_steps_pinned;
         ] );
@@ -518,6 +865,9 @@ let () =
         [
           Alcotest.test_case "shrunk denotation" `Quick test_tampered_denotation;
           Alcotest.test_case "dropped edge pair" `Quick test_dropped_edge_pair;
+          Alcotest.test_case "threshold R without a pair" `Quick
+            test_threshold_dropped_pair;
+          Alcotest.test_case "crown R without a pair" `Quick test_crown_dropped_pair;
           Alcotest.test_case "dropped Rbar box" `Quick test_tampered_rbar_box;
           Alcotest.test_case "bogus zero-round verdicts" `Quick
             test_tampered_zero_round;
@@ -557,4 +907,5 @@ let () =
         ] );
       qsuite "fuzz-props" fuzz_qcheck;
       qsuite "membership-props" membership_qcheck;
+      qsuite "replaced-scans" (r_completeness_qcheck @ rbar_nondominance_qcheck);
     ]

@@ -1,8 +1,8 @@
 (* End-to-end tests of the roundelim binary, driving the real
    executable (path in $ROUNDELIM, set by the dune stanza): its tracing
    interface, checked with the schema validator ($VALIDATE_TRACE), the
-   --zdd flag, the fixed-point command's certified summary, and the
-   exit code of bad input.  The key tracing regression: an
+   --zdd flag, the fixed-point command's certified summary, the
+   zero-round witness line, and the exit code of bad input.  The key tracing regression: an
    unwritable --trace path must abort with a clear error and exit code
    2 before any engine work runs. *)
 
@@ -182,6 +182,14 @@ let test_fixed_point_input_certified_once () =
   Alcotest.(check bool) ("one fixed point certified: " ^ stderr) true
     (contains ~sub:"1 fixed points" stderr)
 
+(* A witness with two distinct labels prints on one line. *)
+let test_zero_round_witness_one_line () =
+  let code, stdout, _ = run "zero-round --node 'A B B' --edge 'A A;B B;A B'" in
+  Alcotest.(check int) "exit code 0" 0 code;
+  Alcotest.(check bool) ("witness A B^2: " ^ stdout) true
+    (contains ~sub:"under mirrored ports, witness: A B^2\n" stdout
+    && contains ~sub:"under arbitrary ports, witness: A B^2\n" stdout)
+
 (* Input the user got wrong (a problem, a label, a diagram or
    algorithm name, a step budget below 1, a file that cannot be read or
    written) is a usage error: exit 2, the message on stderr and nothing
@@ -251,6 +259,11 @@ let () =
         [
           Alcotest.test_case "fixed-point input certified once" `Quick
             test_fixed_point_input_certified_once;
+        ] );
+      ( "zero-round",
+        [
+          Alcotest.test_case "witness on one line" `Quick
+            test_zero_round_witness_one_line;
         ] );
       ( "bad-input",
         [

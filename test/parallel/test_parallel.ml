@@ -73,19 +73,29 @@ let test_exception_first_and_last_chunk () =
   check_int "sum after failure" 4950 !total;
   Pool.shutdown pool
 
-let test_merge_skipped_on_failure () =
-  let pool = Pool.create ~domains:parallel_domains in
-  let merges = ref 0 in
-  (match
-     Pool.run pool ~n:32
-       ~init:(fun () -> ())
-       ~body:(fun () i -> if i = 5 then failwith "boom")
-       ~merge:(fun () -> incr merges)
-   with
-  | () -> Alcotest.fail "expected failure"
-  | exception Failure _ -> ());
-  check_int "merge not called on failure" 0 !merges;
-  Pool.shutdown pool
+(* A failed loop still merges every worker's state, so the work done
+   before the failure is counted: on one worker exactly the indices
+   before the failing one, on several whatever the schedule ran. *)
+let test_merge_runs_on_failure () =
+  List.iter
+    (fun domains ->
+      let pool = Pool.create ~domains in
+      let merges = ref 0 and counted = ref 0 in
+      (match
+         Pool.run pool ~n:32
+           ~init:(fun () -> ref 0)
+           ~body:(fun l i -> if i = 5 then failwith "boom" else incr l)
+           ~merge:(fun l ->
+             incr merges;
+             counted := !counted + !l)
+       with
+      | () -> Alcotest.fail "expected failure"
+      | exception Failure _ -> ());
+      check_bool "every local merged" true (!merges >= 1 && !merges <= domains);
+      if domains = 1 then check_int "indices before the failure counted" 5 !counted
+      else check_bool "work before the failure counted" true (!counted <= 31);
+      Pool.shutdown pool)
+    [ 1; parallel_domains ]
 
 let test_stopped_pool_degrades () =
   let pool = Pool.create ~domains:parallel_domains in
@@ -173,8 +183,8 @@ let () =
             test_run_empty_and_singleton;
           Alcotest.test_case "exception in first and last chunk" `Quick
             test_exception_first_and_last_chunk;
-          Alcotest.test_case "merge skipped on failure" `Quick
-            test_merge_skipped_on_failure;
+          Alcotest.test_case "merge runs on failure" `Quick
+            test_merge_runs_on_failure;
           Alcotest.test_case "stopped pool degrades" `Quick
             test_stopped_pool_degrades;
           Alcotest.test_case "nested run falls back" `Quick

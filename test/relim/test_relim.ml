@@ -1564,10 +1564,12 @@ let reference_maximal_cliques compat n =
     cliques
   |> List.sort Labelset.compare
 
-let engine_maximal_cliques ?max_expansions compat n =
+let engine_maximal_cliques compat n =
   let acc = ref [] in
-  Zeroround.iter_maximal_cliques ?max_expansions compat n (fun c ->
-      acc := c :: !acc);
+  ignore
+    (Zeroround.find_maximal_clique ~pool:Parallel.Pool.sequential compat n (fun c ->
+         acc := c :: !acc;
+         None));
   List.sort Labelset.compare !acc
 
 let check_cliques_match (p : Problem.t) =
@@ -1597,10 +1599,12 @@ let test_cliques_edge_cases () =
 
 let test_clique_guard () =
   let compat, n = compat_of mis3 in
-  match Zeroround.iter_maximal_cliques ~max_expansions:0 compat n (fun _ -> ())
+  match
+    Zeroround.find_maximal_clique ~max_expansions:0 ~pool:Parallel.Pool.sequential
+      compat n (fun _ -> None)
   with
   | exception Budget.Budget_exceeded _ -> ()
-  | () -> Alcotest.fail "expected expansion-budget overrun"
+  | _ -> Alcotest.fail "expected expansion-budget overrun"
 
 let test_zeroround_stats () =
   Zeroround.reset_stats ();
@@ -2757,8 +2761,9 @@ let run_work_accounting_job (id, input, steps, zdd) =
 
 let test_work_accounting () =
   let runs = List.map run_work_accounting_job (work_accounting_jobs ()) in
-  (* Work that ended in a budget trip still shows in the times: col11
-     and col21-zdd run a single R̄ call, and it trips. *)
+  (* Work that ended in a budget trip still shows in the times, and in
+     the golden's counters: col11 and col21-zdd run a single R̄ call,
+     and it trips. *)
   List.iter
     (fun (line, tripped, rbar_time_s) ->
       if tripped then check_bool ("R-bar time of a tripped job: " ^ line) true (rbar_time_s > 0.))

@@ -198,10 +198,10 @@ let mega_row buf name p =
       add "zdd_maxbox" "-");
   let witness = function
     | Some m ->
-        (* Multiset.to_string is one label per line; fold to one line. *)
+        (* Label names hold no space, so '+' joins the labels. *)
         "solvable "
         ^ String.concat "+"
-            (String.split_on_char '\n'
+            (String.split_on_char ' '
                (Relim.Multiset.to_string p.Relim.Problem.alpha m))
     | None -> "unsolvable"
   in

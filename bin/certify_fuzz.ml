@@ -14,7 +14,18 @@
 
 open Cmdliner
 
+(* A limit outside what the generator supports is a usage error: print
+   the message and exit 2, as roundelim does, instead of letting
+   cmdliner report an uncaught exception with exit 125. *)
+let usage_error msg =
+  Format.eprintf "certify_fuzz: %s@." msg;
+  exit 2
+
 let fuzz count seed max_labels max_delta domains self_test =
+  (* [Fuzz.gen_problem] names label i by the i-th capital letter. *)
+  if max_labels < 1 || max_labels > 26 then
+    usage_error "--max-labels must be between 1 and 26";
+  if max_delta < 1 then usage_error "--max-delta must be at least 1";
   let mutate_r =
     if not self_test then None
     else
@@ -59,10 +70,14 @@ let fuzz_cmd =
   in
   let seed_t = Arg.(value & opt int 2026 & info [ "seed" ] ~doc:"Generator seed.") in
   let labels_t =
-    Arg.(value & opt int 4 & info [ "max-labels" ] ~doc:"Maximum alphabet size.")
+    Arg.(
+      value & opt int 4
+      & info [ "max-labels" ] ~doc:"Maximum alphabet size, from 1 to 26.")
   in
   let delta_t =
-    Arg.(value & opt int 3 & info [ "max-delta" ] ~doc:"Maximum node arity.")
+    Arg.(
+      value & opt int 3
+      & info [ "max-delta" ] ~doc:"Maximum node arity, at least 1.")
   in
   let domains_t =
     Arg.(

@@ -152,6 +152,17 @@ let with_certify certify f =
   end
   else f ()
 
+(* Engine work that stops on a budget overrun or an engine [Failure]
+   (an empty constraint, say) prints [stopped: <message>] and ends the
+   command normally, with whatever it printed before: the input was
+   usable, the engine could not finish it.  [step], [fixed-point] and
+   [autopilot] share this one handler. *)
+let or_stopped f =
+  try f () with
+  | Relim.Budget.Budget_exceeded { budget; limit } ->
+      Format.printf "@.stopped: %s@." (Relim.Budget.message ~budget ~limit)
+  | Failure msg -> Format.printf "@.stopped: %s@." msg
+
 let stats_t =
   Arg.(
     value & flag
@@ -209,20 +220,16 @@ let step preset delta a x node edge steps domains zdd stats certify trace tfmt
   let p = ref (preset_problem preset delta a x node edge) in
   Format.printf "%a@." Relim.Problem.pp !p;
   with_certify certify (fun () ->
-      try
-        for i = 1 to steps do
-          let { Relim.Rounde.problem = next; _ } =
-            Relim.Rounde.step ?pool ?zdd !p
-          in
-          p := next;
-          Format.printf "@.after speedup step %d (%d labels):@.%a@." i
-            (Relim.Problem.label_count next)
-            Relim.Problem.pp next
-        done
-      with
-      | Relim.Budget.Budget_exceeded { budget; limit } ->
-          Format.printf "@.stopped: %s@." (Relim.Budget.message ~budget ~limit)
-      | Failure msg -> Format.printf "@.stopped: %s@." msg);
+      or_stopped @@ fun () ->
+      for i = 1 to steps do
+        let { Relim.Rounde.problem = next; _ } =
+          Relim.Rounde.step ?pool ?zdd !p
+        in
+        p := next;
+        Format.printf "@.after speedup step %d (%d labels):@.%a@." i
+          (Relim.Problem.label_count next)
+          Relim.Problem.pp next
+      done);
   if stats then print_engine_stats ()
 
 let step_cmd =
@@ -419,6 +426,7 @@ let fixed_point preset delta a x node edge max_steps domains certify trace tfmt 
   let pool = pool_of_domains domains in
   let p = preset_problem preset delta a x node edge in
   with_certify certify @@ fun () ->
+  or_stopped @@ fun () ->
   let verdict = Relim.Fixedpoint.detect ~max_steps ?pool p in
   (match verdict with
   | Relim.Fixedpoint.Fixed_point (p0, _) ->
@@ -451,6 +459,7 @@ let autopilot preset delta a x node edge max_steps beam domains certify trace
   let pool = pool_of_domains domains in
   let p = preset_problem preset delta a x node edge in
   with_certify certify @@ fun () ->
+  or_stopped @@ fun () ->
   let limits =
     { Autopilot.default_limits with Autopilot.max_steps; beam }
   in

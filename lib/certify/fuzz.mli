@@ -39,7 +39,10 @@ type report = {
 (** [gen_problem ~max_labels ~max_delta rng] — a random problem:
     uniform alphabet size in [1 .. max_labels], arity in
     [1 .. max_delta], 1–3 node lines and 1–2 edge lines of uniformly
-    random non-empty label-set groups. *)
+    random non-empty label-set groups.  Label [i] is named by the
+    [i]-th capital letter, so [max_labels] must lie in [1 .. 26] and
+    [max_delta] be at least 1.
+    @raise Invalid_argument outside that range. *)
 val gen_problem :
   ?max_labels:int -> ?max_delta:int -> Random.State.t -> Relim.Problem.t
 

@@ -9,8 +9,10 @@ type label = Labelset.label
 (** [invariant_hash p] is invariant under label renaming:
     [equal_up_to_renaming a b] implies [invariant_hash a =
     invariant_hash b] (the converse need not hold).  Built from the
-    sorted per-label occurrence signatures; [Store.Disk] uses it to
-    bucket its entries. *)
+    sorted per-label occurrence signatures; the autopilot prefilters
+    its cycle check with it, and sweep journal records carry it.
+    [Store.Disk] does not use it: its entries are keyed by their
+    canonical text. *)
 val invariant_hash : Problem.t -> int
 
 (** [find_renaming a b] searches for a bijection σ from [a]'s labels to

@@ -8,25 +8,15 @@ type payload =
   | Fixed_point of int * string
   | Autopilot_cycle of string
 
-type entry = { key_text : string; key_problem : Problem.t; payload : payload }
-
 type stats = {
   mutable hits : int;
   mutable misses : int;
   mutable admitted : int;
   mutable rejected_invalid : int;
   mutable rejected_corrupt : int;
-  mutable hash_conflicts : int;
 }
 
-type t = {
-  root : string;
-  entries_dir : string;
-  (* (kind, invariant hash) ↦ entries of every admitted file of that
-     bucket; populated on first lookup, extended on admission. *)
-  buckets : (string * int, entry list) Hashtbl.t;
-  stats : stats;
-}
+type t = { root : string; entries_dir : string; stats : stats }
 
 let entries_subdir = "entries"
 
@@ -45,7 +35,6 @@ let open_dir root =
   {
     root;
     entries_dir;
-    buckets = Hashtbl.create 64;
     stats =
       {
         hits = 0;
@@ -53,7 +42,6 @@ let open_dir root =
         admitted = 0;
         rejected_invalid = 0;
         rejected_corrupt = 0;
-        hash_conflicts = 0;
       };
   }
 
@@ -64,6 +52,12 @@ let stats t = t.stats
 (* ------------------------------------------------------------------ *)
 (* Entry file format                                                   *)
 (* ------------------------------------------------------------------ *)
+
+let magic = "roundelim-store v2"
+
+(* The one file that may hold the entry of [kind] keyed by [key_text]. *)
+let file_name kind key_text =
+  Printf.sprintf "%s-%s.ent" kind (Digest.to_hex (Digest.string key_text))
 
 let fnv1a64 s =
   let h = ref 0xcbf29ce484222325L in
@@ -124,14 +118,20 @@ let claim ~kind ~key_text ~(key_problem : Problem.t) ~steps (cert : Cert.t) =
             Error ("cannot confirm hardness: " ^ Budget.message ~budget ~limit))
   | k, _ -> Error (Printf.sprintf "kind %S does not match its certificate" k)
 
-(* Parse and fully re-validate one entry file.  @raise Corrupt on
-   framing/checksum damage, Invalid when structurally intact but the
-   certificate (or key binding) fails re-validation. *)
-let load_entry path =
-  let text = try read_file path with Sys_error m -> raise (Corrupt m) in
+(* Parse and fully re-validate the entry file [name]: its key text and
+   payload.  @raise Corrupt on framing/checksum damage, Invalid when
+   structurally intact but written in format v1, filed under another
+   key's name, or failing certificate re-validation or the claim
+   check. *)
+let load_entry t name =
+  let text =
+    try read_file (Filename.concat t.entries_dir name)
+    with Sys_error m -> raise (Corrupt m)
+  in
   let pos = ref 0 in
   let len = String.length text in
   let failc fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt in
+  let faili fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt in
   let read_line () =
     if !pos >= len then failc "truncated entry";
     match String.index_from_opt text !pos '\n' with
@@ -155,19 +155,15 @@ let load_entry path =
         | _ -> failc "bad block header %S" line)
     | _ -> failc "expected block %S, got %S" tag line
   in
-  if read_line () <> "roundelim-store v1" then failc "bad magic";
+  (match read_line () with
+  | l when l = magic -> ()
+  | "roundelim-store v1" ->
+      faili "store format v1, whose entries were keyed up to isomorphism"
+  | _ -> failc "bad magic");
   let kind =
     match String.split_on_char ' ' (read_line ()) with
     | [ "kind"; k ] -> k
     | _ -> failc "missing kind"
-  in
-  let hash =
-    match String.split_on_char ' ' (read_line ()) with
-    | [ "hash"; h ] -> (
-        match int_of_string_opt ("0x" ^ h) with
-        | Some h -> h
-        | None -> failc "bad hash field")
-    | _ -> failc "missing hash"
   in
   let steps =
     if kind = "fixed-point" then
@@ -188,14 +184,13 @@ let load_entry path =
         failc "checksum mismatch (corrupted entry)"
   | _ -> failc "missing checksum");
   (* Structurally sound: now re-validate content. *)
-  let faili fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt in
+  if name <> file_name kind key_text then
+    faili "filed as %s, but its key's file is %s" name (file_name kind key_text);
   let key_problem =
     match Serialize.of_string key_text with
     | p -> p
     | exception Failure m -> faili "key problem does not parse: %s" m
   in
-  if Iso.invariant_hash key_problem <> hash then
-    faili "key problem hashes outside its bucket";
   let cert =
     match Cert.of_text cert_text with
     | Ok c -> c
@@ -204,76 +199,38 @@ let load_entry path =
   (match Cert.validate cert with
   | Ok () -> ()
   | Error m -> faili "certificate rejected: %s" m);
-  let payload =
-    match claim ~kind ~key_text ~key_problem ~steps cert with
-    | Ok payload -> payload
-    | Error m -> faili "%s" m
-  in
-  { key_text; key_problem; payload }
+  match claim ~kind ~key_text ~key_problem ~steps cert with
+  | Ok payload -> (key_text, payload)
+  | Error m -> faili "%s" m
 
 (* ------------------------------------------------------------------ *)
-(* Buckets                                                             *)
+(* Lookup                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let bucket_prefix kind hash = Printf.sprintf "%s-%x-" kind hash
-
-let entry_files t =
-  match Sys.readdir t.entries_dir with
-  | files ->
-      Array.sort compare files;
-      Array.to_list files
-      |> List.filter (fun f ->
-             Filename.check_suffix f ".ent"
-             (* Leftover [.tmp-*] files from an interrupted write are
-                never entries. *)
-             && not (String.starts_with ~prefix:"." f))
-  | exception Sys_error _ -> []
-
-let bucket_files t kind hash =
-  let prefix = bucket_prefix kind hash in
-  List.filter (fun f -> String.starts_with ~prefix f) (entry_files t)
-
-let load_bucket t kind hash =
-  match Hashtbl.find_opt t.buckets (kind, hash) with
-  | Some entries -> entries
-  | None ->
-      let entries =
-        List.filter_map
-          (fun f ->
-            let path = Filename.concat t.entries_dir f in
-            match load_entry path with
-            | e -> Some e
-            | exception Corrupt _ ->
-                t.stats.rejected_corrupt <- t.stats.rejected_corrupt + 1;
-                None
-            | exception Invalid _ ->
-                t.stats.rejected_invalid <- t.stats.rejected_invalid + 1;
-                None)
-          (bucket_files t kind hash)
-      in
-      Hashtbl.replace t.buckets (kind, hash) entries;
-      entries
-
-let same_problem key_text (e : entry) (p : Problem.t) =
-  String.equal e.key_text key_text || Iso.equal_up_to_renaming e.key_problem p
+(* The payload of [kind] stored for [key_text], if its file exists,
+   loads, and holds that very key.  A rejection is counted only when
+   [count]: admission asks again after a lookup that counted it. *)
+let stored ~count t kind key_text =
+  let name = file_name kind key_text in
+  if not (Sys.file_exists (Filename.concat t.entries_dir name)) then None
+  else
+    match load_entry t name with
+    | k, payload -> if String.equal k key_text then Some payload else None
+    | exception Corrupt _ ->
+        if count then t.stats.rejected_corrupt <- t.stats.rejected_corrupt + 1;
+        None
+    | exception Invalid _ ->
+        if count then t.stats.rejected_invalid <- t.stats.rejected_invalid + 1;
+        None
 
 let find t kind (p : Problem.t) =
-  let hash = Iso.invariant_hash p in
-  let key_text = Serialize.to_string p in
-  let rec scan skipped = function
-    | [] ->
-        t.stats.hash_conflicts <- t.stats.hash_conflicts + skipped;
-        t.stats.misses <- t.stats.misses + 1;
-        None
-    | e :: rest ->
-        if same_problem key_text e p then begin
-          t.stats.hash_conflicts <- t.stats.hash_conflicts + skipped;
-          t.stats.hits <- t.stats.hits + 1;
-          Some e
-        end
-        else scan (skipped + 1) rest
-  in
-  scan 0 (load_bucket t kind hash)
+  match stored ~count:true t kind (Serialize.to_string p) with
+  | Some payload ->
+      t.stats.hits <- t.stats.hits + 1;
+      Some payload
+  | None ->
+      t.stats.misses <- t.stats.misses + 1;
+      None
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -281,7 +238,8 @@ let find t kind (p : Problem.t) =
 
 (* Atomic write: a temp file in the same directory, then [rename] — a
    crash mid-write leaves only a [.tmp] file, which no reader ever
-   considers an entry. *)
+   considers an entry, and a rejected file under the same name is
+   replaced whole. *)
 let write_atomically t filename content =
   let final = Filename.concat t.entries_dir filename in
   let tmp =
@@ -298,19 +256,10 @@ let write_atomically t filename content =
      raise e);
   Unix.rename tmp final
 
-let free_slot t kind hash =
-  let rec go slot =
-    let f = Printf.sprintf "%s%d.ent" (bucket_prefix kind hash) slot in
-    if Sys.file_exists (Filename.concat t.entries_dir f) then go (slot + 1)
-    else f
-  in
-  go 0
-
-let render ~kind ~hash ~steps ~key_text ~cert_text =
+let render ~kind ~steps ~key_text ~cert_text =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "roundelim-store v1\n";
+  Buffer.add_string buf (magic ^ "\n");
   Buffer.add_string buf (Printf.sprintf "kind %s\n" kind);
-  Buffer.add_string buf (Printf.sprintf "hash %x\n" hash);
   if kind = "fixed-point" then
     Buffer.add_string buf (Printf.sprintf "steps %d\n" steps);
   let add_block tag s =
@@ -326,40 +275,32 @@ let render ~kind ~hash ~steps ~key_text ~cert_text =
 
 let admit t kind ?(steps = 0) ~(source : Problem.t) cert =
   let key_text = Serialize.to_string source in
-  let hash = Iso.invariant_hash source in
-  (* The checks come before the bucket lookup, also for a stored key:
+  (* The checks come before the presence check, also for a stored key:
      looking the key up first would answer [Ok] to a forged certificate
      for it (test/store "admission gate"). *)
-  let* payload = claim ~kind ~key_text ~key_problem:source ~steps cert in
+  let* _ = claim ~kind ~key_text ~key_problem:source ~steps cert in
   let* () =
     Result.map_error
       (fun m -> "refusing to admit entry: " ^ m)
       (Cert.validate cert)
   in
-  let entries = load_bucket t kind hash in
-  if List.exists (fun e -> same_problem key_text e source) entries then
+  if Option.is_some (stored ~count:false t kind key_text) then
     Ok () (* already admitted *)
   else begin
-    let content =
-      render ~kind ~hash ~steps ~key_text ~cert_text:(Cert.to_text cert)
-    in
-    write_atomically t (free_slot t kind hash) content;
-    Hashtbl.replace t.buckets (kind, hash)
-      (entries @ [ { key_text; key_problem = source; payload } ]);
+    write_atomically t (file_name kind key_text)
+      (render ~kind ~steps ~key_text ~cert_text:(Cert.to_text cert));
     t.stats.admitted <- t.stats.admitted + 1;
     Ok ()
   end
 
 let find_step t p =
-  match find t "step" p with
-  | Some { payload = Step_result text; _ } -> Some text
-  | _ -> None
+  match find t "step" p with Some (Step_result text) -> Some text | _ -> None
 
 let add_step t ~source cert = admit t "step" ~source cert
 
 let find_fixed_point t p =
   match find t "fixed-point" p with
-  | Some { payload = Fixed_point (steps, text); _ } -> Some (steps, text)
+  | Some (Fixed_point (steps, text)) -> Some (steps, text)
   | _ -> None
 
 let add_fixed_point t ~source ~steps cert =
@@ -367,10 +308,22 @@ let add_fixed_point t ~source ~steps cert =
 
 let find_autopilot t p =
   match find t "autopilot" p with
-  | Some { payload = Autopilot_cycle text; _ } -> Some text
+  | Some (Autopilot_cycle text) -> Some text
   | _ -> None
 
 let add_autopilot t ~source cert = admit t "autopilot" ~source cert
+
+let entry_files t =
+  match Sys.readdir t.entries_dir with
+  | files ->
+      Array.sort compare files;
+      Array.to_list files
+      |> List.filter (fun f ->
+             Filename.check_suffix f ".ent"
+             (* Leftover [.tmp-*] files from an interrupted write are
+                never entries. *)
+             && not (String.starts_with ~prefix:"." f))
+  | exception Sys_error _ -> []
 
 let validate_all t =
   let files = entry_files t in
@@ -379,8 +332,7 @@ let validate_all t =
   let rejects = ref [] in
   List.iter
     (fun f ->
-      let path = Filename.concat t.entries_dir f in
-      match load_entry path with
+      match load_entry t f with
       | _ -> incr ok
       | exception Corrupt m -> rejects := (f, "corrupt: " ^ m) :: !rejects
       | exception Invalid m -> rejects := (f, "invalid: " ^ m) :: !rejects)

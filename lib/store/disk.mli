@@ -1,11 +1,14 @@
 (** On-disk content-addressed result store for round elimination.
 
-    Entries are addressed by {!Relim.Iso.invariant_hash} {e buckets}:
-    the hash picks the bucket (a filename prefix), and every entry
-    carries the full canonical problem text, so in-bucket candidates
-    are resolved with {!Relim.Iso.equal_up_to_renaming} — a hash
-    collision between non-isomorphic problems costs one extra
-    comparison, never a wrong result.
+    An entry is keyed by its kind ([step], [fixed-point] or
+    [autopilot]) and the canonical text of its input problem
+    ([Serialize.to_string]), and lives in exactly one file,
+    [entries/<kind>-<MD5 hex of the key text>.ent], which carries the
+    full key text.  A lookup reads only that file and serves it only
+    if its key text equals the request's, so every answer is computed
+    from, and written in the labels of, the requested text itself: a
+    relabelled or renamed copy of a stored input is a different key,
+    misses, and gets its own entry.
 
     {2 Trust model}
 
@@ -32,16 +35,22 @@
        file, e.g. a simulated [kill -9] mid-write — though writes are
        atomic tmp-file + [rename], so a crash normally leaves no
        partial entry at all);}
-    {- the key problem does not parse, or hashes outside its bucket;}
+    {- the file is in format [v1], which filed entries by an
+       isomorphism hash and served renamed copies from them: it is
+       refused as invalid, naming v1, and a lookup of its key misses,
+       so the key is recomputed and admitted under its [v2] name;}
+    {- the file name is not the one of its own kind and key text (an
+       entry copied under another key's name);}
+    {- the key problem does not parse;}
     {- the embedded certificate fails independent re-validation, or
        the claim check.}}
     Rejections are counted in {!stats} and reported by
-    {!validate_all}; a rejected file is left in place for inspection.
+    {!validate_all}.  A rejected file stays in place for inspection
+    until its key is admitted again, which replaces it atomically.
 
-    Lookups may return an {e isomorphic representative}: a hit for a
-    renamed variant serves the stored entry's texts.  Byte-identity
-    between warm and cold responses is guaranteed for byte-identical
-    (canonicalized) inputs. *)
+    A hit therefore serves the texts admitted for that very key text,
+    in its labels, whichever copies of the problem were stored
+    before. *)
 
 type t
 
@@ -50,12 +59,11 @@ type stats = {
   mutable misses : int;
   mutable admitted : int;
   mutable rejected_invalid : int;
-      (** Entries whose certificate failed re-validation. *)
+      (** Intact entries refused on load: format v1, a file name that
+          is not the key's, or a failed re-validation or claim
+          check. *)
   mutable rejected_corrupt : int;
       (** Entries with broken framing or checksum. *)
-  mutable hash_conflicts : int;
-      (** In-bucket candidates that shared the key hash but failed the
-          isomorphism check. *)
 }
 
 (** Open (creating directories as needed) a store rooted at [dir]. *)
@@ -65,15 +73,16 @@ val dir : t -> string
 
 val stats : t -> stats
 
-(** [find_step t p] is the stored speedup-step result text for a
-    problem isomorphic to [p], if one is admitted. *)
+(** [find_step t p] is the stored speedup-step result text for [p]
+    (keyed by [Serialize.to_string p]), if one is admitted. *)
 val find_step : t -> Relim.Problem.t -> string option
 
 (** [add_step t ~source cert] admits a step entry keyed by [source].
     The certificate must pass the claim check (a [Step] whose source
     text is exactly [Serialize.to_string source]) and validate before
-    anything is written.  Re-adding an already-present key with a valid
-    certificate is a no-op ([Ok]).  The checks run before the key is
+    anything is written.  If the key's file then loads, admission is a
+    no-op ([Ok]); otherwise the entry is written atomically, replacing
+    a rejected file of the same key.  The checks run before the key is
     looked up, for every admission ([add_fixed_point] and
     [add_autopilot] too): re-adding a stored key costs a full
     validation, and a forged certificate for it is refused ([Error]),
@@ -82,10 +91,9 @@ val add_step :
   t -> source:Relim.Problem.t -> Certify.Certificate.t -> (unit, string) result
 
 (** [find_fixed_point t p] is [(steps, fixed_text)] for a stored
-    fixed-point verdict on a problem isomorphic to [p]: the number of
-    speedup steps the detection performed and the fixed problem's
-    text.  [steps = 1] means the (normalized) input was itself the
-    fixed point. *)
+    fixed-point verdict on [p]: the number of speedup steps the
+    detection performed and the fixed problem's text.  [steps = 1]
+    means the (normalized) input was itself the fixed point. *)
 val find_fixed_point : t -> Relim.Problem.t -> (int * string) option
 
 (** [add_fixed_point t ~source ~steps cert] admits a fixed-point entry
@@ -99,10 +107,10 @@ val add_fixed_point :
   Certify.Certificate.t ->
   (unit, string) result
 
-(** [find_autopilot t p] is the stored relaxed-cycle result text for a
-    problem isomorphic to [p], if an autopilot entry is admitted.  The
-    result is a problem isomorphic to [p] after normalization — the
-    entry's value is the lower-bound claim its certificate carries. *)
+(** [find_autopilot t p] is the stored relaxed-cycle result text for
+    [p], if an autopilot entry is admitted.  The result is a problem
+    isomorphic to [p] after normalization — the entry's value is the
+    lower-bound claim its certificate carries. *)
 val find_autopilot : t -> Relim.Problem.t -> string option
 
 (** [add_autopilot t ~source cert] admits a relaxed-cycle entry keyed
@@ -116,5 +124,6 @@ val add_autopilot :
 
 (** Scan every entry file in the store, re-validating each from
     scratch: [(total, ok, rejects)] where [rejects] pairs a filename
-    with the reason it was rejected. *)
+    with the reason it was rejected ([corrupt: ...] or
+    [invalid: ...]). *)
 val validate_all : t -> int * int * (string * string) list

@@ -2,18 +2,22 @@
 # End-to-end smoke for roundelimd and its certificate-gated result
 # store, driving the real binary over a Unix socket:
 #
-#   1. cold mixed batch against an empty store: a step, a fixed-point
-#      detection, and one-step fixed-point detections of MIS and then
-#      of its relabelled X/Y/Z copy, which must be answered in X/Y/Z;
+#   1. cold mixed batch against an empty store: a step of MIS and then
+#      of its relabelled X/Y/Z copy, a fixed-point detection, and
+#      one-step fixed-point detections of MIS and then of the copy; the
+#      store is keyed by the request's own canonical text, so both of
+#      the copy's answers must be computed in X/Y/Z;
 #   2. garbage input (bad JSON, a cut-off request, a step whose label
 #      name the alphabet refuses) answered with structured errors,
 #      daemon survives;
 #   3. kill -9 the daemon, truncate a persisted entry on disk;
 #   4. validate-store reports the damage (--strict exits non-zero);
-#   5. restart over the damaged store: the intact entry is served warm,
-#      the damaged one and the unstored one-step answers are
-#      recomputed — responses byte-identical to the cold run modulo
-#      the "cached" flag;
+#   5. restart over the damaged store: the intact entries are served
+#      warm, the X/Y/Z copy's own step entry among them (MIS's step
+#      file sorts first by key digest, so it is the damaged one); the
+#      damaged one and the unstored one-step answers are recomputed —
+#      responses byte-identical to the cold run modulo the "cached"
+#      flag;
 #   6. clean shutdown through the protocol.
 set -eu
 
@@ -27,6 +31,7 @@ STORE="$WORK/store"
 say() { echo "daemond-smoke: $*"; }
 
 REQ_STEP='{"id":1,"op":"step","problem":"problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n"}'
+REQ_STEP_XYZ='{"id":8,"op":"step","problem":"problem MIS\ndelta 3\nnode:\nX^3\nY Z^2\nedge:\nZ^2\nX [YZ]\n"}'
 REQ_FP='{"id":2,"op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n"}'
 REQ_FP1_MIS='{"id":6,"op":"fixed-point","problem":"problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n","max_steps":1}'
 REQ_FP1_XYZ='{"id":7,"op":"fixed-point","problem":"problem MIS\ndelta 3\nnode:\nX^3\nY Z^2\nedge:\nZ^2\nX [YZ]\n","max_steps":1}'
@@ -36,16 +41,19 @@ REQ_BAD_LABEL='{"id":5,"op":"step","problem":"problem x\nnode:\nA( A( A(\nedge:\
 DPID=$!
 
 # 1. Cold batch (the client retries while the daemon binds).  The
-#    X/Y/Z copy of MIS, asked right after MIS, must get its own step,
-#    not MIS's step written in M/P/O.
-printf '%s\n' "$REQ_STEP" "$REQ_FP" "$REQ_FP1_MIS" "$REQ_FP1_XYZ" \
+#    X/Y/Z copy of MIS, asked right after MIS, must get its own step
+#    and its own one-step detection, not MIS's written in M/P/O: from
+#    the store as well as without it.
+printf '%s\n' "$REQ_STEP" "$REQ_STEP_XYZ" "$REQ_FP" "$REQ_FP1_MIS" "$REQ_FP1_XYZ" \
   | "$ROUNDELIMD" client --socket "$SOCK" > "$WORK/cold.out"
 grep -q '"cached":false' "$WORK/cold.out"
-grep '"id":7,' "$WORK/cold.out" > "$WORK/xyz.out"
-if ! grep -q 'X,XZ' "$WORK/xyz.out" || grep -q 'M,MO' "$WORK/xyz.out"; then
-  echo "daemond-smoke: FAIL: the X/Y/Z copy of MIS was not answered in X/Y/Z" >&2
-  exit 1
-fi
+for id in 8 7; do
+  grep "\"id\":$id," "$WORK/cold.out" > "$WORK/xyz.out"
+  if ! grep -q 'X,XZ' "$WORK/xyz.out" || grep -q 'M,MO' "$WORK/xyz.out"; then
+    echo "daemond-smoke: FAIL: request $id, on the X/Y/Z copy of MIS, was not answered in X/Y/Z" >&2
+    exit 1
+  fi
+done
 say "cold batch served ($(wc -l < "$WORK/cold.out") responses); X/Y/Z copy answered in X/Y/Z"
 
 # 2. Garbage comes back as structured errors (client exits non-zero),
@@ -74,7 +82,7 @@ say "killed the daemon and truncated $(basename "$ENT")"
 # 4. The damage is visible to the offline validator, and --strict turns
 #    it into a non-zero exit.
 "$ROUNDELIMD" validate-store --store "$STORE" > "$WORK/validate.out"
-grep -q '2 entries, 1 valid, 1 rejected' "$WORK/validate.out"
+grep -q '3 entries, 2 valid, 1 rejected' "$WORK/validate.out"
 if "$ROUNDELIMD" validate-store --store "$STORE" --strict > /dev/null; then
   echo "daemond-smoke: FAIL: --strict passed a corrupted store" >&2
   exit 1
@@ -82,13 +90,13 @@ fi
 say "validate-store rejects the damaged entry (--strict exits non-zero)"
 
 # 5. Restart over the damaged store: rejected entry recomputed, intact
-#    entry served warm, the one-step "none" answers (never stored)
+#    entries served warm, the one-step "none" answers (never stored)
 #    recomputed; bytes equal to the cold run modulo the flag.
 "$ROUNDELIMD" serve --socket "$SOCK" --store "$STORE" > "$WORK/serve2.log" &
 DPID=$!
-printf '%s\n' "$REQ_STEP" "$REQ_FP" "$REQ_FP1_MIS" "$REQ_FP1_XYZ" \
+printf '%s\n' "$REQ_STEP" "$REQ_STEP_XYZ" "$REQ_FP" "$REQ_FP1_MIS" "$REQ_FP1_XYZ" \
   | "$ROUNDELIMD" client --socket "$SOCK" > "$WORK/warm.out"
-grep -q '"cached":true' "$WORK/warm.out"
+grep '"id":8,' "$WORK/warm.out" | grep -q '"cached":true'
 sed 's/"cached":true/"cached":false/' "$WORK/warm.out" > "$WORK/warm.norm"
 cmp "$WORK/cold.out" "$WORK/warm.norm"
 say "warm responses byte-identical to cold (modulo the cache flag)"

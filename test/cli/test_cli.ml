@@ -2,9 +2,10 @@
    executable (path in $ROUNDELIM, set by the dune stanza): its tracing
    interface, checked with the schema validator ($VALIDATE_TRACE), the
    --zdd flag, the fixed-point command's certified summary, the
-   zero-round witness line, and the exit code of bad input.  The key tracing regression: an
-   unwritable --trace path must abort with a clear error and exit code
-   2 before any engine work runs. *)
+   zero-round witness line, engine work that stops, and the exit code
+   of bad input, also for certify_fuzz ($CERTIFY_FUZZ).  The key
+   tracing regression: an unwritable --trace path must abort with a
+   clear error and exit code 2 before any engine work runs. *)
 
 let exe var =
   match Sys.getenv_opt var with
@@ -12,6 +13,7 @@ let exe var =
   | None -> Alcotest.fail (var ^ " not set (run via dune runtest)")
 
 let roundelim = exe "ROUNDELIM"
+let certify_fuzz = exe "CERTIFY_FUZZ"
 let validate_trace = exe "VALIDATE_TRACE"
 
 let read_file path =
@@ -192,23 +194,25 @@ let test_zero_round_witness_one_line () =
 
 (* Input the user got wrong (a problem, a label, a diagram or
    algorithm name, a step budget below 1, a file that cannot be read or
-   written) is a usage error: exit 2, the message on stderr and nothing
-   on stdout, never cmdliner's "internal error" exit 125.  [load] reads
-   a saved problem whose edge line lost its closing bracket. *)
+   written, a fuzzing limit the generator cannot draw from) is a usage
+   error: exit 2, the message on stderr and nothing on stdout, never
+   cmdliner's "internal error" exit 125.  [load] reads a saved problem
+   whose edge line lost its closing bracket. *)
 let test_bad_problem_exits_2 () =
   let bad = Filename.temp_file "cli_bad" ".relim" in
   let oc = open_out bad in
   output_string oc "problem bad\nnode:\nM^2\nP O\nedge:\nM [PO\n";
   close_out oc;
-  List.iter
-    (fun (args, msg) ->
-      let code, stdout, stderr = run args in
-      Alcotest.(check int) (args ^ ": exit code 2") 2 code;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: message on stderr: %s" args stderr)
-        true
-        (contains ~sub:("roundelim: " ^ msg) stderr);
-      Alcotest.(check string) (args ^ ": nothing on stdout") "" stdout)
+  let usage_error ?(bin = roundelim) prog (args, msg) =
+    let code, stdout, stderr = run ~bin args in
+    Alcotest.(check int) (args ^ ": exit code 2") 2 code;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: message on stderr: %s" args stderr)
+      true
+      (contains ~sub:(prog ^ ": " ^ msg) stderr);
+    Alcotest.(check string) (args ^ ": nothing on stdout") "" stdout
+  in
+  List.iter (usage_error "roundelim")
     [
       ("step --node 'A A' --edge 'A B^'", "expected integer after ^");
       ("show -p nope", "unknown preset nope");
@@ -228,7 +232,42 @@ let test_bad_problem_exits_2 () =
       ("save -p mis -d 3 /nonexistent-dir/file.relim",
         "/nonexistent-dir/file.relim: No such file or directory");
     ];
+  (* Fuzz labels are the letters A..Z, and arities start at 1. *)
+  List.iter
+    (usage_error ~bin:certify_fuzz "certify_fuzz")
+    [
+      ("--count 20 --max-labels 30", "--max-labels must be between 1 and 26");
+      ("--max-labels 0", "--max-labels must be between 1 and 26");
+      ("--max-delta 0", "--max-delta must be at least 1");
+    ];
   Sys.remove bad
+
+(* Engine work that cannot finish (a budget overrun, or an empty node
+   constraint after R) is not a usage error: step, fixed-point and
+   autopilot print "stopped: <message>" on stdout and exit 0, never
+   cmdliner's "internal error" exit 125.  RELIM_ZDD=0 pins the budget
+   the default engine trips. *)
+let test_engine_stops () =
+  let empty = "Rounde.r: empty node constraint (no node line survived)" in
+  List.iter
+    (fun (args, msg) ->
+      let code, stdout, stderr = run ~env:[ ("RELIM_ZDD", "0") ] args in
+      Alcotest.(check int) (args ^ ": exit code 0") 0 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stopped on stdout: %s" args stdout)
+        true
+        (contains ~sub:("\nstopped: " ^ msg ^ "\n") stdout);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: no internal error: %s" args stderr)
+        false
+        (contains ~sub:"internal error" stderr))
+    [
+      ( "fixed-point -p mis -d 3 --max-steps 3",
+        "budget exceeded: Rounde.rbar: box enumeration work (limit 5000000)" );
+      ("fixed-point --node 'A A' --edge 'B B'", empty);
+      ("autopilot --node 'A A' --edge 'B B'", empty);
+      ("step --node 'A A' --edge 'B B'", empty);
+    ]
 
 let () =
   Alcotest.run "cli"
@@ -269,5 +308,10 @@ let () =
         [
           Alcotest.test_case "bad problem exits 2" `Quick
             test_bad_problem_exits_2;
+        ] );
+      ( "engine-stop",
+        [
+          Alcotest.test_case "budget or failure prints stopped" `Quick
+            test_engine_stops;
         ] );
     ]

@@ -243,6 +243,92 @@ let test_zdd_budget_error_transcript () =
     (request c {|{"id":22,"op":"ping"}|})
 
 (* ------------------------------------------------------------------ *)
+(* Canonicalization                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let round s = Relim.Serialize.to_string (Relim.Serialize.of_string s)
+
+(* The smallest known text that needs three rounds of print ∘ parse:
+   the parser numbers labels by first appearance, and printing reorders
+   the lines by those numbers twice over before the text settles.  The
+   daemon canonicalizes it and answers it (the engine refuses its step,
+   but the request is not a bad one). *)
+let three_round_text =
+  "problem fuzz\ndelta 1\nnode:\nz2\nedge:\n[z1 z3] [z0 z3]\nz0 z2\n"
+
+let test_canonicalize_three_rounds () =
+  let s1 = round three_round_text in
+  let s2 = round s1 in
+  let s3 = round s2 in
+  check_bool "one round is not a fixed point" true (s1 <> s2);
+  check_bool "two rounds are not a fixed point" true (s2 <> s3);
+  check_string "three rounds are" s3 (round s3);
+  let p, canon = Daemon.canonicalize three_round_text in
+  check_string "canonicalize returns the fixed point" s3 canon;
+  check_string "with its problem" canon (Relim.Serialize.to_string p);
+  with_daemon @@ fun sock ->
+  let c = connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let r =
+    request c
+      Store.Json.(
+        to_string
+          (Obj
+             [
+               ("id", Int 1);
+               ("op", String "step");
+               ("problem", String three_round_text);
+             ]))
+  in
+  check_bool ("answered, not refused: " ^ r) true
+    (contains ~sub:{|{"id":1,|} r && not (contains ~sub:"bad-request" r))
+
+let shuffle rng l =
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+
+(* [p]'s text with its labels renamed by a random permutation of
+   z0, z1, ... and its node lines and edge lines shuffled. *)
+let shuffled_text rng (p : Relim.Problem.t) =
+  let n = Relim.Problem.label_count p in
+  let perm = Array.of_list (shuffle rng (List.init n Fun.id)) in
+  let q =
+    Relim.Iso.apply_renaming p
+      (List.init n (fun i ->
+           ( Relim.Alphabet.name p.Relim.Problem.alpha i,
+             Printf.sprintf "z%d" perm.(i) )))
+  in
+  match String.split_on_char '\n' (Relim.Serialize.to_string q) with
+  | name :: delta :: "node:" :: rest ->
+      let rec upto acc = function
+        | "edge:" :: tl -> (List.rev acc, List.filter (( <> ) "") tl)
+        | l :: tl -> upto (l :: acc) tl
+        | [] -> (List.rev acc, [])
+      in
+      let node, edge = upto [] rest in
+      String.concat "\n"
+        ([ name; delta; "node:" ] @ shuffle rng node @ ("edge:" :: shuffle rng edge))
+      ^ "\n"
+  | _ -> Alcotest.fail "unexpected problem text"
+
+(* On random problems, relabelled and shuffled, [canonicalize] returns
+   a print ∘ parse fixed point and its problem, isomorphic to the
+   canonical form of the unshuffled text. *)
+let canonicalize_qcheck =
+  [
+    QCheck.Test.make ~name:"canonical-text-is-a-fixed-point" ~count:300
+      QCheck.(int_range 0 1_000_000)
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let p = Certify.Fuzz.gen_problem ~max_labels:6 ~max_delta:4 rng in
+        let q, canon = Daemon.canonicalize (shuffled_text rng p) in
+        canon = Relim.Serialize.to_string q
+        && round canon = canon
+        && Relim.Iso.equal_up_to_renaming q
+             (fst (Daemon.canonicalize (Relim.Serialize.to_string p))));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Autopilot                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -459,14 +545,15 @@ let test_restart_survives_corruption () =
   Domain.join d
 
 (* Cold/warm against the store: the period-1 cycle certificate is
-   admitted on the cold run, keyed by the cycle state itself (that is
-   the problem the certificate proves something about).  A fresh
-   daemon serves a request for the cycle state straight from the store
-   (re-validating the certificate plus the cycle and hardness
-   conditions on load); a request for the original problem repeats the
-   search, since the stored entry only witnesses the cycle. *)
+   admitted on the cold run, keyed by the text of the cycle state
+   itself (that is the problem the certificate proves something
+   about).  A fresh daemon serves a request for that text straight
+   from the store (re-validating the certificate plus the cycle and
+   hardness conditions on load); a request for the original problem
+   repeats the search, since the stored entry only witnesses the
+   cycle. *)
 let ap_fixed_req =
-  {|{"id":"apf","op":"autopilot","problem":"problem Rbar(R(Rbar(R(SO))))\ndelta 3\nnode:\nO,OI OI,O,OI^2\nedge:\nOI,O,OI^2\nO,OI OI,O,OI\n"}|}
+  {|{"id":"apf","op":"autopilot","problem":"problem Rbar(R(SO))\ndelta 3\nnode:\nO OI^2\nedge:\nOI^2\nO OI\n"}|}
 
 let test_autopilot_store_roundtrip () =
   let store_dir = Filename.concat (tmpdir ()) "store" in
@@ -486,9 +573,9 @@ let test_autopilot_store_roundtrip () =
 
 (* A 57-label problem whose node diagram is a chain (label i may sit
    next to every label j with i + j >= 56; the edge allows every pair).
-   Admitting its step validates the certificate, whose R completeness
-   scan would visit 2^57 label subsets; the checker skips that scan on
-   budget, so the entry is admitted and the daemon keeps answering. *)
+   Admitting its step validates the certificate, which decides R
+   completeness from the emitted sides instead of visiting 2^57 label
+   subsets, so the entry is admitted and the daemon keeps answering. *)
 let chain57_step_req =
   let n = 57 in
   let name i = Printf.sprintf "l%d" i in
@@ -525,6 +612,40 @@ let test_wide_step_admitted () =
   let stats = request c {|{"id":3,"op":"stats"}|} in
   check_bool ("step entry admitted: " ^ stats) true
     (contains ~sub:{|"admitted":1,"rejected_invalid":0|} stats)
+
+(* With a store, a relabelled copy of a stored input is its own key:
+   the cold run computes the X/Y/Z copy of MIS and the Z/J copy of SO,
+   each asked right after its original, in the copy's own labels, and
+   a warm restart serves every request its own stored answer,
+   byte-identical to the cold one. *)
+let relabelled_reqs =
+  [
+    step_req;
+    {|{"id":"xyz","op":"step","problem":"problem MIS\ndelta 3\nnode:\nX^3\nY Z^2\nedge:\nZ^2\nX [YZ]\n"}|};
+    fp_req;
+    {|{"id":"zj","op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nZ [JZ]^2\nedge:\nZ J\n"}|};
+  ]
+
+let test_relabelled_with_store () =
+  let store_dir = Filename.concat (tmpdir ()) "store" in
+  let cold = daemon_round ~store_dir relabelled_reqs in
+  let warm = daemon_round ~store_dir relabelled_reqs in
+  let xyz = List.nth cold 1 and zj = List.nth cold 3 in
+  check_bool ("X/Y/Z copy computed in X/Y/Z: " ^ xyz) true
+    (contains ~sub:{|"cached":false|} xyz
+    && contains ~sub:{|\nnode:\nX,XZ^3\n|} xyz
+    && not (contains ~sub:"M,MO" xyz));
+  check_bool ("Z/J copy computed in Z/J: " ^ zj) true
+    (contains ~sub:{|"cached":false|} zj
+    && contains ~sub:{|\nnode:\nZ ZJ^2\n|} zj
+    && not (contains ~sub:"OI" zj));
+  List.iteri
+    (fun i (c, w) ->
+      check_bool (Printf.sprintf "warm %d served from the store" i) true
+        (contains ~sub:{|"cached":true|} w);
+      check_string (Printf.sprintf "warm %d byte-identical to cold" i) c
+        (uncached w))
+    (List.combine cold warm)
 
 (* Within one lifetime, a repeated request is served from memory and
    flagged cached. *)
@@ -621,6 +742,10 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
         ] );
+      ( "canonical",
+        Alcotest.test_case "three-round text answered" `Quick
+          test_canonicalize_three_rounds
+        :: List.map Qseed.to_alcotest canonicalize_qcheck );
       ( "autopilot",
         [
           Alcotest.test_case "op + memo + max_steps" `Quick test_autopilot_op;
@@ -638,6 +763,8 @@ let () =
             test_restart_byte_identity;
           Alcotest.test_case "restart survives corruption" `Quick
             test_restart_survives_corruption;
+          Alcotest.test_case "relabelled copies with a store" `Quick
+            test_relabelled_with_store;
           Alcotest.test_case "within-run dedup" `Quick test_within_run_dedup;
           Alcotest.test_case "one memo keyed by op" `Quick test_memo_per_op;
           Alcotest.test_case "stats counts after mixed traffic" `Quick

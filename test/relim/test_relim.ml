@@ -1979,11 +1979,11 @@ let simplify_prune_qcheck =
    [Iso.invariant_hash]: [Hashtbl.hash]'s bounded traversal stops
    before it reaches the part of the sorted signature list where the
    edge constraints differ (one self-loop line vs. a wildcard line).
-   Both survive [Simplify.normalize] still colliding.  [Store.Disk]
-   buckets its entries by this hash, so a bucket can hold both.  Five
-   labels keeps the bijection search in [Iso.equal_up_to_renaming]
-   trivial (≤ 120 candidates), so proving the pair non-isomorphic
-   stays fast. *)
+   Both survive [Simplify.normalize] still colliding.  The autopilot's
+   cycle check prefilters the normalized states on its path by this
+   hash, so both can pass that prefilter.  Five labels keeps the
+   bijection search in [Iso.equal_up_to_renaming] trivial (≤ 120
+   candidates), so proving the pair non-isomorphic stays fast. *)
 let collision_pair () =
   let mk name self_loop =
     let k = 5 in
@@ -2011,8 +2011,8 @@ let test_collision_pair_is_engineered () =
   let a, b = collision_pair () in
   check_int "same invariant hash" (Iso.invariant_hash a) (Iso.invariant_hash b);
   check_bool "but not isomorphic" false (Iso.equal_up_to_renaming a b);
-  (* Stores key on the *normalized* problems — the collision must
-     survive normalization for the pair to mean anything. *)
+  (* The cycle prefilter hashes *normalized* states — the collision
+     must survive normalization for the pair to mean anything. *)
   let na = Simplify.normalize a and nb = Simplify.normalize b in
   check_int "normalized: same hash" (Iso.invariant_hash na)
     (Iso.invariant_hash nb);

@@ -1,7 +1,8 @@
 (* Tests for lib/store: the JSON codec, the wire-protocol codec, the
    certificate text format, and the certificate-gated on-disk result
    store (admission gating, warm reload, tamper/truncation rejection,
-   hash-collision safety, atomic-write leftovers). *)
+   entries served only to their own key, refusal of format v1 and of
+   misfiled entries, atomic-write leftovers). *)
 
 open Relim
 module Json = Store.Json
@@ -255,6 +256,12 @@ let entry_files dir =
 
 let entry_path dir f = Filename.concat (Filename.concat dir "entries") f
 
+let read_entry dir f =
+  In_channel.with_open_bin (entry_path dir f) In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
 let admit_mis t =
   let p = mis () in
   let cert = step_certificate p in
@@ -278,11 +285,23 @@ let test_disk_roundtrip () =
   | Error m -> Alcotest.failf "re-admission failed: %s" m);
   check_int "still one file" 1 (List.length (entry_files dir));
   check_int "still one admission" 1 (Disk.stats t).Disk.admitted;
-  (* A renamed-label variant hits the same entry. *)
+  (* A renamed-label variant is another key: it misses, and admitting
+     it writes a second file.  Each key is served its own text. *)
   let renamed = Iso.apply_renaming p [ ("M", "Z"); ("P", "Q") ] in
-  match Disk.find_step t renamed with
-  | Some got -> check_string "isomorphic lookup serves stored text" expect got
-  | None -> Alcotest.fail "isomorphic variant missed"
+  check_bool "renamed variant misses" true (Disk.find_step t renamed = None);
+  let renamed_cert = step_certificate renamed in
+  let renamed_expect = Certificate.result_text renamed_cert in
+  check_bool "renamed result in its own labels" true (renamed_expect <> expect);
+  (match Disk.add_step t ~source:renamed renamed_cert with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "renamed admission failed: %s" m);
+  check_int "second file" 2 (List.length (entry_files dir));
+  (match Disk.find_step t renamed with
+  | Some got -> check_string "renamed key served its own text" renamed_expect got
+  | None -> Alcotest.fail "renamed entry not found");
+  match Disk.find_step t p with
+  | Some got -> check_string "original key served its own text" expect got
+  | None -> Alcotest.fail "original entry not found"
 
 let test_disk_warm_reload () =
   let dir = tmpdir () in
@@ -419,7 +438,7 @@ let test_disk_tmp_leftover_ignored () =
     open_out_bin
       (Filename.concat (Filename.concat dir "entries") ".tmp-999-step-0.ent")
   in
-  output_string oc "roundelim-store v1\nkind step\nhalf-writ";
+  output_string oc "roundelim-store v2\nkind step\nhalf-writ";
   close_out oc;
   let t2 = Disk.open_dir dir in
   (match Disk.find_step t2 p with
@@ -430,7 +449,7 @@ let test_disk_tmp_leftover_ignored () =
   check_int "real entry valid" 1 ok
 
 (* The 5-label engineered hash-collision pair from the relim suite:
-   both problems land in the same store bucket, and each must be
+   the two problems share their [Iso.invariant_hash], and each must be
    served its own result. *)
 let collision_pair () =
   let mk name self_loop =
@@ -455,7 +474,7 @@ let collision_pair () =
   in
   (mk "collA" false, mk "collB" true)
 
-let test_disk_hash_collision () =
+let test_disk_colliding_pair () =
   let a, b = collision_pair () in
   check_int "pair still collides" (Iso.invariant_hash a) (Iso.invariant_hash b);
   check_bool "pair still non-isomorphic" false (Iso.equal_up_to_renaming a b);
@@ -468,19 +487,96 @@ let test_disk_hash_collision () =
   (match Disk.add_step t ~source:b cert_b with
   | Ok () -> ()
   | Error m -> Alcotest.failf "admit b: %s" m);
-  check_int "two files share the bucket" 2 (List.length (entry_files dir));
   (* Cold handle: each colliding problem gets its own result. *)
   let t2 = Disk.open_dir dir in
   (match Disk.find_step t2 b with
   | Some got ->
       check_string "B served B's result" (Certificate.result_text cert_b) got
   | None -> Alcotest.fail "B missed");
-  (match Disk.find_step t2 a with
+  match Disk.find_step t2 a with
   | Some got ->
       check_string "A served A's result" (Certificate.result_text cert_a) got
-  | None -> Alcotest.fail "A missed");
-  check_bool "in-bucket conflict observed" true
-    ((Disk.stats t2).Disk.hash_conflicts >= 1)
+  | None -> Alcotest.fail "A missed"
+
+(* A store file in format v1 (filed under an [Iso.invariant_hash]
+   bucket name, with a [hash] header line) is refused as invalid, with
+   a reason naming v1, and never served: neither under its v1 name nor
+   under its key's v2 name.  Admitting the key again writes the v2
+   entry over the refused file. *)
+let test_disk_v1_refused () =
+  let dir = tmpdir () in
+  let p, expect =
+    let t = Disk.open_dir dir in
+    admit_mis t
+  in
+  let v2_file = List.hd (entry_files dir) in
+  let hash = Iso.invariant_hash p in
+  let v1_text =
+    match String.split_on_char '\n' (read_entry dir v2_file) with
+    | "roundelim-store v2" :: kind :: rest ->
+        refresh_checksum
+          (String.concat "\n"
+             ("roundelim-store v1" :: kind :: Printf.sprintf "hash %x" hash
+             :: rest))
+    | _ -> Alcotest.fail "unexpected entry header"
+  in
+  let v1_file = Printf.sprintf "step-%x-0.ent" hash in
+  write_file (entry_path dir v1_file) v1_text;
+  Sys.remove (entry_path dir v2_file);
+  let t = Disk.open_dir dir in
+  (match Disk.validate_all t with
+  | 1, 0, [ (f, reason) ] ->
+      check_string "the v1 file" v1_file f;
+      check_bool ("invalid, naming v1: " ^ reason) true
+        (String.starts_with ~prefix:"invalid: " reason
+        && contains ~sub:"v1" reason)
+  | _ -> Alcotest.fail "expected the v1 file as the one reject");
+  check_bool "v1 store not served" true (Disk.find_step t p = None);
+  (* The same bytes under the key's v2 name are refused on lookup. *)
+  write_file (entry_path dir v2_file) v1_text;
+  let t = Disk.open_dir dir in
+  check_bool "v1 bytes under the v2 name not served" true
+    (Disk.find_step t p = None);
+  check_int "refused as invalid" 1 (Disk.stats t).Disk.rejected_invalid;
+  check_int "not as corrupt" 0 (Disk.stats t).Disk.rejected_corrupt;
+  (* The recomputed key replaces the refused file; the lookup above
+     counted the rejection, admission does not count it again. *)
+  ignore (admit_mis t);
+  check_int "admitted over the refused file" 1 (Disk.stats t).Disk.admitted;
+  check_int "rejection counted once" 1 (Disk.stats t).Disk.rejected_invalid;
+  (match Disk.find_step t p with
+  | Some got -> check_string "v2 entry served" expect got
+  | None -> Alcotest.fail "v2 entry not served");
+  match Disk.validate_all t with
+  | 2, 1, [ (f, _) ] -> check_string "only the v1-named file left refused" v1_file f
+  | _ -> Alcotest.fail "expected the v2 entry valid and the v1 file refused"
+
+(* A valid entry copied under the file name of another key is rejected:
+   an entry's file name must be the one of its own kind and key. *)
+let test_disk_misfiled_rejected () =
+  let dir = tmpdir () in
+  let t = Disk.open_dir dir in
+  let p, expect = admit_mis t in
+  let mis_file = List.hd (entry_files dir) in
+  let so = Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I" in
+  (match Disk.add_step t ~source:so (step_certificate so) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "admit SO: %s" m);
+  let so_file = List.find (fun f -> f <> mis_file) (entry_files dir) in
+  write_file (entry_path dir so_file) (read_entry dir mis_file);
+  let t = Disk.open_dir dir in
+  check_bool "misfiled entry not served" true (Disk.find_step t so = None);
+  check_int "rejected as invalid" 1 (Disk.stats t).Disk.rejected_invalid;
+  (match Disk.find_step t p with
+  | Some got -> check_string "original still served" expect got
+  | None -> Alcotest.fail "original entry lost");
+  match Disk.validate_all t with
+  | 2, 1, [ (f, reason) ] ->
+      check_string "the misfiled copy" so_file f;
+      check_bool ("reason names the key's own file: " ^ reason) true
+        (String.starts_with ~prefix:"invalid: " reason
+        && contains ~sub:mis_file reason)
+  | _ -> Alcotest.fail "expected exactly the misfiled copy rejected"
 
 let test_disk_admission_gate () =
   let dir = tmpdir () in
@@ -509,13 +605,12 @@ let test_disk_admission_gate () =
      as a re-admission, and the stored entry keeps serving. *)
   let p, expect = admit_mis t in
   let files = entry_files dir in
-  let read f = In_channel.with_open_bin (entry_path dir f) In_channel.input_all in
-  let contents = List.map read files in
+  let contents = List.map (read_entry dir) files in
   (match Disk.add_step t ~source:p forged with
   | Ok () -> Alcotest.fail "re-admission accepted a forged certificate"
   | Error _ -> ());
   check_bool "no file written on forged re-admission" true
-    (entry_files dir = files && List.map read files = contents);
+    (entry_files dir = files && List.map (read_entry dir) files = contents);
   check_int "admitted unchanged" 1 (Disk.stats t).Disk.admitted;
   match Disk.find_step t p with
   | Some got -> check_string "original still served" expect got
@@ -580,8 +675,11 @@ let () =
             test_disk_forged_cert_rejected;
           Alcotest.test_case "tmp leftover ignored" `Quick
             test_disk_tmp_leftover_ignored;
-          Alcotest.test_case "hash collision bucket" `Quick
-            test_disk_hash_collision;
+          Alcotest.test_case "colliding pair served separately" `Quick
+            test_disk_colliding_pair;
+          Alcotest.test_case "v1 file refused" `Quick test_disk_v1_refused;
+          Alcotest.test_case "misfiled entry rejected" `Quick
+            test_disk_misfiled_rejected;
           Alcotest.test_case "admission gate" `Quick test_disk_admission_gate;
           Alcotest.test_case "fixed-point entries" `Quick
             test_disk_fixed_point_entries;

@@ -28,6 +28,10 @@ let usage_error fmt =
 let or_usage_error f =
   try f () with Failure msg | Invalid_argument msg | Sys_error msg -> usage_error "%s" msg
 
+(* [certify] and [verify-all] build Lemma 13's chain over the
+   Π_Δ(a,x) family, which needs Δ ≥ 1. *)
+let check_delta delta = if delta < 1 then usage_error "--delta must be at least 1"
+
 let preset_problem preset delta a x node edge =
   or_usage_error @@ fun () ->
   match (preset, node, edge) with
@@ -296,6 +300,7 @@ let chain_cmd =
 
 let lemmas delta a x concrete =
   let params = { Core.Family.delta; a; x } in
+  or_usage_error (fun () -> Core.Family.require_lemma6_range params);
   let l6 = Core.Lemma6.verify params in
   Format.printf "Lemma 6  (R(Pi) has the claimed 8-label form): %b@."
     (l6.renaming <> None && l6.denotations_match);
@@ -520,6 +525,7 @@ let autopilot_cmd =
 (* ---- certify ---- *)
 
 let certify delta k n =
+  check_delta delta;
   let cert = Core.Theorem14.certify ~delta ~k in
   Format.printf "%a@." Core.Theorem14.pp cert;
   Format.printf "valid: %b@." (Core.Theorem14.valid cert);
@@ -554,6 +560,7 @@ let dot_cmd =
 (* ---- verify-all ---- *)
 
 let verify_all delta k concrete =
+  check_delta delta;
   let report = Core.Paper.verify ~concrete_lemma8:concrete ~delta ~k () in
   Format.printf "%a@." Core.Paper.pp report;
   if not (Core.Paper.all_ok report) then exit 1
@@ -570,7 +577,10 @@ let verify_all_cmd =
 (* ---- simulate ---- *)
 
 let simulate algo nodes max_degree seed k =
-  let g = Dsgraph.Tree_gen.random ~n:nodes ~max_degree ~seed in
+  if nodes < 1 then usage_error "--nodes must be at least 1";
+  let g =
+    or_usage_error (fun () -> Dsgraph.Tree_gen.random ~n:nodes ~max_degree ~seed)
+  in
   let count sel = Array.fold_left (fun acc b -> acc + if b then 1 else 0) 0 sel in
   match algo with
   | "luby" ->

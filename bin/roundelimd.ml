@@ -41,9 +41,9 @@ let domains_t =
     value & opt int 0
     & info [ "domains" ]
         ~doc:
-          "Worker domains for request preparation and the engine's parallel \
-           hot paths (results are identical for every count).  0 (the \
-           default) defers to the RELIM_DOMAINS environment variable.")
+          "Worker domains for the engine's parallel hot paths (results are \
+           identical for every count).  0 (the default) defers to the \
+           RELIM_DOMAINS environment variable.")
 
 let trace_t =
   Arg.(

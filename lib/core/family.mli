@@ -19,6 +19,11 @@ type params = { delta : int; a : int; x : int }
     [delta ≥ 1]. *)
 val check_params : params -> unit
 
+(** {!check_params}, then [x + 2 ≤ a ≤ delta], the range of Lemma 6
+    and of {!pi_plus}.
+    @raise Invalid_argument outside it. *)
+val require_lemma6_range : params -> unit
+
 (** Π_Δ(a, x). *)
 val pi : params -> Relim.Problem.t
 

@@ -20,8 +20,8 @@ let default_config =
    numbers labels by first appearance and the printer orders lines by
    those numbers, which can move a label's first appearance, so a text
    can take more than one round (up to four on 600,000 shuffled random
-   texts).  The memo and the store key on the result, so the loop
-   checks convergence and gives up after five rounds. *)
+   texts).  The store keys on the result, so the loop checks
+   convergence and gives up after five rounds. *)
 let canonicalize text =
   let rec go s n =
     if n > 4 then failwith "canonicalization did not converge"
@@ -33,54 +33,24 @@ let canonicalize text =
   go (Serialize.to_string (Serialize.of_string text)) 0
 
 (* ------------------------------------------------------------------ *)
-(* Request preparation (pure, parallelizable)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A response line, as [Ok] or [Error] by whether it reports an error:
-   the served_ok/served_error counters read this tag. *)
-type reply = (string, string) result
-
-type prepared =
-  | Ready of reply  (* fully determined at preparation *)
-  | Compute of {
-      id : Json.t;
-      op : Protocol.op;
-      problem : Problem.t;
-      canon : string;
-    }
-  | Stats of Json.t
-  | Shutdown of Json.t
-
-let prepare line =
-  Trace.with_span "daemon.prepare" @@ fun () ->
-  match Protocol.decode line with
-  | Error (id, code, msg) -> Ready (Error (Protocol.error_line ~id code msg))
-  | Ok (Protocol.Ping { id }) ->
-      Ready (Ok (Protocol.ok_line ~id [ ("pong", Json.Bool true) ]))
-  | Ok (Protocol.Stats { id }) -> Stats id
-  | Ok (Protocol.Shutdown { id }) -> Shutdown id
-  | Ok (Protocol.Compute { id; op; problem }) -> (
-      match canonicalize problem with
-      | problem, canon -> Compute { id; op; problem; canon }
-      | exception Failure msg ->
-          Ready
-            (Error
-               (Protocol.error_line ~id Protocol.Bad_request
-                  ("problem text: " ^ msg))))
-
-(* ------------------------------------------------------------------ *)
-(* Compute phase (sequential; the engine parallelizes internally)      *)
+(* Serving a request (sequential; the engine parallelizes internally)  *)
 (* ------------------------------------------------------------------ *)
 
 type state = {
   store : Disk.t option;
   pool : Parallel.Pool.t;
-  (* (op, canonical text) ↦ result fields, so n identical requests in
-     one lifetime cost one engine run.  [op] carries [max_steps]. *)
-  memo : (Protocol.op * string, (string * Json.t) list) Hashtbl.t;
+  (* (op, problem text as the request spelled it) ↦ what the first such
+     request came to: its result fields, or its error line for a given
+     id.  So n identical requests in one lifetime cost one
+     canonicalization and at most one engine run.  [op] carries
+     [max_steps]. *)
+  memo :
+    (Protocol.op * string, ((string * Json.t) list, Json.t -> string) result)
+    Hashtbl.t;
   mutable requests : int;
   mutable served_ok : int;
   mutable served_error : int;
+  mutable stopping : bool;
 }
 
 let problem_fields text (p : Problem.t) =
@@ -201,10 +171,13 @@ let compute st (op : Protocol.op) (p : Problem.t) =
                    ~result:{ rbd with Rounde.problem = result }));
           (problem_fields (Serialize.to_string result) result, false))
   | Protocol.Fixed_point max_steps -> (
+      (* A stored verdict that took more steps than the request allows
+         is not the request's answer: detection would stop short of it. *)
+      let cap = Option.value max_steps ~default:Fixedpoint.default_max_steps in
       match stored Disk.find_fixed_point with
-      | Some (steps, fixed_text) ->
+      | Some (steps, fixed_text) when steps <= cap ->
           (fp_fields ~steps ~fixed_text (Serialize.of_string fixed_text), true)
-      | None -> (
+      | _ -> (
           (* [steps] is 1 when the input itself is the fixed point. *)
           let found steps q =
             admit st (fun store ->
@@ -299,7 +272,8 @@ let stats_fields st =
   ]
   @ store_fields
 
-(* A reply's line, counted as served where the reply is produced. *)
+(* A response line, as [Ok] or [Error] by whether it reports an error,
+   counted as served where it is produced. *)
 let count st = function
   | Ok line ->
       st.served_ok <- st.served_ok + 1;
@@ -308,34 +282,54 @@ let count st = function
       st.served_error <- st.served_error + 1;
       line
 
-(* Serve one prepared request. *)
-let answer st prepared =
+(* What a memo miss comes to: [op] on the canonical form of [text],
+   served from the store or the engine, as result fields and whether the
+   store served them, or as the error line for a request id.  The
+   outcome depends on [op] and [text] alone (budget trips are
+   deterministic for every domain count), so the memo keeps errors as
+   well as answers. *)
+let solve st op text =
+  let error code msg = Error (fun id -> Protocol.error_line ~id code msg) in
+  match canonicalize text with
+  | exception Failure msg ->
+      (error Protocol.Bad_request ("problem text: " ^ msg), false)
+  | p, _ -> (
+      match compute st op p with
+      | fields, cached -> (Ok fields, cached)
+      | exception Budget.Budget_exceeded { budget; limit } ->
+          (* The autopilot absorbs per-candidate overruns itself; for it
+             this only fires outside its candidate loop. *)
+          (Error (fun id -> Protocol.budget_error_line ~id ~budget ~limit), false)
+      | exception Failure msg -> (error Protocol.Engine_error msg, false))
+
+(* Answer one request line. *)
+let answer st line =
   st.requests <- st.requests + 1;
   count st
-    (match prepared with
-    | Ready reply -> reply
-    | Compute { id; op; problem; canon } -> (
+    (match Protocol.decode line with
+    | Error (id, code, msg) -> Error (Protocol.error_line ~id code msg)
+    | Ok (Protocol.Ping { id }) ->
+        Ok (Protocol.ok_line ~id [ ("pong", Json.Bool true) ])
+    | Ok (Protocol.Stats { id }) -> Ok (Protocol.ok_line ~id (stats_fields st))
+    | Ok (Protocol.Shutdown { id }) ->
+        st.stopping <- true;
+        Ok (Protocol.ok_line ~id [ ("stopping", Json.Bool true) ])
+    | Ok (Protocol.Compute { id; op; problem }) -> (
         Trace.with_span "daemon.request" ~attrs:[ ("op", Protocol.op_name op) ]
         @@ fun () ->
-        match
-          match Hashtbl.find_opt st.memo (op, canon) with
+        let outcome, cached =
+          match Hashtbl.find_opt st.memo (op, problem) with
           (* A memo replay is a cache hit whatever the first response
              said — it skipped the engine. *)
-          | Some fields -> (fields, true)
+          | Some outcome -> (outcome, true)
           | None ->
-              let fields, cached = compute st op problem in
-              Hashtbl.replace st.memo (op, canon) fields;
-              (fields, cached)
-        with
-        | fields, cached -> Ok (Protocol.ok_line ~id ~cached fields)
-        | exception Budget.Budget_exceeded { budget; limit } ->
-            (* The autopilot absorbs per-candidate overruns itself; for
-               it this only fires outside its candidate loop. *)
-            Error (Protocol.budget_error_line ~id ~budget ~limit)
-        | exception Failure msg ->
-            Error (Protocol.error_line ~id Protocol.Engine_error msg))
-    | Stats id -> Ok (Protocol.ok_line ~id (stats_fields st))
-    | Shutdown id -> Ok (Protocol.ok_line ~id [ ("stopping", Json.Bool true) ]))
+              let outcome, cached = solve st op problem in
+              Hashtbl.replace st.memo (op, problem) outcome;
+              (outcome, cached)
+        in
+        match outcome with
+        | Ok fields -> Ok (Protocol.ok_line ~id ~cached fields)
+        | Error line -> Error (line id)))
 
 (* ------------------------------------------------------------------ *)
 (* Connections and event loop                                          *)
@@ -364,12 +358,9 @@ let listen_socket = function
       fd
 
 let write_all fd s =
-  let len = String.length s in
-  let bytes = Bytes.of_string s in
   let rec go off =
-    if off < len then
-      let n = Unix.write fd bytes off (len - off) in
-      go (off + n)
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
   in
   go 0
 
@@ -403,11 +394,14 @@ let serve ?(stop = fun () -> false) (config : config) =
       requests = 0;
       served_ok = 0;
       served_error = 0;
+      stopping = false;
     }
   in
   let listeners = List.map (fun l -> (l, listen_socket l)) config.listen in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-  let stopping = ref false in
+  (* One read buffer for every connection: the loop runs on one domain
+     and copies each read into its connection's [inbuf] at once. *)
+  let chunk = Bytes.create 65536 in
   let close_conn conn =
     if not conn.closed then begin
       conn.closed <- true;
@@ -426,25 +420,13 @@ let serve ?(stop = fun () -> false) (config : config) =
   in
   let process_batch batch =
     (* batch : (conn, line) list in arrival order *)
-    let n = List.length batch in
     Trace.with_span "daemon.batch"
-      ~attrs:[ ("requests", string_of_int n) ]
+      ~attrs:[ ("requests", string_of_int (List.length batch)) ]
     @@ fun () ->
-    let lines = Array.of_list (List.map snd batch) in
-    let prepared =
-      if n > 1 && Parallel.Pool.domains pool > 1 then
-        Parallel.Pool.map pool prepare lines
-      else Array.map prepare lines
-    in
-    List.iteri
-      (fun i (conn, _) ->
-        send conn (answer st prepared.(i));
-        match prepared.(i) with Shutdown _ -> stopping := true | _ -> ())
-      batch;
+    List.iter (fun (conn, line) -> send conn (answer st line)) batch;
     sample_store_counters st
   in
   let handle_readable conn =
-    let chunk = Bytes.create 65536 in
     (match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
     | 0 -> conn.eof <- true
     | n -> Buffer.add_subbytes conn.inbuf chunk 0 n
@@ -473,7 +455,7 @@ let serve ?(stop = fun () -> false) (config : config) =
       lines
   in
   let rec loop () =
-    if !stopping || stop () then ()
+    if st.stopping || stop () then ()
     else begin
       let listen_fds = List.map snd listeners in
       let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in

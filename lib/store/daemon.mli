@@ -4,17 +4,14 @@
 
     {2 Request lifecycle}
 
-    The event loop ([Unix.select]) drains every complete request line
-    that has arrived, then processes the whole set as one {e batch}:
-
-    {ul
-    {- a {e parallel prepare phase} — decoding, problem parsing and
-       canonicalization (pure work) — fans out over the configured
-       {!Parallel.Pool} via [Pool.map];}
-    {- a {e sequential compute phase} walks the batch in arrival
-       order.  The engine parallelizes internally over the same pool
-       ([Rounde.rbar]'s box search), so the engine's process-global
-       statistics are never touched from two domains at once.}}
+    The event loop ([Unix.select]) reads every readable connection
+    through one 64 KiB buffer, copying each read into that connection's
+    own line buffer at once, drains every complete request line that
+    has arrived, and answers the whole set as one {e batch}, in arrival
+    order, on the loop's domain.  The engine parallelizes internally
+    over the configured {!Parallel.Pool} ([Rounde.rbar]'s box search),
+    so the engine's process-global statistics are never touched from
+    two domains at once.
 
     [step], [fixed-point] and [autopilot] requests share one path,
     which differs only in the engine call at its end.  Each decodes to
@@ -23,18 +20,30 @@
     first of:
     {ol
     {- one in-process memo, keyed by the op (with its [max_steps]) and
-       the canonical problem text, which replays an earlier answer of
-       this daemon's lifetime as [cached:true];}
+       the problem text exactly as the request spelled it, which
+       replays what an earlier request of this daemon's lifetime came
+       to: an answer as [cached:true], an error (a refused problem
+       text, a budget overrun or an engine failure) byte for byte
+       under the new request's id.  A repeat is answered after its
+       JSON decode and one table lookup;}
     {- the store, whose hits also answer [cached:true];}
     {- the engine, whose certified results are admitted to the store
        (fixed points, immediate or eventual, and period-1 autopilot
        cycles; a budget-dependent "none" or a search that closes no
        cycle is not stored).}}
-    A budget overrun answers with the structured [budget] error and
-    any other engine [Failure] with [engine-error].  Fixed-point
-    detection keeps no memo of its own, so an answer that neither the
-    memo nor the store gives is computed from the request's own problem
-    text, whatever this daemon answered before.  Control
+    Only a memo miss canonicalizes the problem text ({!canonicalize}),
+    for the store and the engine.  So a copy of an earlier request
+    spelled differently (say, its lines in another order) with the same
+    canonical text is computed again by a store-less daemon, with the
+    same bytes and [cached:false], and is a store hit with a store.  A
+    stored fixed-point verdict is served only when its [steps] is at
+    most the request's [max_steps] ({!Relim.Fixedpoint.default_max_steps}
+    without one), so a capped request gets the answer detection under
+    its cap gives.  A budget overrun answers with the structured
+    [budget] error and any other engine [Failure] with [engine-error].
+    Fixed-point detection keeps no memo of its own, so an answer that
+    neither the memo nor the store gives is computed from the request's
+    own problem text, whatever this daemon answered before.  Control
     requests ([ping], [stats], [shutdown]) answer directly.  The stats
     op answers [requests], [served_ok], [served_error], a [zdd] object
     (the process-wide ZDD counters and the symbolic R̄ family sizes)
@@ -48,10 +57,10 @@
     {2 Canonicalization}
 
     Input problems are canonicalized by {!canonicalize}.  The
-    canonical text is the memo and store key, so a store hit serves
-    what was computed for the same canonical text, and a relabelled
-    copy of a stored input, whose canonical text differs, is computed
-    in its own labels.
+    canonical text is the store key, so a store hit serves what was
+    computed for the same canonical text, and a relabelled copy of a
+    stored input, whose canonical text differs, is computed in its own
+    labels.
 
     {2 Hardening}
 

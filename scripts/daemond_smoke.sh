@@ -6,7 +6,9 @@
 #      of its relabelled X/Y/Z copy, a fixed-point detection, and
 #      one-step fixed-point detections of MIS and then of the copy; the
 #      store is keyed by the request's own canonical text, so both of
-#      the copy's answers must be computed in X/Y/Z;
+#      the copy's answers must be computed in X/Y/Z.  The same batch
+#      sent again is answered from the daemon's memo: every answer
+#      "cached":true and otherwise byte-identical to the first;
 #   2. garbage input (bad JSON, a cut-off request, a step whose label
 #      name the alphabet refuses) answered with structured errors,
 #      daemon survives;
@@ -17,7 +19,9 @@
 #      file sorts first by key digest, so it is the damaged one); the
 #      damaged one and the unstored one-step answers are recomputed —
 #      responses byte-identical to the cold run modulo the "cached"
-#      flag;
+#      flag.  Then a fixed-point detection of SO capped at one step,
+#      whose uncapped 2-step verdict the cold batch stored, must be
+#      computed ("cached":false) and find none;
 #   6. clean shutdown through the protocol.
 set -eu
 
@@ -35,6 +39,7 @@ REQ_STEP_XYZ='{"id":8,"op":"step","problem":"problem MIS\ndelta 3\nnode:\nX^3\nY
 REQ_FP='{"id":2,"op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n"}'
 REQ_FP1_MIS='{"id":6,"op":"fixed-point","problem":"problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n","max_steps":1}'
 REQ_FP1_XYZ='{"id":7,"op":"fixed-point","problem":"problem MIS\ndelta 3\nnode:\nX^3\nY Z^2\nedge:\nZ^2\nX [YZ]\n","max_steps":1}'
+REQ_FP1_SO='{"id":10,"op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n","max_steps":1}'
 REQ_BAD_LABEL='{"id":5,"op":"step","problem":"problem x\nnode:\nA( A( A(\nedge:\nA( A(\n"}'
 
 "$ROUNDELIMD" serve --socket "$SOCK" --store "$STORE" > "$WORK/serve1.log" &
@@ -55,6 +60,15 @@ for id in 8 7; do
   fi
 done
 say "cold batch served ($(wc -l < "$WORK/cold.out") responses); X/Y/Z copy answered in X/Y/Z"
+
+# The same batch again, to the same daemon: every answer comes from the
+# memo, flagged cached, and is otherwise the first pass's bytes.
+printf '%s\n' "$REQ_STEP" "$REQ_STEP_XYZ" "$REQ_FP" "$REQ_FP1_MIS" "$REQ_FP1_XYZ" \
+  | "$ROUNDELIMD" client --socket "$SOCK" > "$WORK/repeat.out"
+test "$(grep -c '"cached":true' "$WORK/repeat.out")" = "$(wc -l < "$WORK/cold.out")"
+sed 's/"cached":true/"cached":false/' "$WORK/repeat.out" > "$WORK/repeat.norm"
+cmp "$WORK/cold.out" "$WORK/repeat.norm"
+say "repeated batch served from the memo, byte-identical modulo the cache flag"
 
 # 2. Garbage comes back as structured errors (client exits non-zero),
 #    and the daemon keeps serving.
@@ -100,6 +114,14 @@ grep '"id":8,' "$WORK/warm.out" | grep -q '"cached":true'
 sed 's/"cached":true/"cached":false/' "$WORK/warm.out" > "$WORK/warm.norm"
 cmp "$WORK/cold.out" "$WORK/warm.norm"
 say "warm responses byte-identical to cold (modulo the cache flag)"
+
+# A capped request is not served a stored verdict beyond its cap.
+printf '%s\n' "$REQ_FP1_SO" | "$ROUNDELIMD" client --socket "$SOCK" > "$WORK/capped.out"
+if ! grep -q '"cached":false,"result":{"verdict":"none",' "$WORK/capped.out"; then
+  echo "daemond-smoke: FAIL: SO capped at one step was served the stored 2-step verdict" >&2
+  exit 1
+fi
+say "SO capped at one step computed, not served the stored 2-step verdict"
 
 # 6. Clean shutdown through the protocol.
 printf '{"id":9,"op":"shutdown"}\n' \

@@ -210,7 +210,9 @@ let test_bad_problem_exits_2 () =
       (Printf.sprintf "%s: message on stderr: %s" args stderr)
       true
       (contains ~sub:(prog ^ ": " ^ msg) stderr);
-    Alcotest.(check string) (args ^ ": nothing on stdout") "" stdout
+    Alcotest.(check string) (args ^ ": nothing on stdout") "" stdout;
+    Alcotest.(check bool) (args ^ ": no internal error") false
+      (contains ~sub:"internal error" stderr)
   in
   List.iter (usage_error "roundelim")
     [
@@ -227,6 +229,13 @@ let test_bad_problem_exits_2 () =
       ("dot -p mis -d 3 --which bogus", "unknown diagram bogus (edge|node)");
       ("simulate --algo bogus", "unknown algorithm bogus (luby|cv-mis|kods)");
       ("fixed-point -p so -d 3 --max-steps 0", "--max-steps must be at least 1");
+      ("certify --delta 0", "--delta must be at least 1");
+      ("lemmas --delta 0", "Family: delta must be >= 1");
+      ("lemmas --delta 2", "Family: need 0 <= a <= delta");
+      ("lemmas -d 4 -a 3 -x 2", "Family: requires x + 2 <= a <= delta");
+      ("verify-all --delta 0", "--delta must be at least 1");
+      ("simulate --algo luby -n 0", "--nodes must be at least 1");
+      ("simulate -n 5 --max-degree 1", "Tree_gen.random: max_degree too small");
       ("load /nonexistent-dir/file.relim",
         "/nonexistent-dir/file.relim: No such file or directory");
       ("save -p mis -d 3 /nonexistent-dir/file.relim",

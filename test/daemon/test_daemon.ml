@@ -78,6 +78,12 @@ let request c line =
   | Ok r -> r
   | Error m -> Alcotest.failf "request failed: %s" m
 
+let step_req =
+  {|{"id":1,"op":"step","problem":"problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n"}|}
+
+let fp_req =
+  {|{"id":2,"op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n"}|}
+
 (* ------------------------------------------------------------------ *)
 (* Golden transcripts                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -283,6 +289,41 @@ let test_canonicalize_three_rounds () =
   check_bool ("answered, not refused: " ^ r) true
     (contains ~sub:{|{"id":1,|} r && not (contains ~sub:"bad-request" r))
 
+(* A three-round text whose step the engine completes (the first text
+   above it refuses). *)
+let three_round_step_text =
+  "problem fuzz\ndelta 2\nnode:\n[z0 z3 z1] [z0 z2 z1]\nz0 z2\nedge:\nz2 [z0 z3 z1]\n"
+
+(* The memo keys on the problem text as the request spelled it, so a
+   text that takes several canonicalization rounds is replayed as
+   such: a repeat of the completed step is flagged cached and otherwise
+   byte-identical, and a repeat of the refused one gets the same error
+   bytes. *)
+let test_three_round_replayed () =
+  let s1 = round three_round_step_text in
+  let s2 = round s1 in
+  check_bool "not a fixed point after two rounds" true
+    (s1 <> s2 && s2 <> round s2);
+  let step text =
+    Store.Json.(
+      to_string
+        (Obj [ ("id", Int 1); ("op", String "step"); ("problem", String text) ]))
+  in
+  with_daemon @@ fun sock ->
+  let c = connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let first = request c (step three_round_step_text) in
+  let again = request c (step three_round_step_text) in
+  check_bool ("computed: " ^ first) true
+    (contains ~sub:{|"ok":true,"cached":false|} first);
+  check_bool "repeat flagged cached" true (contains ~sub:{|"cached":true|} again);
+  check_string "repeat otherwise byte-identical" first (uncached again);
+  let refused = request c (step three_round_text) in
+  check_bool ("refused by the engine: " ^ refused) true
+    (contains ~sub:"engine-error" refused);
+  check_string "refusal replayed byte for byte" refused
+    (request c (step three_round_text))
+
 let shuffle rng l =
   List.map snd
     (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
@@ -468,15 +509,94 @@ let test_abrupt_disconnect () =
     {|{"id":2,"ok":true,"result":{"pong":true}}|}
     (request c2 {|{"id":2,"op":"ping"}|})
 
+(* [s] with its leading id replaced by [id]: the JSON text up to the
+   first comma. *)
+let reid id s =
+  let i = String.index s ',' in
+  {|{"id":|} ^ id ^ String.sub s i (String.length s - i)
+
+let rec write_all fd s off =
+  if off < String.length s then
+    write_all fd s (off + Unix.write_substring fd s off (String.length s - off))
+
+(* The first [n] lines read from [fd]. *)
+let read_lines fd n =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match String.split_on_char '\n' (Buffer.contents buf) with
+    | lines when List.length lines > n -> List.filteri (fun i _ -> i < n) lines
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Alcotest.fail "connection closed"
+        | k ->
+            Buffer.add_subbytes buf chunk 0 k;
+            go ())
+  in
+  go ()
+
+(* The daemon reads every connection through one 64 KiB buffer.  One
+   connection sends two request lines of about 150 KB each in four
+   pieces, each longer than the buffer; right after each piece a second
+   connection sends a short request and reads its answer, so reads of
+   the two connections interleave.  Each connection gets its own
+   answers, in its own order.  Both connections give up a read after
+   10 s, so a lost answer fails the test instead of hanging it. *)
+let test_long_lines_across_reads () =
+  with_daemon @@ fun sock ->
+  Client.close (connect sock);
+  let raw () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    fd
+  in
+  let long_fd = raw () and short_fd = raw () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close long_fd;
+      Unix.close short_fd)
+  @@ fun () ->
+  let padded id req =
+    let body = String.sub req 0 (String.length req - 1) in
+    reid id body ^ {|,"pad":"|} ^ String.make 150_000 'x' ^ "\"}\n"
+  in
+  let long = padded {|"long1"|} step_req ^ padded {|"long2"|} fp_req in
+  let n = String.length long in
+  let short =
+    [
+      {|{"id":"p","op":"ping"}|};
+      step_req;
+      fp_req;
+      {|{"id":"q","op":"ping"}|};
+    ]
+  in
+  let answers =
+    List.mapi
+      (fun i req ->
+        write_all long_fd
+          (String.sub long (i * n / 4) (((i + 1) * n / 4) - (i * n / 4)))
+          0;
+        write_all short_fd (req ^ "\n") 0;
+        List.hd (read_lines short_fd 1))
+      short
+  in
+  check_string "short ping answered" {|{"id":"p","ok":true,"result":{"pong":true}}|}
+    (List.nth answers 0);
+  check_string "second short ping answered"
+    {|{"id":"q","ok":true,"result":{"pong":true}}|} (List.nth answers 3);
+  match read_lines long_fd 2 with
+  | [ long1; long2 ] ->
+      check_string "first long line answered first"
+        (reid {|"long1"|} (uncached (List.nth answers 1)))
+        (uncached long1);
+      check_string "second long line answered second"
+        (reid {|"long2"|} (uncached (List.nth answers 2)))
+        (uncached long2)
+  | _ -> Alcotest.fail "expected two answers"
+
 (* ------------------------------------------------------------------ *)
 (* Warm restart against the store                                      *)
 (* ------------------------------------------------------------------ *)
-
-let step_req =
-  {|{"id":1,"op":"step","problem":"problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n"}|}
-
-let fp_req =
-  {|{"id":2,"op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n"}|}
 
 let shutdown_req = {|{"id":0,"op":"shutdown"}|}
 
@@ -700,6 +820,76 @@ let test_memo_per_op () =
   check_int "four distinct answers" 4
     (List.length (List.sort_uniq compare results))
 
+(* A stored fixed-point verdict is served only to a request whose step
+   cap reaches it.  SO Δ=3 reaches its fixed point in 2 steps: capped
+   at 1 step, a cold daemon answers "none"; after an uncapped request
+   stored the 2-step verdict, a restarted daemon must still answer the
+   capped request "none", computed, while a cap of 2 is served from the
+   store. *)
+let fp_capped k =
+  Printf.sprintf
+    {|{"id":"c%d","op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n","max_steps":%d}|}
+    k k
+
+let test_capped_fixed_point_after_store () =
+  let store_dir = Filename.concat (tmpdir ()) "store" in
+  let cold = List.hd (daemon_round ~store_dir [ fp_capped 1 ]) in
+  check_bool ("cold capped answer is none: " ^ cold) true
+    (contains ~sub:{|"cached":false,"result":{"verdict":"none",|} cold);
+  let uncapped = List.hd (daemon_round ~store_dir [ fp_req ]) in
+  check_bool ("uncapped verdict stored: " ^ uncapped) true
+    (contains ~sub:{|"verdict":"reaches-fixed-point","steps":2,|} uncapped);
+  match daemon_round ~store_dir [ fp_capped 1; fp_capped 2 ] with
+  | [ warm1; warm2 ] ->
+      check_string "warm capped answer equals the cold one" cold warm1;
+      check_bool ("cap 2 served from the store: " ^ warm2) true
+        (contains ~sub:{|"cached":true|} warm2);
+      check_string "cap 2 gets the stored verdict" (reid {|"c2"|} uncapped)
+        (uncached warm2)
+  | _ -> Alcotest.fail "expected two answers"
+
+(* The memo keeps error replies too: a repeated request whose engine
+   run tripped a budget gets the same reply under its own id, and runs
+   no R̄ step again. *)
+let test_engine_error_replayed () =
+  with_daemon @@ fun sock ->
+  let c = connect sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let before = Relim.Rounde.stats.Relim.Rounde.rbar_calls in
+  let first = request c (Lazy.force budget_req) in
+  let after_first = Relim.Rounde.stats.Relim.Rounde.rbar_calls in
+  check_bool ("budget error: " ^ first) true (contains ~sub:{|"code":"budget"|} first);
+  check_bool "the first request ran R-bar" true (after_first > before);
+  let again = request c (reid "8" (Lazy.force budget_req)) in
+  check_string "same reply under its own id" (reid "8" first) again;
+  check_int "the repeat runs no R-bar step" after_first
+    Relim.Rounde.stats.Relim.Rounde.rbar_calls
+
+(* The memo keys on the problem text as the request spelled it: a copy
+   of MIS with its node lines in another order, whose canonical text is
+   MIS's, is computed again by a store-less daemon (same bytes,
+   "cached":false) and served from the store by a store-backed one. *)
+let respelled_step_req =
+  {|{"id":1,"op":"step","problem":"problem MIS\ndelta 3\nnode:\nP O^2\nM^3\nedge:\nO^2\nM [PO]\n"}|}
+
+let test_respelled_copy () =
+  check_string "same canonical text"
+    (snd (Daemon.canonicalize "problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n"))
+    (snd (Daemon.canonicalize "problem MIS\ndelta 3\nnode:\nP O^2\nM^3\nedge:\nO^2\nM [PO]\n"));
+  (with_daemon @@ fun sock ->
+   let c = connect sock in
+   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+   let first = request c step_req in
+   check_string "store-less: computed again, same bytes" first
+     (request c respelled_step_req));
+  let store_dir = Filename.concat (tmpdir ()) "store" in
+  match daemon_round ~store_dir [ step_req; respelled_step_req ] with
+  | [ first; copy ] ->
+      check_bool "with a store: served from the store" true
+        (contains ~sub:{|"cached":true|} copy);
+      check_string "with a store: same bytes otherwise" first (uncached copy)
+  | _ -> Alcotest.fail "expected two answers"
+
 (* The stats op's request and outcome counts after mixed traffic: a
    ping and a step (ok), a parse error, a budget error, and an oversized
    line, which ends its connection without reaching the request count. *)
@@ -745,6 +935,8 @@ let () =
       ( "canonical",
         Alcotest.test_case "three-round text answered" `Quick
           test_canonicalize_three_rounds
+        :: Alcotest.test_case "three-round texts replayed" `Quick
+             test_three_round_replayed
         :: List.map Qseed.to_alcotest canonicalize_qcheck );
       ( "autopilot",
         [
@@ -756,6 +948,8 @@ let () =
         [
           Alcotest.test_case "oversized line" `Quick test_oversized_line;
           Alcotest.test_case "abrupt disconnect" `Quick test_abrupt_disconnect;
+          Alcotest.test_case "long lines across reads" `Quick
+            test_long_lines_across_reads;
         ] );
       ( "store",
         [
@@ -767,6 +961,11 @@ let () =
             test_relabelled_with_store;
           Alcotest.test_case "within-run dedup" `Quick test_within_run_dedup;
           Alcotest.test_case "one memo keyed by op" `Quick test_memo_per_op;
+          Alcotest.test_case "capped fixed-point after a stored verdict" `Quick
+            test_capped_fixed_point_after_store;
+          Alcotest.test_case "engine error replayed" `Quick
+            test_engine_error_replayed;
+          Alcotest.test_case "respelled copy" `Quick test_respelled_copy;
           Alcotest.test_case "stats counts after mixed traffic" `Quick
             test_stats_counts;
           Alcotest.test_case "57-label step admitted" `Quick

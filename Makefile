@@ -50,15 +50,17 @@ relbench-ab:
 # certificate-gated result store: cold batch (including a step and a
 # one-step fixed-point request for a relabelled X/Y/Z copy of MIS, each
 # sent right after MIS, which must be answered in X/Y/Z, since the
-# store is keyed by the request's own canonical text), the same batch
-# again, answered from the memo (cached, otherwise byte-identical),
-# garbage rejection (bad JSON, a cut-off request, a step with a label
-# name the alphabet refuses) with the daemon still answering a ping,
-# kill -9, on-disk corruption caught by validate-store (--strict exits
+# store is keyed by the request's own canonical text, and autopilot
+# searches on SO and then on the cycle state it closes on, which must
+# get the whole search report, since the store keeps only step
+# results), the same batch again, answered from the memo (cached,
+# otherwise byte-identical), garbage rejection (bad JSON, a cut-off
+# request, a step with a label name the alphabet refuses) with the
+# daemon still answering a ping, kill -9, on-disk corruption caught by
+# validate-store in a store of two step entries (--strict exits
 # non-zero), a warm restart whose responses are byte-identical to the
 # cold run, the copy's step served from its own entry, and SO capped
-# at one step, computed ("none") rather than served its stored 2-step
-# verdict.
+# at one step, computed ("none").
 daemond-smoke:
 	dune build bin
 	sh scripts/daemond_smoke.sh

@@ -28,7 +28,7 @@ let usage_error fmt =
 let or_usage_error f =
   try f () with Failure msg | Invalid_argument msg | Sys_error msg -> usage_error "%s" msg
 
-(* [certify] and [verify-all] build Lemma 13's chain over the
+(* [chain], [certify] and [verify-all] build Lemma 13's chain over the
    Π_Δ(a,x) family, which needs Δ ≥ 1. *)
 let check_delta delta = if delta < 1 then usage_error "--delta must be at least 1"
 
@@ -218,6 +218,7 @@ let show_cmd =
 
 let step preset delta a x node edge steps domains zdd stats certify trace tfmt
     =
+  if steps < 0 then usage_error "--steps must be at least 0";
   with_trace trace tfmt @@ fun () ->
   let pool = pool_of_domains domains in
   let zdd = zdd_opt zdd in
@@ -238,7 +239,10 @@ let step preset delta a x node edge steps domains zdd stats certify trace tfmt
 
 let step_cmd =
   let steps_t =
-    Arg.(value & opt int 1 & info [ "steps"; "s" ] ~doc:"Number of speedup steps.")
+    Arg.(
+      value & opt int 1
+      & info [ "steps"; "s" ]
+          ~doc:"Number of speedup steps; 0 prints the input problem only.")
   in
   Cmd.v
     (Cmd.info "step" ~doc:"Apply round-elimination speedup steps (Rbar o R)")
@@ -278,6 +282,8 @@ let zero_round_cmd =
 (* ---- chain ---- *)
 
 let chain delta k verify =
+  check_delta delta;
+  if k < 0 || k > delta then usage_error "-k must be between 0 and --delta";
   let chain = Core.Sequence.build ~delta ~x0:k in
   Format.printf "%a@." Core.Sequence.pp_chain chain;
   Format.printf "port-numbering lower bound for %d-outdegree dominating sets: %d rounds@."
@@ -401,6 +407,7 @@ let load_cmd =
 (* ---- upper-bound ---- *)
 
 let upper_bound preset delta a x node edge max_steps domains certify trace tfmt =
+  if max_steps < 0 then usage_error "--max-steps must be at least 0";
   with_trace trace tfmt @@ fun () ->
   let pool = pool_of_domains domains in
   let p = preset_problem preset delta a x node edge in
@@ -415,7 +422,12 @@ let upper_bound preset delta a x node edge max_steps domains certify trace tfmt 
 
 let upper_bound_cmd =
   let steps_t =
-    Arg.(value & opt int 3 & info [ "max-steps" ] ~doc:"Speedup-step budget.")
+    Arg.(
+      value & opt int 3
+      & info [ "max-steps" ]
+          ~doc:
+            "Speedup-step budget; 0 asks only whether the input problem is \
+             0-round solvable.")
   in
   Cmd.v
     (Cmd.info "upper-bound" ~doc:"Search for an upper bound by iterated speedup")
@@ -460,6 +472,8 @@ let fixed_point_cmd =
 
 let autopilot preset delta a x node edge max_steps beam domains certify trace
     tfmt =
+  if max_steps < 1 then usage_error "--max-steps must be at least 1";
+  if beam < 0 then usage_error "--beam must be at least 0";
   with_trace trace tfmt @@ fun () ->
   let pool = pool_of_domains domains in
   let p = preset_problem preset delta a x node edge in
@@ -511,7 +525,11 @@ let autopilot_cmd =
     Arg.(
       value
       & opt int Autopilot.default_limits.Autopilot.beam
-      & info [ "beam" ] ~doc:"Candidate covers evaluated per step.")
+      & info [ "beam" ]
+          ~doc:
+            "Candidate covers evaluated per step when the identity \
+             relaxation trips a budget; 0 tries only the identity \
+             relaxation.")
   in
   Cmd.v
     (Cmd.info "autopilot"

@@ -1,8 +1,10 @@
 (* roundelimd — the persistent round-elimination daemon.
 
    Serves speedup-step, fixed-point-detection and autopilot requests
-   over a JSON-lines protocol (Unix socket, optionally TCP on loopback),
-   backed by the certificate-gated on-disk result store in lib/store.
+   over a JSON-lines protocol (Unix socket, optionally TCP on loopback).
+   Step results are kept in the certificate-gated on-disk store in
+   lib/store; fixed-point and autopilot answers are computed for every
+   request the daemon's memo has not seen, with or without a store.
 
    Examples:
      roundelimd serve --socket /tmp/relim.sock --store /var/tmp/relim-store
@@ -32,9 +34,10 @@ let store_t =
     & opt (some string) None
     & info [ "store" ] ~docv:"DIR"
         ~doc:
-          "Directory of the on-disk result store.  Every entry is admitted \
-           with an independently re-validated certificate and re-validated \
-           again on load; omitting the flag runs without persistence.")
+          "Directory of the on-disk store of speedup-step results.  Every \
+           entry is admitted with an independently re-validated certificate \
+           and re-validated again on load; omitting the flag runs without \
+           persistence.")
 
 let domains_t =
   Arg.(
@@ -197,7 +200,10 @@ let validate_store_cmd =
     (Cmd.info "validate-store"
        ~doc:
          "Re-validate every entry of an on-disk result store from scratch \
-          (framing, checksum, certificate replay) and report rejects.")
+          (framing, checksum, certificate replay) and report rejects.  The \
+          store keeps step entries only: an earlier store's fixed-point or \
+          autopilot entry is rejected as invalid, with a reason naming its \
+          kind.")
     Term.(const validate_store $ store_t $ strict_t)
 
 let () =

@@ -31,9 +31,7 @@ let step_normalized ?expand_limit ?pool (p : Problem.t) =
   let { Rounde.problem = next; _ } = Rounde.step ?expand_limit ?pool p in
   Simplify.normalize next
 
-let default_max_steps = 5
-
-let detect ?(max_steps = default_max_steps) ?expand_limit ?pool (p : Problem.t) =
+let detect ?(max_steps = 5) ?expand_limit ?pool (p : Problem.t) =
   Trace.with_span "fixedpoint.detect"
     ~attrs:
       [ ("problem", p.Problem.name); ("max_steps", string_of_int max_steps) ]

@@ -24,10 +24,10 @@ type verdict =
 
 (** [detect ?max_steps ?expand_limit ?pool p] iterates [R̄ ∘ R]
     (normalizing after each step) on [Simplify.normalize p], looking for
-    stabilization up to renaming.  [max_steps] (default
-    {!default_max_steps}) counts [R̄ ∘ R] applications; the first
-    application always runs, whatever [max_steps] is.  So a verdict
-    found in [i] applications is found under every [max_steps >= i].
+    stabilization up to renaming.  [max_steps] (default 5) counts
+    [R̄ ∘ R] applications; the first application always runs, whatever
+    [max_steps] is.  So a verdict found in [i] applications is found
+    under every [max_steps >= i].
 
     Every call computes its steps afresh, so the verdict, and the
     problems it carries, depend only on the arguments: on [p] itself,
@@ -39,9 +39,6 @@ type verdict =
 val detect :
   ?max_steps:int -> ?expand_limit:float -> ?pool:Parallel.Pool.t ->
   Problem.t -> verdict
-
-(** {!detect}'s [max_steps] when none is given: 5. *)
-val default_max_steps : int
 
 (** [steps_applied] counts [R̄ ∘ R] applications since the last
     {!reset_stats}; a [Reaches_fixed_point (i, _)] verdict adds [i].

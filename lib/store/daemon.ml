@@ -74,19 +74,7 @@ let sample_store_counters st =
            s.Disk.rejected_invalid + s.Disk.rejected_corrupt);
         ]
 
-(* Land a self-produced certificate in the store.  An inadmissible one
-   is a bug worth surfacing, but must not fail the request. *)
-let admit st add =
-  match st.store with
-  | None -> ()
-  | Some store -> (
-      match add store with
-      | Ok () -> ()
-      | Error msg ->
-          Trace.instant "daemon.store_admission_failed"
-            ~attrs:[ ("error", msg) ])
-
-let fp_fields ~steps ~fixed_text (fixed : Problem.t) =
+let fp_fields ~steps (fixed : Problem.t) =
   let verdict = if steps = 1 then "fixed-point" else "reaches-fixed-point" in
   let lb =
     match
@@ -99,7 +87,7 @@ let fp_fields ~steps ~fixed_text (fixed : Problem.t) =
   [
     ("verdict", Json.String verdict);
     ("steps", Json.Int steps);
-    ("fixed", Json.String fixed_text);
+    ("fixed", Json.String (Serialize.to_string fixed));
   ]
   @ lb
 
@@ -146,15 +134,14 @@ let autopilot_fields (p : Problem.t) (report : Autopilot.report) =
   in
   base @ extra
 
-(* Serve [op] on [p] from the store, or run the engine and admit what
-   it certifies: the result fields and whether the store served them. *)
+(* Answer [op] on [p]: the result fields and whether the store served
+   them.  Only a step is served from the store, and a computed step is
+   admitted to it with its certificate; fixed-point detection and the
+   autopilot search always run. *)
 let compute st (op : Protocol.op) (p : Problem.t) =
-  let stored find =
-    match st.store with Some s -> find s p | None -> None
-  in
   match op with
   | Protocol.Step -> (
-      match stored Disk.find_step with
+      match Option.bind st.store (fun store -> Disk.find_step store p) with
       | Some text -> (problem_fields text (Serialize.of_string text), true)
       | None ->
           let rd = Rounde.r p in
@@ -165,73 +152,39 @@ let compute st (op : Protocol.op) (p : Problem.t) =
               Problem.name = Printf.sprintf "step(%s)" p.Problem.name;
             }
           in
-          admit st (fun store ->
-              Disk.add_step store ~source:p
-                (Certify.Certificate.of_step_parts ~source:p ~r:rd
-                   ~result:{ rbd with Rounde.problem = result }));
+          Option.iter
+            (fun store ->
+              (* A refused certificate of the daemon's own is a bug
+                 worth surfacing, but must not fail the request. *)
+              match
+                Disk.add_step store ~source:p
+                  (Certify.Certificate.of_step_parts ~source:p ~r:rd
+                     ~result:{ rbd with Rounde.problem = result })
+              with
+              | Ok () -> ()
+              | Error msg ->
+                  Trace.instant "daemon.store_admission_failed"
+                    ~attrs:[ ("error", msg) ])
+            st.store;
           (problem_fields (Serialize.to_string result) result, false))
   | Protocol.Fixed_point max_steps -> (
-      (* A stored verdict that took more steps than the request allows
-         is not the request's answer: detection would stop short of it. *)
-      let cap = Option.value max_steps ~default:Fixedpoint.default_max_steps in
-      match stored Disk.find_fixed_point with
-      | Some (steps, fixed_text) when steps <= cap ->
-          (fp_fields ~steps ~fixed_text (Serialize.of_string fixed_text), true)
-      | _ -> (
-          (* [steps] is 1 when the input itself is the fixed point. *)
-          let found steps q =
-            admit st (fun store ->
-                Disk.add_fixed_point store ~source:p ~steps
-                  (Certify.Certificate.of_fixed_point q));
-            (fp_fields ~steps ~fixed_text:(Serialize.to_string q) q, false)
-          in
-          match Fixedpoint.detect ?max_steps ~pool:st.pool p with
-          | Fixedpoint.Fixed_point (q, _) -> found 1 q
-          | Fixedpoint.Reaches_fixed_point (steps, q) -> found steps q
-          | Fixedpoint.No_fixed_point_found last ->
-              (* Budget-dependent, hence never persisted: a larger
-                 [max_steps] could still find a fixed point. *)
-              ( [
-                  ("verdict", Json.String "none");
-                  ("last", Json.String (Serialize.to_string last));
-                ],
-                false )))
-  | Protocol.Autopilot max_steps -> (
-      match stored Disk.find_autopilot with
-      | Some fixed_text ->
-          (* A stored period-1 cycle on the canonicalized input: serve
-             it without searching. *)
+      (* [steps] is 1 when the input itself is the fixed point. *)
+      match Fixedpoint.detect ?max_steps ~pool:st.pool p with
+      | Fixedpoint.Fixed_point (q, _) -> (fp_fields ~steps:1 q, false)
+      | Fixedpoint.Reaches_fixed_point (steps, q) -> (fp_fields ~steps q, false)
+      | Fixedpoint.No_fixed_point_found last ->
           ( [
-              ("verdict", Json.String "fixed-point");
-              ("period", Json.Int 1);
-              ("steps", Json.Int 1);
-              ("fixed", Json.String fixed_text);
+              ("verdict", Json.String "none");
+              ("last", Json.String (Serialize.to_string last));
             ],
-            true )
-      | None ->
-          let limits =
-            match max_steps with
-            | None -> Autopilot.default_limits
-            | Some k -> { Autopilot.default_limits with Autopilot.max_steps = k }
-          in
-          let report = Autopilot.search ~limits ~pool:st.pool p in
-          (* Land every period-1 cycle certificate: the last accepted
-             step is the one that closed the cycle, and its own source
-             problem (not the request's) keys the entry. *)
-          (match (report.Autopilot.verdict, List.rev report.Autopilot.steps) with
-          | ( Autopilot.Fixed_point { period = 1; _ },
-              {
-                Autopilot.certificate =
-                  Certify.Certificate.Relaxed_step rs as cert;
-                _;
-              }
-              :: _ ) ->
-              admit st (fun store ->
-                  match Serialize.of_string rs.Certify.Certificate.rs_source with
-                  | source -> Disk.add_autopilot store ~source cert
-                  | exception Failure msg -> Error msg)
-          | _ -> ());
-          (autopilot_fields p report, false))
+            false ))
+  | Protocol.Autopilot max_steps ->
+      let limits =
+        match max_steps with
+        | None -> Autopilot.default_limits
+        | Some k -> { Autopilot.default_limits with Autopilot.max_steps = k }
+      in
+      (autopilot_fields p (Autopilot.search ~limits ~pool:st.pool p), false)
 
 let stats_fields st =
   let store_fields =
@@ -338,6 +291,7 @@ let answer st line =
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
+  outbuf : Buffer.t;  (* response bytes the socket has not taken yet *)
   mutable overflowed : bool;
   mutable eof : bool;
   mutable closed : bool;
@@ -357,12 +311,19 @@ let listen_socket = function
       Unix.listen fd 64;
       fd
 
-let write_all fd s =
+(* Write [s] to a non-blocking socket as far as it takes it now: the
+   number of bytes written. *)
+let write_nonblocking fd s =
   let rec go off =
-    if off < String.length s then
-      go (off + Unix.write_substring fd s off (String.length s - off))
+    if off >= String.length s then off
+    else
+      match Unix.write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> off
   in
   go 0
+
+let pending conn = Buffer.length conn.outbuf > 0
 
 (* Extract complete lines from a connection buffer, leaving the last
    partial line in place. *)
@@ -409,14 +370,28 @@ let serve ?(stop = fun () -> false) (config : config) =
       try Unix.close conn.fd with Unix.Unix_error _ -> ()
     end
   in
+  (* Write [s] to [conn] now and keep what the socket does not take. *)
+  let write_or_keep conn s =
+    match write_nonblocking conn.fd s with
+    | n -> Buffer.add_substring conn.outbuf s n (String.length s - n)
+    | exception
+        Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
+        close_conn conn
+  in
+  (* A response goes out in one write unless output is already pending,
+     which it then queues behind. *)
   let send conn line =
-    if not conn.closed then
-      match write_all conn.fd (line ^ "\n") with
-      | () -> ()
-      | exception
-          Unix.Unix_error
-            ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-          close_conn conn
+    if conn.closed then ()
+    else if pending conn then begin
+      Buffer.add_string conn.outbuf line;
+      Buffer.add_char conn.outbuf '\n'
+    end
+    else write_or_keep conn (line ^ "\n")
+  in
+  let flush conn =
+    let s = Buffer.contents conn.outbuf in
+    Buffer.clear conn.outbuf;
+    write_or_keep conn s
   in
   let process_batch batch =
     (* batch : (conn, line) list in arrival order *)
@@ -458,10 +433,24 @@ let serve ?(stop = fun () -> false) (config : config) =
     if st.stopping || stop () then ()
     else begin
       let listen_fds = List.map snd listeners in
-      let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
-      match Unix.select (listen_fds @ conn_fds) [] [] 0.25 with
+      let all = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
+      (* A connection with pending output is not read until that output
+         is flushed, so it holds the answers to one read at most, and a
+         client that does not read its answers stalls only itself. *)
+      let to_read =
+        List.filter_map
+          (fun c ->
+            if pending c || c.eof || c.overflowed then None else Some c.fd)
+          all
+      and to_write =
+        List.filter_map (fun c -> if pending c then Some c.fd else None) all
+      in
+      match Unix.select (listen_fds @ to_read) to_write [] 0.25 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | readable, _, _ ->
+      | readable, writable, _ ->
+          List.iter
+            (fun fd -> Option.iter flush (Hashtbl.find_opt conns fd))
+            writable;
           let batch = ref [] in
           List.iter
             (fun fd ->
@@ -473,6 +462,7 @@ let serve ?(stop = fun () -> false) (config : config) =
                       {
                         fd = client;
                         inbuf = Buffer.create 256;
+                        outbuf = Buffer.create 0;
                         overflowed = false;
                         eof = false;
                         closed = false;
@@ -486,10 +476,11 @@ let serve ?(stop = fun () -> false) (config : config) =
             readable;
           if !batch <> [] then process_batch !batch;
           (* Close connections after their last buffered requests were
-             answered. *)
+             answered and the answers written. *)
           Hashtbl.fold (fun _ c acc -> c :: acc) conns []
           |> List.iter (fun c ->
-                 if c.eof || c.overflowed then close_conn c);
+                 if (c.eof || c.overflowed) && not (pending c) then
+                   close_conn c);
           loop ()
     end
   in

@@ -26,22 +26,21 @@
        text, a budget overrun or an engine failure) byte for byte
        under the new request's id.  A repeat is answered after its
        JSON decode and one table lookup;}
-    {- the store, whose hits also answer [cached:true];}
-    {- the engine, whose certified results are admitted to the store
-       (fixed points, immediate or eventual, and period-1 autopilot
-       cycles; a budget-dependent "none" or a search that closes no
-       cycle is not stored).}}
+    {- for a [step] only, the store, whose hits also answer
+       [cached:true];}
+    {- the engine.  A computed step is admitted to the store with its
+       certificate.  Fixed-point detection and the autopilot search
+       store nothing: no check binds a stored verdict to its request
+       for less than running the detection or search again, so a
+       daemon with a store answers them exactly as one without.}}
     Only a memo miss canonicalizes the problem text ({!canonicalize}),
     for the store and the engine.  So a copy of an earlier request
     spelled differently (say, its lines in another order) with the same
-    canonical text is computed again by a store-less daemon, with the
-    same bytes and [cached:false], and is a store hit with a store.  A
-    stored fixed-point verdict is served only when its [steps] is at
-    most the request's [max_steps] ({!Relim.Fixedpoint.default_max_steps}
-    without one), so a capped request gets the answer detection under
-    its cap gives.  A budget overrun answers with the structured
-    [budget] error and any other engine [Failure] with [engine-error].
-    Fixed-point detection keeps no memo of its own, so an answer that
+    canonical text is computed again, with the same bytes and
+    [cached:false], unless it is a [step] that the store holds.  A
+    budget overrun answers with the structured [budget] error and any
+    other engine [Failure] with [engine-error].  Fixed-point detection
+    and the autopilot keep no memo of their own, so an answer that
     neither the memo nor the store gives is computed from the request's
     own problem text, whatever this daemon answered before.  Control
     requests ([ping], [stats], [shutdown]) answer directly.  The stats
@@ -70,7 +69,18 @@
     comes back as code [budget] with the budget's name and limit in
     its own [budget]/[limit] fields ({!Protocol.budget_error_line});
     a client disconnecting mid-response is dropped without disturbing
-    the loop ([SIGPIPE] is ignored). *)
+    the loop ([SIGPIPE] is ignored).
+
+    A response is written at once, in one write when the socket takes
+    it.  What the socket does not take stays in the connection's
+    output buffer, and later responses queue behind it; the loop
+    flushes it when the socket turns writable.  A connection with
+    pending output is not read until the output is flushed.  So its
+    buffer holds the answers to one read at most, a client that sends
+    requests without reading the answers is held back by its own
+    socket, and the other connections are served meanwhile.  A
+    connection that reached end of input or sent an oversized line is
+    closed once its output is flushed, or when a write fails. *)
 
 type listen = Unix_socket of string | Tcp of int  (** loopback only *)
 

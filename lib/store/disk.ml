@@ -3,11 +3,6 @@ module Cert = Certify.Certificate
 
 let ( let* ) = Result.bind
 
-type payload =
-  | Step_result of string
-  | Fixed_point of int * string
-  | Autopilot_cycle of string
-
 type stats = {
   mutable hits : int;
   mutable misses : int;
@@ -55,8 +50,11 @@ let stats t = t.stats
 
 let magic = "roundelim-store v2"
 
-(* The one file that may hold the entry of [kind] keyed by [key_text]. *)
-let file_name kind key_text =
+(* The one kind of entry: a certified speedup step. *)
+let kind = "step"
+
+(* The one file that may hold the entry keyed by [key_text]. *)
+let file_name key_text =
   Printf.sprintf "%s-%s.ent" kind (Digest.to_hex (Digest.string key_text))
 
 let fnv1a64 s =
@@ -79,50 +77,20 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* The claim an entry makes beyond its certificate's own validity,
-   checked at admission and again on load; [Ok] carries the payload the
-   entry serves.  The certificate's kind must match the entry's, and
-   its source must be the key text.  A fixed-point entry records
-   [steps >= 1] detection steps.  An autopilot entry claims a lower
-   bound: its relaxed step must close a period-1 cycle on the key, and
-   the key must not be 0-round solvable. *)
-let claim ~kind ~key_text ~(key_problem : Problem.t) ~steps (cert : Cert.t) =
-  let source_is_key source =
-    if source = key_text then Ok ()
-    else Error "certificate source differs from entry key"
-  in
-  match (kind, cert) with
-  | "step", Cert.Step s ->
-      let* () = source_is_key s.Cert.source in
-      Ok (Step_result s.Cert.result)
-  | "fixed-point", Cert.Fixed_point { problem } ->
-      if steps >= 1 then Ok (Fixed_point (steps, problem))
-      else Error "bad steps field"
-  | "autopilot", Cert.Relaxed_step rs -> (
-      let* () = source_is_key rs.Cert.rs_source in
-      let* result =
-        match Serialize.of_string rs.Cert.rs_result with
-        | p -> Ok p
-        | exception Failure m -> Error ("result problem does not parse: " ^ m)
-      in
-      if
-        not
-          (Iso.equal_up_to_renaming
-             (Simplify.normalize key_problem)
-             (Simplify.normalize result))
-      then Error "autopilot entry does not close a round-elimination cycle"
-      else
-        match Zeroround.solvable_arbitrary_ports key_problem with
-        | Some _ -> Error "autopilot entry key is 0-round solvable"
-        | None -> Ok (Autopilot_cycle rs.Cert.rs_result)
-        | exception Budget.Budget_exceeded { budget; limit } ->
-            Error ("cannot confirm hardness: " ^ Budget.message ~budget ~limit))
-  | k, _ -> Error (Printf.sprintf "kind %S does not match its certificate" k)
+   checked at admission and again on load: the certificate is a step
+   whose source is the key text.  [Ok] carries the result text the
+   entry serves. *)
+let claim ~key_text (cert : Cert.t) =
+  match cert with
+  | Cert.Step s when s.Cert.source = key_text -> Ok s.Cert.result
+  | Cert.Step _ -> Error "certificate source differs from entry key"
+  | _ -> Error (Printf.sprintf "kind %S does not match its certificate" kind)
 
 (* Parse and fully re-validate the entry file [name]: its key text and
-   payload.  @raise Corrupt on framing/checksum damage, Invalid when
-   structurally intact but written in format v1, filed under another
-   key's name, or failing certificate re-validation or the claim
-   check. *)
+   the result text it serves.  @raise Corrupt on framing/checksum
+   damage, Invalid when structurally intact but written in format v1,
+   of a kind other than [step], filed under another key's name, or
+   failing the claim check or certificate re-validation. *)
 let load_entry t name =
   let text =
     try read_file (Filename.concat t.entries_dir name)
@@ -160,21 +128,12 @@ let load_entry t name =
   | "roundelim-store v1" ->
       faili "store format v1, whose entries were keyed up to isomorphism"
   | _ -> failc "bad magic");
-  let kind =
-    match String.split_on_char ' ' (read_line ()) with
-    | [ "kind"; k ] -> k
-    | _ -> failc "missing kind"
-  in
-  let steps =
-    if kind = "fixed-point" then
-      match String.split_on_char ' ' (read_line ()) with
-      | [ "steps"; k ] -> (
-          match int_of_string_opt k with
-          | Some k when k >= 1 -> k
-          | _ -> failc "bad steps field")
-      | _ -> failc "missing steps"
-    else 0
-  in
+  (* An earlier store's [fixed-point] or [autopilot] entry is refused
+     here, before the header lines of its own kind are read. *)
+  (match String.split_on_char ' ' (read_line ()) with
+  | [ "kind"; k ] when k = kind -> ()
+  | [ "kind"; k ] -> faili "entry kind %S: the store keeps only %s entries" k kind
+  | _ -> failc "missing kind");
   let key_text = read_block "key" in
   let cert_text = read_block "cert" in
   let body_end = !pos in
@@ -183,39 +142,35 @@ let load_entry t name =
       if given <> fnv1a64 (String.sub text 0 body_end) then
         failc "checksum mismatch (corrupted entry)"
   | _ -> failc "missing checksum");
-  (* Structurally sound: now re-validate content. *)
-  if name <> file_name kind key_text then
-    faili "filed as %s, but its key's file is %s" name (file_name kind key_text);
-  let key_problem =
-    match Serialize.of_string key_text with
-    | p -> p
-    | exception Failure m -> faili "key problem does not parse: %s" m
-  in
+  (* Structurally sound: now re-validate content.  Validation parses the
+     certificate's source, which the claim check holds to the key. *)
+  if name <> file_name key_text then
+    faili "filed as %s, but its key's file is %s" name (file_name key_text);
   let cert =
     match Cert.of_text cert_text with
     | Ok c -> c
     | Error m -> faili "%s" m
   in
-  (match Cert.validate cert with
-  | Ok () -> ()
-  | Error m -> faili "certificate rejected: %s" m);
-  match claim ~kind ~key_text ~key_problem ~steps cert with
-  | Ok payload -> (key_text, payload)
-  | Error m -> faili "%s" m
+  let result =
+    match claim ~key_text cert with Ok r -> r | Error m -> faili "%s" m
+  in
+  match Cert.validate cert with
+  | Ok () -> (key_text, result)
+  | Error m -> faili "certificate rejected: %s" m
 
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The payload of [kind] stored for [key_text], if its file exists,
-   loads, and holds that very key.  A rejection is counted only when
-   [count]: admission asks again after a lookup that counted it. *)
-let stored ~count t kind key_text =
-  let name = file_name kind key_text in
+(* The result text stored for [key_text], if its file exists, loads,
+   and holds that very key.  A rejection is counted only when [count]:
+   admission asks again after a lookup that counted it. *)
+let stored ~count t key_text =
+  let name = file_name key_text in
   if not (Sys.file_exists (Filename.concat t.entries_dir name)) then None
   else
     match load_entry t name with
-    | k, payload -> if String.equal k key_text then Some payload else None
+    | k, result -> if String.equal k key_text then Some result else None
     | exception Corrupt _ ->
         if count then t.stats.rejected_corrupt <- t.stats.rejected_corrupt + 1;
         None
@@ -223,11 +178,11 @@ let stored ~count t kind key_text =
         if count then t.stats.rejected_invalid <- t.stats.rejected_invalid + 1;
         None
 
-let find t kind (p : Problem.t) =
-  match stored ~count:true t kind (Serialize.to_string p) with
-  | Some payload ->
+let find_step t (p : Problem.t) =
+  match stored ~count:true t (Serialize.to_string p) with
+  | Some result ->
       t.stats.hits <- t.stats.hits + 1;
-      Some payload
+      Some result
   | None ->
       t.stats.misses <- t.stats.misses + 1;
       None
@@ -256,12 +211,10 @@ let write_atomically t filename content =
      raise e);
   Unix.rename tmp final
 
-let render ~kind ~steps ~key_text ~cert_text =
+let render ~key_text ~cert_text =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (magic ^ "\n");
   Buffer.add_string buf (Printf.sprintf "kind %s\n" kind);
-  if kind = "fixed-point" then
-    Buffer.add_string buf (Printf.sprintf "steps %d\n" steps);
   let add_block tag s =
     Buffer.add_string buf (Printf.sprintf "%s %d\n" tag (String.length s));
     Buffer.add_string buf s;
@@ -273,45 +226,25 @@ let render ~kind ~steps ~key_text ~cert_text =
     (Printf.sprintf "checksum %s\n" (fnv1a64 (Buffer.contents buf)));
   Buffer.contents buf
 
-let admit t kind ?(steps = 0) ~(source : Problem.t) cert =
+let add_step t ~(source : Problem.t) cert =
   let key_text = Serialize.to_string source in
   (* The checks come before the presence check, also for a stored key:
      looking the key up first would answer [Ok] to a forged certificate
      for it (test/store "admission gate"). *)
-  let* _ = claim ~kind ~key_text ~key_problem:source ~steps cert in
+  let* _ = claim ~key_text cert in
   let* () =
     Result.map_error
       (fun m -> "refusing to admit entry: " ^ m)
       (Cert.validate cert)
   in
-  if Option.is_some (stored ~count:false t kind key_text) then
+  if Option.is_some (stored ~count:false t key_text) then
     Ok () (* already admitted *)
   else begin
-    write_atomically t (file_name kind key_text)
-      (render ~kind ~steps ~key_text ~cert_text:(Cert.to_text cert));
+    write_atomically t (file_name key_text)
+      (render ~key_text ~cert_text:(Cert.to_text cert));
     t.stats.admitted <- t.stats.admitted + 1;
     Ok ()
   end
-
-let find_step t p =
-  match find t "step" p with Some (Step_result text) -> Some text | _ -> None
-
-let add_step t ~source cert = admit t "step" ~source cert
-
-let find_fixed_point t p =
-  match find t "fixed-point" p with
-  | Some (Fixed_point (steps, text)) -> Some (steps, text)
-  | _ -> None
-
-let add_fixed_point t ~source ~steps cert =
-  admit t "fixed-point" ~steps ~source cert
-
-let find_autopilot t p =
-  match find t "autopilot" p with
-  | Some (Autopilot_cycle text) -> Some text
-  | _ -> None
-
-let add_autopilot t ~source cert = admit t "autopilot" ~source cert
 
 let entry_files t =
   match Sys.readdir t.entries_dir with

@@ -2,8 +2,8 @@
    quick searches, the sinkless-orientation fixed point rediscovered as
    a certified relaxed cycle, the Pi(5,4,2) upper bound reached through
    a quotient cover where the plain speedup step trips its budget, the
-   short names of a cover's relaxed labels, certificate round-trips,
-   and the certificate-gated store admission of discovered cycles. *)
+   short names of a cover's relaxed labels and certificate
+   round-trips. *)
 
 module A = Autopilot
 module Cert = Certify.Certificate
@@ -225,42 +225,6 @@ let test_cover_short_names () =
     r.A.steps;
   check_steps_certified r
 
-let test_store_admission () =
-  let r = A.search (so ()) in
-  let cert =
-    match List.rev r.A.steps with
-    | last :: _ -> last.A.certificate
-    | [] -> Alcotest.fail "no accepted steps"
-  in
-  let rs =
-    match cert with
-    | Cert.Relaxed_step rs -> rs
-    | _ -> Alcotest.fail "cycle certificate is not a relaxed step"
-  in
-  let source = Relim.Serialize.of_string rs.Cert.rs_source in
-  let dir =
-    let d = Filename.temp_file "autopilot-store" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o700;
-    d
-  in
-  let store = Store.Disk.open_dir dir in
-  (match Store.Disk.add_autopilot store ~source cert with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "admission: %s" m);
-  check_bool "served back" true
-    (Store.Disk.find_autopilot store source = Some rs.Cert.rs_result);
-  (* A fresh handle re-validates the entry from disk — certificate,
-     cycle condition, and hardness — before serving it. *)
-  let fresh = Store.Disk.open_dir dir in
-  check_bool "served after reopen (full re-validation)" true
-    (Store.Disk.find_autopilot fresh source = Some rs.Cert.rs_result);
-  (* Keying is not decorative: admitting under a different problem
-     must be rejected (the certificate speaks about its own source). *)
-  match Store.Disk.add_autopilot store ~source:(so ()) cert with
-  | Ok () -> Alcotest.fail "mis-keyed admission accepted"
-  | Error _ -> ()
-
 let () =
   (* The RELIM_CERTIFY and RELIM_TRACE test legs cover this suite too. *)
   Certify.Hooks.install_if_env ();
@@ -278,6 +242,4 @@ let () =
           Alcotest.test_case "cover step labels get short names" `Quick
             test_cover_short_names;
         ] );
-      ( "store",
-        [ Alcotest.test_case "cycle admission" `Quick test_store_admission ] );
     ]

@@ -193,8 +193,8 @@ let test_zero_round_witness_one_line () =
     && contains ~sub:"under arbitrary ports, witness: A B^2\n" stdout)
 
 (* Input the user got wrong (a problem, a label, a diagram or
-   algorithm name, a step budget below 1, a file that cannot be read or
-   written, a fuzzing limit the generator cannot draw from) is a usage
+   algorithm name, a count out of its range, a file that cannot be read
+   or written, a fuzzing limit the generator cannot draw from) is a usage
    error: exit 2, the message on stderr and nothing on stdout, never
    cmdliner's "internal error" exit 125.  [load] reads a saved problem
    whose edge line lost its closing bracket. *)
@@ -229,6 +229,13 @@ let test_bad_problem_exits_2 () =
       ("dot -p mis -d 3 --which bogus", "unknown diagram bogus (edge|node)");
       ("simulate --algo bogus", "unknown algorithm bogus (luby|cv-mis|kods)");
       ("fixed-point -p so -d 3 --max-steps 0", "--max-steps must be at least 1");
+      ("step -p mis -d 3 --steps=-1", "--steps must be at least 0");
+      ("autopilot -p so -d 3 --max-steps=-2", "--max-steps must be at least 1");
+      ("autopilot -p so -d 3 --max-steps 0", "--max-steps must be at least 1");
+      ("autopilot -p so -d 3 --beam=-1", "--beam must be at least 0");
+      ("upper-bound -p mis -d 3 --max-steps=-1", "--max-steps must be at least 0");
+      ("chain --delta=-4", "--delta must be at least 1");
+      ("chain --delta 3 -k 5", "-k must be between 0 and --delta");
       ("certify --delta 0", "--delta must be at least 1");
       ("lemmas --delta 0", "Family: delta must be >= 1");
       ("lemmas --delta 2", "Family: need 0 <= a <= delta");

@@ -1,7 +1,8 @@
 (* Wire-protocol tests against an in-process [roundelimd]: golden
    request/response transcripts, pipelining and concurrent-client
-   interleaving, input hardening, and warm-restart byte-identity
-   against the certificate-gated store. *)
+   interleaving, input hardening (a client that never reads its
+   answers included), and warm-restart byte-identity against the
+   certificate-gated store. *)
 
 module Daemon = Store.Daemon
 module Client = Store.Client
@@ -519,6 +520,16 @@ let rec write_all fd s off =
   if off < String.length s then
     write_all fd s (off + Unix.write_substring fd s off (String.length s - off))
 
+(* A raw connection to [sock] whose reads and writes give up after
+   10 s, so a daemon that stops answering fails a test instead of
+   hanging it. *)
+let raw_connect sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  fd
+
 (* The first [n] lines read from [fd]. *)
 let read_lines fd n =
   let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
@@ -539,18 +550,11 @@ let read_lines fd n =
    pieces, each longer than the buffer; right after each piece a second
    connection sends a short request and reads its answer, so reads of
    the two connections interleave.  Each connection gets its own
-   answers, in its own order.  Both connections give up a read after
-   10 s, so a lost answer fails the test instead of hanging it. *)
+   answers, in its own order. *)
 let test_long_lines_across_reads () =
   with_daemon @@ fun sock ->
   Client.close (connect sock);
-  let raw () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-    Unix.connect fd (Unix.ADDR_UNIX sock);
-    fd
-  in
-  let long_fd = raw () and short_fd = raw () in
+  let long_fd = raw_connect sock and short_fd = raw_connect sock in
   Fun.protect
     ~finally:(fun () ->
       Unix.close long_fd;
@@ -594,17 +598,67 @@ let test_long_lines_across_reads () =
         (uncached long2)
   | _ -> Alcotest.fail "expected two answers"
 
+(* A client that pipelines requests without reading the answers stalls
+   only itself.  A second domain sends 20,000 pings on one connection
+   and reads nothing, so the daemon's answers fill that socket while
+   the requests are still arriving.  A ping on a second connection must
+   be answered meanwhile, and the first connection must then read all
+   20,000 answers, in order. *)
+let test_slow_reader () =
+  with_daemon @@ fun sock ->
+  Client.close (connect sock);
+  let n = 20_000 in
+  let ping i = Printf.sprintf {|{"id":%d,"op":"ping"}|} i in
+  let pong i = Printf.sprintf {|{"id":%d,"ok":true,"result":{"pong":true}}|} i in
+  let slow = raw_connect sock in
+  Fun.protect ~finally:(fun () -> Unix.close slow) @@ fun () ->
+  let writer =
+    Domain.spawn (fun () ->
+        let reqs = String.concat "" (List.init n (fun i -> ping i ^ "\n")) in
+        match write_all slow reqs 0 with
+        | () -> None
+        | exception Unix.Unix_error (e, _, _) -> Some (Unix.error_message e))
+  in
+  Unix.sleepf 0.2;
+  let other = raw_connect sock in
+  (Fun.protect ~finally:(fun () -> Unix.close other) @@ fun () ->
+   write_all other (ping n ^ "\n") 0;
+   check_string "the other connection is served" (pong n)
+     (List.hd (read_lines other 1)));
+  (* Read the answers as they arrive, checking each against its id. *)
+  let chunk = Bytes.create 65536 and line = Buffer.create 64 in
+  let next = ref 0 in
+  while !next < n do
+    match Unix.read slow chunk 0 (Bytes.length chunk) with
+    | 0 -> Alcotest.failf "connection closed after %d answers" !next
+    | k ->
+        for j = 0 to k - 1 do
+          match Bytes.get chunk j with
+          | '\n' ->
+              if Buffer.contents line <> pong !next then
+                Alcotest.failf "answer %d out of order: %s" !next
+                  (Buffer.contents line);
+              Buffer.clear line;
+              incr next
+          | c -> Buffer.add_char line c
+        done
+  done;
+  match Domain.join writer with
+  | None -> ()
+  | Some m -> Alcotest.failf "pipelined sends failed: %s" m
+
 (* ------------------------------------------------------------------ *)
 (* Warm restart against the store                                      *)
 (* ------------------------------------------------------------------ *)
 
 let shutdown_req = {|{"id":0,"op":"shutdown"}|}
 
-(* Run one daemon lifetime over [store_dir], play [reqs], return the
-   responses.  The daemon exits through the shutdown request. *)
-let daemon_round ~store_dir reqs =
+(* Run one daemon lifetime, over [store_dir] if given, play [reqs],
+   return the responses.  The daemon exits through the shutdown
+   request. *)
+let daemon_round ?store_dir reqs =
   let sock = Filename.concat (tmpdir ()) "d.sock" in
-  let d, _stop = spawn_daemon ~store_dir sock in
+  let d, _stop = spawn_daemon ?store_dir sock in
   let c = connect sock in
   let responses = List.map (request c) reqs in
   let bye = request c shutdown_req in
@@ -614,19 +668,25 @@ let daemon_round ~store_dir reqs =
   Domain.join d;
   responses
 
+(* A warm restart serves the step from the store and computes the
+   fixed-point detection again, which the store does not keep: both
+   answers byte-identical to the cold ones apart from the flag. *)
 let test_restart_byte_identity () =
   let store_dir = Filename.concat (tmpdir ()) "store" in
   let cold = daemon_round ~store_dir [ step_req; fp_req ] in
   let warm = daemon_round ~store_dir [ step_req; fp_req ] in
   List.iteri
-    (fun i (c, w) ->
+    (fun i ((c, w), served) ->
       check_bool (Printf.sprintf "cold %d computed fresh" i) true
         (contains ~sub:{|"cached":false|} c);
-      check_bool (Printf.sprintf "warm %d served from the store" i) true
-        (contains ~sub:{|"cached":true|} w);
+      check_bool
+        (Printf.sprintf "warm %d %s" i
+           (if served then "served from the store" else "computed"))
+        true
+        (contains ~sub:(Printf.sprintf {|"cached":%b|} served) w);
       check_string (Printf.sprintf "warm %d byte-identical to cold" i) c
         (uncached w))
-    (List.combine cold warm)
+    (List.combine (List.combine cold warm) [ true; false ])
 
 let test_restart_survives_corruption () =
   let base = tmpdir () in
@@ -664,32 +724,31 @@ let test_restart_survives_corruption () =
   Client.close c;
   Domain.join d
 
-(* Cold/warm against the store: the period-1 cycle certificate is
-   admitted on the cold run, keyed by the text of the cycle state
-   itself (that is the problem the certificate proves something
-   about).  A fresh daemon serves a request for that text straight
-   from the store (re-validating the certificate plus the cycle and
-   hardness conditions on load); a request for the original problem
-   repeats the search, since the stored entry only witnesses the
-   cycle. *)
+(* The autopilot stores nothing: asked to search from SO and then from
+   the cycle state its search closes on, a store-backed daemon answers
+   both with the whole report, cold and after a restart, and so does a
+   daemon without a store. *)
 let ap_fixed_req =
   {|{"id":"apf","op":"autopilot","problem":"problem Rbar(R(SO))\ndelta 3\nnode:\nO OI^2\nedge:\nOI^2\nO OI\n"}|}
 
 let test_autopilot_store_roundtrip () =
   let store_dir = Filename.concat (tmpdir ()) "store" in
-  let cold = daemon_round ~store_dir [ ap_req ] in
+  let reqs = [ ap_req; ap_fixed_req ] in
+  let cold = daemon_round ~store_dir reqs in
   check_string "cold run computes and pins the search result" ap_expected
     (List.hd cold);
-  let warm = daemon_round ~store_dir [ ap_fixed_req; ap_req ] in
-  let on_cycle = List.nth warm 0 and on_request = List.nth warm 1 in
-  check_bool "cycle state served from the store" true
-    (contains ~sub:{|"cached":true|} on_cycle);
-  check_bool "stored verdict is the fixed point" true
-    (contains ~sub:{|"verdict":"fixed-point"|} on_cycle);
-  check_bool "no search behind the store hit" true
-    (contains ~sub:{|"steps":1|} on_cycle);
-  check_bool "original request searches again" true
-    (contains ~sub:{|"cached":false|} on_request)
+  let on_cycle = List.nth cold 1 in
+  check_bool ("cycle state gets the whole report: " ^ on_cycle) true
+    (contains ~sub:{|"cached":false|} on_cycle
+    && contains ~sub:{|"candidates":1,|} on_cycle
+    && contains ~sub:{|"lower_bound"|} on_cycle);
+  let warm = daemon_round ~store_dir reqs in
+  let storeless = daemon_round reqs in
+  List.iteri
+    (fun i ((c, w), l) ->
+      check_string (Printf.sprintf "warm %d equals cold" i) c w;
+      check_string (Printf.sprintf "store-less %d equals cold" i) c l)
+    (List.combine (List.combine cold warm) storeless)
 
 (* A 57-label problem whose node diagram is a chain (label i may sit
    next to every label j with i + j >= 56; the edge allows every pair).
@@ -735,9 +794,10 @@ let test_wide_step_admitted () =
 
 (* With a store, a relabelled copy of a stored input is its own key:
    the cold run computes the X/Y/Z copy of MIS and the Z/J copy of SO,
-   each asked right after its original, in the copy's own labels, and
-   a warm restart serves every request its own stored answer,
-   byte-identical to the cold one. *)
+   each asked right after its original, in the copy's own labels.  A
+   warm restart serves each step its own stored answer and computes
+   each fixed-point detection again, every answer byte-identical to the
+   cold one apart from the flag. *)
 let relabelled_reqs =
   [
     step_req;
@@ -760,12 +820,15 @@ let test_relabelled_with_store () =
     && contains ~sub:{|\nnode:\nZ ZJ^2\n|} zj
     && not (contains ~sub:"OI" zj));
   List.iteri
-    (fun i (c, w) ->
-      check_bool (Printf.sprintf "warm %d served from the store" i) true
-        (contains ~sub:{|"cached":true|} w);
+    (fun i ((c, w), served) ->
+      check_bool
+        (Printf.sprintf "warm %d %s" i
+           (if served then "served from the store" else "computed"))
+        true
+        (contains ~sub:(Printf.sprintf {|"cached":%b|} served) w);
       check_string (Printf.sprintf "warm %d byte-identical to cold" i) c
         (uncached w))
-    (List.combine cold warm)
+    (List.combine (List.combine cold warm) [ true; true; false; false ])
 
 (* Within one lifetime, a repeated request is served from memory and
    flagged cached. *)
@@ -820,12 +883,11 @@ let test_memo_per_op () =
   check_int "four distinct answers" 4
     (List.length (List.sort_uniq compare results))
 
-(* A stored fixed-point verdict is served only to a request whose step
-   cap reaches it.  SO Δ=3 reaches its fixed point in 2 steps: capped
-   at 1 step, a cold daemon answers "none"; after an uncapped request
-   stored the 2-step verdict, a restarted daemon must still answer the
-   capped request "none", computed, while a cap of 2 is served from the
-   store. *)
+(* A capped fixed-point detection gets the answer detection under its
+   cap gives, whatever was asked before.  SO Δ=3 reaches its fixed
+   point in 2 steps: after an uncapped request, a cap of 1 step answers
+   "none" and a cap of 2 the 2-step verdict, computed, in a cold
+   store-backed daemon and again after a restart. *)
 let fp_capped k =
   Printf.sprintf
     {|{"id":"c%d","op":"fixed-point","problem":"problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n","max_steps":%d}|}
@@ -833,20 +895,86 @@ let fp_capped k =
 
 let test_capped_fixed_point_after_store () =
   let store_dir = Filename.concat (tmpdir ()) "store" in
-  let cold = List.hd (daemon_round ~store_dir [ fp_capped 1 ]) in
-  check_bool ("cold capped answer is none: " ^ cold) true
-    (contains ~sub:{|"cached":false,"result":{"verdict":"none",|} cold);
-  let uncapped = List.hd (daemon_round ~store_dir [ fp_req ]) in
-  check_bool ("uncapped verdict stored: " ^ uncapped) true
-    (contains ~sub:{|"verdict":"reaches-fixed-point","steps":2,|} uncapped);
-  match daemon_round ~store_dir [ fp_capped 1; fp_capped 2 ] with
-  | [ warm1; warm2 ] ->
-      check_string "warm capped answer equals the cold one" cold warm1;
-      check_bool ("cap 2 served from the store: " ^ warm2) true
-        (contains ~sub:{|"cached":true|} warm2);
-      check_string "cap 2 gets the stored verdict" (reid {|"c2"|} uncapped)
-        (uncached warm2)
-  | _ -> Alcotest.fail "expected two answers"
+  let reqs = [ fp_req; fp_capped 1; fp_capped 2 ] in
+  match (daemon_round ~store_dir reqs, daemon_round ~store_dir reqs) with
+  | [ uncapped; cap1; cap2 ], warm ->
+      check_bool ("uncapped verdict: " ^ uncapped) true
+        (contains ~sub:{|"verdict":"reaches-fixed-point","steps":2,|} uncapped);
+      check_bool ("cap 1 answer is none: " ^ cap1) true
+        (contains ~sub:{|"cached":false,"result":{"verdict":"none",|} cap1);
+      check_string "cap 2 gets the 2-step verdict" (reid {|"c2"|} uncapped) cap2;
+      List.iteri
+        (fun i (c, w) -> check_string (Printf.sprintf "warm %d equals cold" i) c w)
+        (List.combine [ uncapped; cap1; cap2 ] warm)
+  | _ -> Alcotest.fail "expected three answers"
+
+(* Every op's answer is the same whether a daemon runs with a store,
+   restarts over that store, or runs without one: one request matrix
+   goes through the three lifetimes, and every answer, error replies
+   included, must be byte-identical across them apart from "cached".
+   The problems are MIS Δ=3, its X/Y/Z copy, SO Δ=3 and then the cycle
+   state its autopilot search closes on, and 20 random problems.  Each
+   gets a step and a fixed-point detection with and without a cap of 1
+   step.  The named ones also get an autopilot search capped at 1
+   accepted step, and SO and its cycle state one without a cap (MIS's
+   uncapped search takes about 1.5 s, too long to run six times
+   here). *)
+let every_op_matrix () =
+  let mis =
+    [
+      "problem MIS\ndelta 3\nnode:\nM^3\nP O^2\nedge:\nO^2\nM [PO]\n";
+      "problem MIS\ndelta 3\nnode:\nX^3\nY Z^2\nedge:\nZ^2\nX [YZ]\n";
+    ]
+  and so =
+    [
+      "problem SO\ndelta 3\nnode:\nO [IO]^2\nedge:\nO I\n";
+      "problem Rbar(R(SO))\ndelta 3\nnode:\nO OI^2\nedge:\nOI^2\nO OI\n";
+    ]
+  and random =
+    let rng = Random.State.make [| 27 |] in
+    List.init 20 (fun _ ->
+        Relim.Serialize.to_string
+          (Certify.Fuzz.gen_problem ~max_labels:4 ~max_delta:3 rng))
+  in
+  let steps = [ ("step", None); ("fixed-point", None); ("fixed-point", Some 1) ] in
+  let ops =
+    List.map (fun p -> (p, steps @ [ ("autopilot", Some 1) ])) mis
+    @ List.map
+        (fun p -> (p, steps @ [ ("autopilot", Some 1); ("autopilot", None) ]))
+        so
+    @ List.map (fun p -> (p, steps)) random
+  in
+  List.concat
+    (List.mapi
+       (fun i (text, ops) ->
+         List.map
+           (fun (op, cap) ->
+             Store.Json.(
+               to_string
+                 (Obj
+                    ([
+                       ("id", String (Printf.sprintf "%d %s" i op));
+                       ("op", String op);
+                       ("problem", String text);
+                     ]
+                    @
+                    match cap with
+                    | None -> []
+                    | Some k -> [ ("max_steps", Int k) ]))))
+           ops)
+       ops)
+
+let test_warm_equals_cold () =
+  let reqs = every_op_matrix () in
+  let store_dir = Filename.concat (tmpdir ()) "store" in
+  let cold = daemon_round ~store_dir reqs in
+  let warm = daemon_round ~store_dir reqs in
+  let storeless = daemon_round reqs in
+  List.iter
+    (fun (((c, w), l), r) ->
+      check_string ("warm equals cold on " ^ r) (uncached c) (uncached w);
+      check_string ("store-less equals cold on " ^ r) (uncached c) (uncached l))
+    (List.combine (List.combine (List.combine cold warm) storeless) reqs)
 
 (* The memo keeps error replies too: a repeated request whose engine
    run tripped a budget gets the same reply under its own id, and runs
@@ -950,6 +1078,7 @@ let () =
           Alcotest.test_case "abrupt disconnect" `Quick test_abrupt_disconnect;
           Alcotest.test_case "long lines across reads" `Quick
             test_long_lines_across_reads;
+          Alcotest.test_case "slow reader" `Quick test_slow_reader;
         ] );
       ( "store",
         [
@@ -963,6 +1092,8 @@ let () =
           Alcotest.test_case "one memo keyed by op" `Quick test_memo_per_op;
           Alcotest.test_case "capped fixed-point after a stored verdict" `Quick
             test_capped_fixed_point_after_store;
+          Alcotest.test_case "warm equals cold for every op" `Quick
+            test_warm_equals_cold;
           Alcotest.test_case "engine error replayed" `Quick
             test_engine_error_replayed;
           Alcotest.test_case "respelled copy" `Quick test_respelled_copy;

@@ -1,8 +1,9 @@
 (* Tests for lib/store: the JSON codec, the wire-protocol codec, the
    certificate text format, and the certificate-gated on-disk result
    store (admission gating, warm reload, tamper/truncation rejection,
-   entries served only to their own key, refusal of format v1 and of
-   misfiled entries, atomic-write leftovers). *)
+   entries served only to their own key, refusal of format v1, of
+   misfiled entries and of the retired fixed-point and autopilot entry
+   kinds, atomic-write leftovers). *)
 
 open Relim
 module Json = Store.Json
@@ -616,26 +617,84 @@ let test_disk_admission_gate () =
   | Some got -> check_string "original still served" expect got
   | None -> Alcotest.fail "stored entry no longer served"
 
-let test_disk_fixed_point_entries () =
+(* An entry in the format of a store that also kept fixed-point and
+   autopilot verdicts: [kind], an optional [steps] header line, the key
+   and certificate blocks, and the checksum. *)
+let retired_entry ~kind ?steps ~key_text cert =
+  let block tag body = Printf.sprintf "%s %d\n%s\n" tag (String.length body) body in
+  refresh_checksum
+    (String.concat ""
+       [
+         "roundelim-store v2\n";
+         Printf.sprintf "kind %s\n" kind;
+         (match steps with Some k -> Printf.sprintf "steps %d\n" k | None -> "");
+         block "key" key_text;
+         block "cert" (Certificate.to_text cert);
+         "checksum 0\n";
+       ])
+
+let retired_file ~kind key_text =
+  Printf.sprintf "%s-%s.ent" kind (Digest.to_hex (Digest.string key_text))
+
+(* The store keeps only step entries.  An earlier store's fixed-point
+   and autopilot entries are refused as invalid, each with a reason that
+   names its kind, and never served.  The fixed-point entry is a forged
+   one: SO Δ=3's fixed point filed under MIS's key, which nothing in
+   such an entry could tell apart from an honest one.  The autopilot
+   entry is an honest one: the period-1 cycle the search closes on SO,
+   keyed by the cycle state. *)
+let test_disk_retired_kinds_refused () =
   let so = Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I" in
-  match Fixedpoint.detect so with
-  | Fixedpoint.Reaches_fixed_point (steps, fixed) -> (
-      let dir = tmpdir () in
-      let t = Disk.open_dir dir in
-      (match
-         Disk.add_fixed_point t ~source:so ~steps
-           (Certificate.of_fixed_point fixed)
-       with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "fixed-point admission: %s" m);
-      let t2 = Disk.open_dir dir in
-      match Disk.find_fixed_point t2 so with
-      | Some (steps', text) ->
-          check_int "steps preserved" steps steps';
-          check_string "fixed problem text preserved"
-            (Serialize.to_string fixed) text
-      | None -> Alcotest.fail "fixed-point entry missed")
-  | _ -> Alcotest.fail "SO should reach a fixed point"
+  let p = mis () in
+  let mis_text = Serialize.to_string p in
+  let fixed =
+    match Fixedpoint.detect so with
+    | Fixedpoint.Reaches_fixed_point (_, fixed) -> fixed
+    | _ -> Alcotest.fail "SO should reach a fixed point"
+  in
+  let cycle =
+    match List.rev (Autopilot.search so).Autopilot.steps with
+    | { Autopilot.certificate = Certificate.Relaxed_step rs as cert; _ } :: _ ->
+        (rs.Certificate.rs_source, cert)
+    | _ -> Alcotest.fail "the SO search closes no relaxed cycle"
+  in
+  let dir = tmpdir () in
+  let t = Disk.open_dir dir in
+  let fp_file = retired_file ~kind:"fixed-point" mis_text in
+  write_file (entry_path dir fp_file)
+    (retired_entry ~kind:"fixed-point" ~steps:2 ~key_text:mis_text
+       (Certificate.of_fixed_point fixed));
+  let ap_file = retired_file ~kind:"autopilot" (fst cycle) in
+  write_file (entry_path dir ap_file)
+    (retired_entry ~kind:"autopilot" ~key_text:(fst cycle) (snd cycle));
+  let refused_by_kind rejects =
+    List.iter
+      (fun (file, kind) ->
+        match List.assoc_opt file rejects with
+        | Some reason ->
+            check_bool
+              (Printf.sprintf "%s refused as invalid, naming %s: %s" file kind reason)
+              true
+              (String.starts_with ~prefix:"invalid: " reason
+              && contains ~sub:(Printf.sprintf "%S" kind) reason)
+        | None -> Alcotest.failf "%s was not refused" file)
+      [ (fp_file, "fixed-point"); (ap_file, "autopilot") ]
+  in
+  (match Disk.validate_all t with
+  | total, ok, rejects ->
+      check_int "both files seen" 2 total;
+      check_int "neither valid" 0 ok;
+      refused_by_kind rejects);
+  check_bool "MIS's step misses" true (Disk.find_step t p = None);
+  let p, expect = admit_mis t in
+  (match Disk.find_step t p with
+  | Some got -> check_string "MIS's own step served" expect got
+  | None -> Alcotest.fail "MIS's own step not served");
+  match Disk.validate_all t with
+  | total, ok, rejects ->
+      check_int "three files seen" 3 total;
+      check_int "the step entry valid" 1 ok;
+      refused_by_kind rejects
 
 let () =
   (* The RELIM_CERTIFY and RELIM_TRACE test legs cover this suite too. *)
@@ -681,7 +740,7 @@ let () =
           Alcotest.test_case "misfiled entry rejected" `Quick
             test_disk_misfiled_rejected;
           Alcotest.test_case "admission gate" `Quick test_disk_admission_gate;
-          Alcotest.test_case "fixed-point entries" `Quick
-            test_disk_fixed_point_entries;
+          Alcotest.test_case "retired kinds refused" `Quick
+            test_disk_retired_kinds_refused;
         ] );
     ]

@@ -2,8 +2,7 @@
 
    One section per paper artifact (figure, lemma, theorem or claim),
    following the per-experiment index of DESIGN.md; EXPERIMENTS.md
-   records expected-vs-produced for each section.  The final section is
-   a Bechamel micro-benchmark suite for the engine and the simulator.
+   records expected-vs-produced for each section.
 
    Run with:  dune exec bench/main.exe            (everything)
               dune exec bench/main.exe -- fig1 lemma13   (a selection) *)
@@ -717,99 +716,6 @@ let congest () =
   result "lower bounds hold in CONGEST a fortiori (Section 2.1).@."
 
 (* ------------------------------------------------------------------ *)
-(* P1: Bechamel micro-benchmarks                                       *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  section "P1" "Bechamel micro-benchmarks (ns per operation, OLS estimate)";
-  let open Bechamel in
-  let pi8 = Core.Family.pi { delta = 8; a = 6; x = 1 } in
-  let pi1k = Core.Family.pi { delta = 1024; a = 512; x = 3 } in
-  let mis3 = Lcl.Encodings.mis ~delta:3 in
-  let r_mis3 = (Relim.Rounde.r mis3).Relim.Rounde.problem in
-  let g1k = Tree_gen.random ~n:1000 ~max_degree:8 ~seed:7 in
-  let colors1k = Dsgraph.Edge_coloring.color_tree g1k in
-  let luby_mis, _ = Distalgo.Luby.run ~seed:3 g1k in
-  let mis_labeling = Lcl.Encodings.mis_labeling g1k luby_mis in
-  let mis_problem = Lcl.Encodings.mis ~delta:(Graph.max_degree g1k) in
-  let tests =
-    [
-      Test.make ~name:"R(Pi) Delta=8"
-        (Staged.stage (fun () -> ignore (Relim.Rounde.r pi8)));
-      Test.make ~name:"R(Pi) Delta=1024"
-        (Staged.stage (fun () -> ignore (Relim.Rounde.r pi1k)));
-      Test.make ~name:"Rbar(R(MIS)) Delta=3"
-        (Staged.stage (fun () -> ignore (Relim.Rounde.rbar r_mis3)));
-      Test.make ~name:"lemma6 verify Delta=1024"
-        (Staged.stage (fun () ->
-             ignore (Core.Lemma6.holds { Core.Family.delta = 1024; a = 512; x = 3 })));
-      Test.make ~name:"lemma8 symbolic Delta=2^16"
-        (Staged.stage (fun () ->
-             ignore
-               (Core.Lemma8.verify_symbolic
-                  { Core.Family.delta = 65536; a = 4096; x = 9 })));
-      Test.make ~name:"chain build+verify Delta=4096"
-        (Staged.stage (fun () ->
-             let chain = Core.Sequence.build ~delta:4096 ~x0:0 in
-             ignore (Core.Sequence.verify chain)));
-      Test.make ~name:"Luby MIS n=1000"
-        (Staged.stage (fun () -> ignore (Distalgo.Luby.run ~seed:3 g1k)));
-      Test.make ~name:"edge-color tree n=1000"
-        (Staged.stage (fun () -> ignore (Dsgraph.Edge_coloring.color_tree g1k)));
-      Test.make ~name:"validate MIS labeling n=1000"
-        (Staged.stage (fun () ->
-             ignore
-               (Lcl.Labeling.is_valid ~boundary:`Extendable mis_problem
-                  mis_labeling)));
-      Test.make ~name:"proper-edge-coloring check n=1000"
-        (Staged.stage (fun () ->
-             ignore (Dsgraph.Edge_coloring.is_proper g1k colors1k)));
-      Test.make ~name:"radius-2 view classes n=485"
-        (Staged.stage
-           (let tree = Tree_gen.balanced ~delta:4 ~depth:5 in
-            fun () -> ignore (Localsim.Views.classes tree ~radius:2)));
-      Test.make ~name:"synthesis MIS T=1 mirrored C8"
-        (Staged.stage
-           (let cyc =
-              Graph.of_edges ~n:8 (List.init 8 (fun i -> (i, (i + 1) mod 8)))
-            in
-            let colors = Array.init 8 (fun e -> e mod 2) in
-            let inst =
-              match Dsgraph.Edge_coloring.mirrored_ports cyc colors with
-              | Some gm ->
-                  { Localsim.Synthesis.graph = gm; edge_colors = Some colors }
-              | None -> assert false
-            in
-            let mis2 =
-              Relim.Parse.problem ~name:"MIS2" ~node:"M M\nP O"
-                ~edge:"M [PO]\nO O"
-            in
-            fun () ->
-              ignore (Localsim.Synthesis.search ~radius:1 mis2 [ inst ])));
-      Test.make ~name:"lemma8 concrete Delta=4"
-        (Staged.stage (fun () ->
-             ignore
-               (Core.Lemma8.verify_concrete
-                  { Core.Family.delta = 4; a = 3; x = 1 })));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"bench" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some [ ns ] -> result "  %-40s %12.0f ns/op@." name ns
-      | Some _ | None -> result "  %-40s (no estimate)@." name)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [
@@ -835,7 +741,6 @@ let all_sections =
     ("ruling_sets", ruling_sets);
     ("views", views);
     ("congest", congest);
-    ("bechamel", bechamel_suite);
   ]
 
 let () =

@@ -159,8 +159,9 @@ let with_certify certify f =
 (* Engine work that stops on a budget overrun or an engine [Failure]
    (an empty constraint, say) prints [stopped: <message>] and ends the
    command normally, with whatever it printed before: the input was
-   usable, the engine could not finish it.  [step], [fixed-point] and
-   [autopilot] share this one handler. *)
+   usable, the engine could not finish it.  [step], [zero-round],
+   [upper-bound], [fixed-point], [autopilot] and the concrete line of
+   [lemmas] share this one handler. *)
 let or_stopped f =
   try f () with
   | Relim.Budget.Budget_exceeded { budget; limit } ->
@@ -257,6 +258,7 @@ let zero_round preset delta a x node edge domains certify trace tfmt =
   let pool = pool_of_domains domains in
   let p = preset_problem preset delta a x node edge in
   with_certify certify (fun () ->
+      or_stopped @@ fun () ->
       (match Relim.Zeroround.solvable_mirrored p with
       | Some w ->
           Format.printf "0-round solvable under mirrored ports, witness: %s@."
@@ -321,6 +323,7 @@ let lemmas delta a x concrete =
     (Core.Lemma8.all_ok l8) l8.c1 l8.c2 l8.c3 l8.c4 l8.c5 l8.m1 l8.m2
     l8.arithmetic l8.pi_rel_is_pi_plus;
   if concrete then begin
+    or_stopped @@ fun () ->
     let r = Core.Lemma8.verify_concrete params in
     Format.printf
       "Lemma 8  (full Rbar(R(Pi)) computation): %d configurations, all relax: %b@."
@@ -412,6 +415,7 @@ let upper_bound preset delta a x node edge max_steps domains certify trace tfmt 
   let pool = pool_of_domains domains in
   let p = preset_problem preset delta a x node edge in
   with_certify certify @@ fun () ->
+  or_stopped @@ fun () ->
   match Relim.Upperbound.search ~max_steps ?pool p with
   | Relim.Upperbound.Solvable_in k ->
       Format.printf

@@ -257,7 +257,7 @@ let rebuild_denoted ~what ~(source : Problem.t) ~(problem : Problem.t) denots =
   in
   { Rounde.problem; denotations }
 
-let validate ?work_budget cert =
+let validate cert =
   Trace.with_span "certify.validate" @@ fun () ->
   match
     match cert with
@@ -273,8 +273,8 @@ let validate ?work_budget cert =
           rebuild_denoted ~what:"result denotations" ~source:r ~problem:result
             s.result_denotations
         in
-        Check.check_r ?work_budget ~source r_denoted;
-        Check.check_rbar ?work_budget ~source:r result_denoted
+        Check.check_r ~source r_denoted;
+        Check.check_rbar ~source:r result_denoted
     | Relaxed_step rs ->
         let source = parse_problem ~what:"relaxed-step source" rs.rs_source in
         let r = parse_problem ~what:"relaxed-step r" rs.rs_r in
@@ -292,9 +292,9 @@ let validate ?work_budget cert =
           rebuild_denoted ~what:"result denotations" ~source:relaxed
             ~problem:result rs.rs_result_denotations
         in
-        Check.check_r ?work_budget ~source r_denoted;
-        Check.check_relaxation ?work_budget ~source:r relaxed_denoted;
-        Check.check_rbar ?work_budget ~source:relaxed result_denoted
+        Check.check_r ~source r_denoted;
+        Check.check_relaxation ~source:r relaxed_denoted;
+        Check.check_rbar ~source:relaxed result_denoted
     | Fixed_point { problem } ->
         Check.check_fixed_point (parse_problem ~what:"fixed point" problem)
   with

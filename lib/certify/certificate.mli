@@ -92,7 +92,9 @@ val of_text : string -> (t, string) result
     {!Relaxed_step}), or {!Check.check_fixed_point}
     (for {!Fixed_point}).  [Error] carries the checker's violation
     message.  Budget-guarded sub-checks of {!Check} may be skipped on
-    very large instances (counted in [Check.stats.skipped_subchecks]) —
-    a skipped sub-check makes the certificate partial, never wrong.
-    Traced as a [certify.validate] span. *)
-val validate : ?work_budget:int -> t -> (unit, string) result
+    very large instances, past {!Check}'s fixed budget of 2,000,000
+    charged steps per sub-check (counted in
+    [Check.stats.skipped_subchecks]) — a skipped sub-check makes the
+    certificate partial, never wrong.  Traced as a [certify.validate]
+    span. *)
+val validate : t -> (unit, string) result

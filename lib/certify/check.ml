@@ -49,6 +49,11 @@ let guarded budget f =
   try f charge
   with Skipped -> stats.skipped_subchecks <- stats.skipped_subchecks + 1
 
+(* The budget of every guarded sub-check of [check_r], [check_rbar] and
+   [check_relaxation], and the expansion limit of [check_zero_round]'s
+   exhaustive re-check. *)
+let work_budget = 2_000_000
+
 (* Only the outermost check accumulates wall time: a fixed-point
    replay re-enters [check_r]/[check_rbar] through the engine
    observers, and their time is already inside the replay's. *)
@@ -206,8 +211,7 @@ let member t labels =
 (* R                                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let check_r ?(work_budget = 2_000_000) ~source:(p : Problem.t) (d : Rounde.denoted)
-    =
+let check_r ~source:(p : Problem.t) (d : Rounde.denoted) =
   timed @@ fun () ->
   let p' = d.Rounde.problem in
   let what = Printf.sprintf "R certificate (%s)" p.Problem.name in
@@ -346,8 +350,7 @@ let box_dominated bi bj =
   in
   go (Array.to_list bi)
 
-let check_rbar ?(work_budget = 2_000_000) ~source:(p : Problem.t)
-    (d : Rounde.denoted) =
+let check_rbar ~source:(p : Problem.t) (d : Rounde.denoted) =
   timed @@ fun () ->
   let p'' = d.Rounde.problem in
   let what = Printf.sprintf "Rbar certificate (%s)" p.Problem.name in
@@ -492,8 +495,7 @@ let check_rbar ?(work_budget = 2_000_000) ~source:(p : Problem.t)
 (* 0-round verdicts                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let check_zero_round ?(expand_limit = 2e6) ~mode (p : Problem.t)
-    (verdict : Multiset.t option) =
+let check_zero_round ~mode (p : Problem.t) (verdict : Multiset.t option) =
   timed @@ fun () ->
   let what =
     Printf.sprintf "0-round certificate (%s, %s ports)" p.Problem.name
@@ -520,6 +522,7 @@ let check_zero_round ?(expand_limit = 2e6) ~mode (p : Problem.t)
         fail "%s: witness %s fails the port-compatibility requirement" what
           (Multiset.to_string p.Problem.alpha w)
   | None ->
+      let expand_limit = float_of_int work_budget in
       guarded max_int (fun _charge ->
           if Constr.expansion_estimate p.Problem.node > expand_limit then
             raise Skipped;
@@ -575,8 +578,7 @@ let config_fits_line ~denots m line =
   in
   place 0 (-1)
 
-let check_relaxation ?(work_budget = 2_000_000) ~source:(p : Problem.t)
-    (d : Rounde.denoted) =
+let check_relaxation ~source:(p : Problem.t) (d : Rounde.denoted) =
   timed @@ fun () ->
   let q = d.Rounde.problem in
   let what = Printf.sprintf "relaxation certificate (%s)" p.Problem.name in

@@ -42,9 +42,10 @@
 
     Exhaustive sub-checks that are exponential in the label count
     (e.g. R's node recomputation over every multiset of output labels)
-    are guarded by a work budget; when the budget would be exceeded the
-    sub-check is {e skipped} and counted in [skipped_subchecks] — the
-    certificate is then partial, never wrong. *)
+    are guarded by a fixed work budget of 2,000,000 charged steps per
+    sub-check; when the budget would be exceeded the sub-check is
+    {e skipped} and counted in [skipped_subchecks] — the certificate
+    is then partial, never wrong. *)
 
 (** Raised when an engine output contradicts the definitions.  The
     message names the claim that failed and the offending piece. *)
@@ -98,7 +99,7 @@ val member : membership -> int array -> bool
     admitting a choice of representatives allowed by the source node
     constraint (budget-guarded).
     @raise Violation on any mismatch. *)
-val check_r : ?work_budget:int -> source:Relim.Problem.t -> Relim.Rounde.denoted -> unit
+val check_r : source:Relim.Problem.t -> Relim.Rounde.denoted -> unit
 
 (** [check_rbar ~source d] certifies [d = Rounde.rbar source] (where
     [source] is the problem [rbar] was applied to, i.e. [R(Π)]): every
@@ -123,18 +124,17 @@ val check_r : ?work_budget:int -> source:Relim.Problem.t -> Relim.Rounde.denoted
     [ab c]; a result with only the first two, over the labels a, bc,
     b and ac with every edge pair among them, is certified.
     @raise Violation on any mismatch. *)
-val check_rbar : ?work_budget:int -> source:Relim.Problem.t -> Relim.Rounde.denoted -> unit
+val check_rbar : source:Relim.Problem.t -> Relim.Rounde.denoted -> unit
 
 (** [check_zero_round ~mode p verdict] certifies a 0-round
     solvability verdict.  [Some w]: [w] is an allowed node
     configuration of the right arity whose labels are all
     self-compatible ([`Mirrored]) resp. whose support is pairwise and
     self compatible ([`Arbitrary]).  [None]: re-checked exhaustively —
-    every allowed configuration must fail the same property
-    (budget-guarded by [expand_limit]).
+    every allowed configuration must fail the same property (skipped
+    when the node constraint expands past 2,000,000 configurations).
     @raise Violation on any mismatch. *)
 val check_zero_round :
-  ?expand_limit:float ->
   mode:[ `Mirrored | `Arbitrary ] ->
   Relim.Problem.t ->
   Relim.Multiset.t option ->
@@ -156,7 +156,7 @@ val check_zero_round :
     witness, and the edge constraint cannot object.
     @raise Violation on any mismatch. *)
 val check_relaxation :
-  ?work_budget:int -> source:Relim.Problem.t -> Relim.Rounde.denoted -> unit
+  source:Relim.Problem.t -> Relim.Rounde.denoted -> unit
 
 (** [check_fixed_point p] replays one speedup step from scratch —
     sequentially, without [Fixedpoint.detect] — and confirms

@@ -4,6 +4,15 @@ module Tree_gen = Dsgraph.Tree_gen
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Check.Violation s)) fmt
 
+(* The witness direction simulates on [trees] random trees of
+   [tree_size] nodes; the exhaustive refutation of a [None] verdict is
+   skipped past [tuple_budget] tuples. *)
+let trees = 3
+
+let tree_size = 16
+
+let tuple_budget = 100_000
+
 (* Definitional label-pair compatibility: {x, y} allowed by ℰ. *)
 let edge_compat (p : Problem.t) =
   let n = Problem.label_count p in
@@ -42,7 +51,7 @@ let simulate ?edge_colors g algo =
    outputting its labels in any fixed port order survives every port
    numbering; degree-d nodes output a d-prefix, valid under the
    [`Extendable] boundary because w itself extends it. *)
-let check_witness_arbitrary ~trees ~tree_size ~seed (p : Problem.t) w =
+let check_witness_arbitrary ~seed (p : Problem.t) w =
   let delta = max 1 (Problem.delta p) in
   let t = Array.of_list (Multiset.to_list w) in
   let algo =
@@ -72,7 +81,7 @@ let check_witness_arbitrary ~trees ~tree_size ~seed (p : Problem.t) w =
    exactly the adversary of Lemma 12.  The witness guarantees each
    label is self-compatible and the color multiset is a sub-multiset
    of w, valid under [`Extendable]. *)
-let check_witness_mirrored ~trees ~tree_size ~seed (p : Problem.t) w =
+let check_witness_mirrored ~seed (p : Problem.t) w =
   let delta = max 1 (Problem.delta p) in
   let t = Array.of_list (Multiset.to_list w) in
   let algo =
@@ -138,7 +147,7 @@ let find_violation ~expect violations g u v =
       | _ -> false)
     violations
 
-let check_none_arbitrary ~tuple_budget (p : Problem.t) =
+let check_none_arbitrary (p : Problem.t) =
   let n = Problem.label_count p in
   let delta = Problem.delta p in
   let space = float_of_int n ** float_of_int delta in
@@ -215,7 +224,7 @@ let check_none_arbitrary ~tuple_budget (p : Problem.t) =
         end)
   end
 
-let check_none_mirrored ~tuple_budget (p : Problem.t) =
+let check_none_mirrored (p : Problem.t) =
   let n = Problem.label_count p in
   let delta = Problem.delta p in
   let space = float_of_int n ** float_of_int delta in
@@ -295,10 +304,9 @@ let check_none_mirrored ~tuple_budget (p : Problem.t) =
         end)
   end
 
-let cross_check ?(trees = 3) ?(tree_size = 16) ?(tuple_budget = 100_000)
-    ?(seed = 0) ~mode (p : Problem.t) verdict =
+let cross_check ?(seed = 0) ~mode (p : Problem.t) verdict =
   match (verdict, mode) with
-  | Some w, `Arbitrary -> check_witness_arbitrary ~trees ~tree_size ~seed p w
-  | Some w, `Mirrored -> check_witness_mirrored ~trees ~tree_size ~seed p w
-  | None, `Arbitrary -> check_none_arbitrary ~tuple_budget p
-  | None, `Mirrored -> check_none_mirrored ~tuple_budget p
+  | Some w, `Arbitrary -> check_witness_arbitrary ~seed p w
+  | Some w, `Mirrored -> check_witness_mirrored ~seed p w
+  | None, `Arbitrary -> check_none_arbitrary p
+  | None, `Mirrored -> check_none_mirrored p

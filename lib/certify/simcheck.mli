@@ -23,21 +23,15 @@
       irrelevant — the refutation covers every 0-round algorithm.
 
     A verdict the simulation contradicts raises {!Check.Violation}.
-    Exhaustive refutations whose tuple space exceeds [tuple_budget]
-    are skipped. *)
+    The witness direction simulates on 3 random trees of 16 nodes
+    each.  Exhaustive refutations whose tuple space [|Σ|^Δ] exceeds
+    100,000 are skipped. *)
 
 (** [cross_check ~mode p verdict] — see above.
-    @param trees number of random trees for the witness direction
-    (default 3).
-    @param tree_size nodes per random tree (default 16).
-    @param tuple_budget cap on [|Σ|^Δ] for the exhaustive refutation
-    (default 100_000).
+    @param seed base seed of the random trees (default 0).
     @raise Check.Violation when the simulation contradicts the
     verdict. *)
 val cross_check :
-  ?trees:int ->
-  ?tree_size:int ->
-  ?tuple_budget:int ->
   ?seed:int ->
   mode:[ `Mirrored | `Arbitrary ] ->
   Relim.Problem.t ->

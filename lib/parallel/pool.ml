@@ -153,31 +153,3 @@ let run ?(chunk = 1) t ~n ~init ~body ~merge =
     match Atomic.get err with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
-
-let mapi ?chunk t f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let res = Array.make n None in
-    run ?chunk t ~n
-      ~init:(fun () -> ())
-      ~body:(fun () i -> res.(i) <- Some (f i arr.(i)))
-      ~merge:ignore;
-    Array.map (function Some v -> v | None -> assert false) res
-  end
-
-let map ?chunk t f arr = mapi ?chunk t (fun _ x -> f x) arr
-
-let filter_mapi ?chunk t f arr =
-  let n = Array.length arr in
-  if n = 0 then []
-  else begin
-    let res = Array.make n None in
-    run ?chunk t ~n
-      ~init:(fun () -> ())
-      ~body:(fun () i -> res.(i) <- f i arr.(i))
-      ~merge:ignore;
-    Array.fold_right
-      (fun o acc -> match o with Some v -> v :: acc | None -> acc)
-      res []
-  end

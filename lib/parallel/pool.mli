@@ -5,31 +5,27 @@
     runs parallel loops on [d] domains in total: [d - 1] persistent
     worker domains (spawned lazily on the first parallel call) plus the
     calling domain, which always participates.  With [domains <= 1] no
-    domain is ever spawned and every operation degrades to a plain
-    sequential loop — same code path, same iteration order.
+    domain is ever spawned and [run] degrades to a plain sequential
+    loop — same code path, same iteration order.
 
     {2 Determinism contract}
 
     Work is distributed by chunked index claiming from a shared atomic
     counter, so {e which} worker runs which index is scheduling
-    dependent — but all combinators are written so the {e result} is
-    not:
-
-    - [map] / [mapi] / [filter_mapi] write each result into the slot of
-      its input index and therefore preserve input order exactly, for
-      any domain count and any chunk size;
-    - [run] gives each participating worker a private state ([init])
-      and merges the states sequentially in the calling domain
-      ([merge], worker order).  As long as the merge operation is
-      commutative and associative over the per-item contributions
-      (e.g. integer counters), the merged total is exact and identical
-      for every domain count.
+    dependent — but the {e result} of [run] need not be.  [run] gives
+    each participating worker a private state ([init]) and merges the
+    states sequentially in the calling domain ([merge], worker order).
+    As long as the merge operation is commutative and associative over
+    the per-item contributions (e.g. integer counters), the merged total
+    is exact and identical for every domain count.  A body that writes
+    index [i]'s result into slot [i] of a shared array keeps input order
+    exactly, for any domain count and any chunk size.
 
     Exceptions raised by a body are caught, the remaining work is
     cancelled (at chunk granularity), every worker's state is merged,
     and the first captured exception is re-raised in the calling domain
     with its backtrace.  If the body can only raise one distinct
-    exception per loop (the usual budget [Failure]), propagation is
+    exception per loop (the usual budget trip), propagation is
     deterministic too; what the states hold by then depends on the
     schedule, unless the loop runs on one worker.
 
@@ -68,17 +64,6 @@ val run :
   body:('w -> int -> unit) ->
   merge:('w -> unit) ->
   unit
-
-(** [map ?chunk t f arr] is [Array.map f arr], parallelized.  Input
-    order is preserved; exceptions from [f] propagate. *)
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [mapi] is [map] with the index. *)
-val mapi : ?chunk:int -> t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
-(** [filter_mapi t f arr] applies [f i arr.(i)] in parallel and returns
-    the [Some] results as a list in input-index order. *)
-val filter_mapi : ?chunk:int -> t -> (int -> 'a -> 'b option) -> 'a array -> 'b list
 
 (** Join all worker domains.  The pool remains valid but runs every
     subsequent call sequentially.  Idempotent. *)

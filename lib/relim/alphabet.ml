@@ -59,6 +59,4 @@ let set_name a set =
 
 let pp_label a fmt l = Format.pp_print_string fmt (name a l)
 
-let pp_set a fmt s = Format.pp_print_string fmt (set_name a s)
-
 let equal a b = a.names = b.names

@@ -37,6 +37,4 @@ val set_name : t -> Labelset.t -> string
 
 val pp_label : t -> Format.formatter -> label -> unit
 
-val pp_set : t -> Format.formatter -> Labelset.t -> unit
-
 val equal : t -> t -> bool

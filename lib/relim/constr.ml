@@ -19,11 +19,6 @@ let arity c = c.arity
 
 let equal a b = a.arity = b.arity && List.equal Line.equal a.lines b.lines
 
-let compare a b =
-  match compare a.arity b.arity with
-  | 0 -> List.compare Line.compare a.lines b.lines
-  | n -> n
-
 let support c =
   List.fold_left (fun acc l -> Labelset.union acc (Line.support l)) Labelset.empty c.lines
 

@@ -14,8 +14,6 @@ val arity : t -> int
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 (** Labels mentioned anywhere. *)
 val support : t -> Labelset.t
 

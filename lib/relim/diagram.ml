@@ -21,8 +21,6 @@ let make alpha geq exact =
   in
   { alpha; geq; exact; weaker }
 
-let alphabet d = d.alpha
-
 let is_exact d = d.exact
 
 let geq d a b = d.geq.(a).(b)
@@ -269,15 +267,15 @@ let right_closed_family ?node_limit d =
   done;
   (mgr, Zdd.diff mgr !fam Zdd.top)
 
-let right_closed_count ?node_limit d =
-  let mgr, fam = right_closed_family ?node_limit d in
+let right_closed_count d =
+  let mgr, fam = right_closed_family d in
   Zdd.count mgr fam
 
 (* Already in increasing bitset order — the enumeration order is the
    numeric mask order, so no sort is needed to match
    [right_closed_sets] byte for byte. *)
-let right_closed_sets_zdd ?limit ?node_limit d =
-  let mgr, fam = right_closed_family ?node_limit d in
+let right_closed_sets_zdd ?limit d =
+  let mgr, fam = right_closed_family d in
   let acc = ref [] in
   translate_zdd_limit (fun () ->
       Zdd.iter ?limit mgr fam (fun mask -> acc := Labelset.of_bits mask :: !acc));

@@ -22,8 +22,6 @@ val node_diagram : ?expand_limit:float -> Problem.t -> t
 
 val is_exact : t -> bool
 
-val alphabet : t -> Alphabet.t
-
 (** [geq d a b] — [a] is at least as strong as [b]. *)
 val geq : t -> label -> label -> bool
 
@@ -68,18 +66,19 @@ val right_closed_family : ?node_limit:int -> t -> Zdd.manager * Zdd.t
     enumeration, no [limit]: the count the explicit path reports when
     it completes, available even where materializing the list would
     trip its budget.  Used to keep the [rc_sets] counter
-    engine-independent on the fully symbolic R̄ path.
+    engine-independent on the fully symbolic R̄ path.  The family is
+    built under {!right_closed_family}'s default [node_limit] (2·10⁶).
     @raise Budget.Budget_exceeded as {!right_closed_family}. *)
-val right_closed_count : ?node_limit:int -> t -> int
+val right_closed_count : t -> int
 
 (** ZDD-backed variant of {!right_closed_sets}; byte-identical result
     on every diagram (pinned by the equivalence suite in [test/zdd]):
     the family's members come out in increasing bitset order, no sort
     needed.  [limit] budgets the number of sets produced, with the same
     trip-at-[limit+1] convention and a realized count in the
-    [Budget_exceeded] payload. *)
-val right_closed_sets_zdd :
-  ?limit:int -> ?node_limit:int -> t -> Labelset.t list
+    [Budget_exceeded] payload; the family is built under
+    {!right_closed_family}'s default [node_limit] (2·10⁶). *)
+val right_closed_sets_zdd : ?limit:int -> t -> Labelset.t list
 
 (** Minimal (weakest) elements of a set: members with no strictly
     weaker member in the set. *)

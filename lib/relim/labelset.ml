@@ -92,8 +92,6 @@ let nonempty_subsets s =
   let rec go x acc = if x = 0 then acc else go ((x - 1) land s) (x :: acc) in
   go s []
 
-let hash (s : int) = Hashtbl.hash s
-
 let of_bits b = b
 
 let to_bits s = s

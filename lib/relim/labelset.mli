@@ -86,9 +86,6 @@ val choose : t -> label
 (** All non-empty subsets of [s], in increasing bitset order. *)
 val nonempty_subsets : t -> t list
 
-(** Hash usable with [Hashtbl]. *)
-val hash : t -> int
-
 (** Unsafe embedding of a raw bitset; exposed for hashing/serialization
     helpers inside the library. *)
 val of_bits : int -> t

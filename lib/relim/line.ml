@@ -34,8 +34,6 @@ let equal (a : t) (b : t) = a = b
 
 let compare (a : t) (b : t) = compare a b
 
-let hash (l : t) = Hashtbl.hash l
-
 let of_multiset m =
   make (List.map (fun (l, c) -> (Labelset.singleton l, c)) (Multiset.counts m))
 

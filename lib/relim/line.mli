@@ -26,8 +26,6 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val hash : t -> int
-
 (** A concrete multiset viewed as a line of singleton groups. *)
 val of_multiset : Multiset.t -> t
 

@@ -16,16 +16,16 @@ let merge (p : Problem.t) ~from_ ~into_ =
       edge = rewrite p.edge;
     }
 
-let merge_is_sound ?expand_limit (p : Problem.t) ~from_ ~into_ =
+let merge_is_sound (p : Problem.t) ~from_ ~into_ =
   let lf = Alphabet.find p.alpha from_ in
   let li = Alphabet.find p.alpha into_ in
   let edge = Diagram.edge_diagram p in
-  let node = Diagram.node_diagram ?expand_limit p in
+  let node = Diagram.node_diagram p in
   Diagram.geq edge li lf && Diagram.geq node li lf
 
-let merge_equivalent ?expand_limit (p : Problem.t) =
+let merge_equivalent (p : Problem.t) =
   let edge = Diagram.edge_diagram p in
-  let node = Diagram.node_diagram ?expand_limit p in
+  let node = Diagram.node_diagram p in
   let n = Alphabet.size p.alpha in
   let pair = ref None in
   for a = 0 to n - 1 do

@@ -23,14 +23,15 @@ val merge : Problem.t -> from_:string -> into_:string -> Problem.t
     (Then any valid labeling stays valid after the rewrite, so the
     merged problem is solvable whenever the original is.)
     Node-constraint strength uses the exact diagram when the constraint
-    expands within [expand_limit]. *)
-val merge_is_sound :
-  ?expand_limit:float -> Problem.t -> from_:string -> into_:string -> bool
+    expands within {!Diagram.node_diagram}'s default limit (200,000
+    configurations). *)
+val merge_is_sound : Problem.t -> from_:string -> into_:string -> bool
 
 (** Merge every pair of labels that is {e equivalent} in both diagrams
     (mutually at-least-as-strong); sound and lossless.  Returns the
-    problem unchanged if no pair qualifies. *)
-val merge_equivalent : ?expand_limit:float -> Problem.t -> Problem.t
+    problem unchanged if no pair qualifies.  The node diagram is built
+    as in {!merge_is_sound}. *)
+val merge_equivalent : Problem.t -> Problem.t
 
 (** Remove every constraint line that another line of the same
     constraint covers ({!Line.covers}: it denotes only configurations

@@ -25,7 +25,11 @@ type outcome =
     {!Parctl.zdd_from_env}); note the capacity envelope moves with it —
     [expand_limit] is an explicit-path guard the fully symbolic rung
     does not consult (see {!Rounde.rbar}), so a tiny limit that stops
-    the explicit search at step 0 may let the symbolic one run on. *)
+    the explicit search at step 0 may let the symbolic one run on.
+    A budget trip or [Failure] in a speedup step ends the search with
+    [Unknown_after]; one in the 0-round decider is not caught.
+    @raise Budget.Budget_exceeded when the 0-round decider's
+    maximal-clique budget trips. *)
 val search :
   ?max_steps:int -> ?expand_limit:float -> ?pool:Parallel.Pool.t ->
   ?zdd:bool -> Problem.t -> outcome

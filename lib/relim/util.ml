@@ -114,13 +114,6 @@ let multisets elems k f =
     go 0 0
   end
 
-let list_product lists f =
-  let rec go acc = function
-    | [] -> f (List.rev acc)
-    | l :: rest -> List.iter (fun x -> go (x :: acc) rest) l
-  in
-  go [] lists
-
 let exists_bijection xs ys f =
   let rec go xs ys acc =
     match xs with

@@ -25,10 +25,6 @@ val choose_float : int -> int -> float
     The callback receives each multiset as a list of elements. *)
 val multisets : 'a list -> int -> ('a list -> unit) -> unit
 
-(** [list_product lists f] calls [f] on every tuple drawing one element
-    from each list, in order. *)
-val list_product : 'a list list -> ('a list -> unit) -> unit
-
 (** [bijections xs ys f] enumerates all bijections between two lists of
     equal length, represented as association lists; stops early if [f]
     returns [true] and returns [true] in that case. *)

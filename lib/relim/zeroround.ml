@@ -188,30 +188,30 @@ let find_maximal_clique (type a) ?(max_expansions = 1_000_000) ~pool compat n
    so no membership re-check is needed.  Every subtree runs to
    completion unless it finds a witness, so on solvable instances the
    counters include subtrees beyond the witness-bearing one. *)
-let clique_search ~max_expansions pool (p : Problem.t) =
+let clique_search pool (p : Problem.t) =
   let lines = Constr.lines p.node in
-  find_maximal_clique ~max_expansions ~pool (Problem.compat_matrix p)
+  find_maximal_clique ~pool (Problem.compat_matrix p)
     (Alphabet.size p.alpha)
     (fun clique -> List.find_map (fun line -> pick_from_pool line clique) lines)
 
 (* The time is added also when the search ends in [Budget_exceeded]. *)
-let solvable_arbitrary_ports_impl ?(max_expansions = 1_000_000) ?pool p =
+let solvable_arbitrary_ports_impl ?pool p =
   stats.clique_calls <- stats.clique_calls + 1;
   let t0 = Unix.gettimeofday () in
   let result =
     Fun.protect
       ~finally:(fun () ->
         stats.clique_time_s <- stats.clique_time_s +. (Unix.gettimeofday () -. t0))
-      (fun () -> clique_search ~max_expansions (Parctl.resolve pool) p)
+      (fun () -> clique_search (Parctl.resolve pool) p)
   in
   notify `Arbitrary p result;
   result
 
-let solvable_arbitrary_ports ?max_expansions ?pool (p : Problem.t) =
+let solvable_arbitrary_ports ?pool (p : Problem.t) =
   Trace.with_span "zeroround.arbitrary_ports"
     ~attrs:[ ("problem", p.name) ]
     (fun () ->
-      let result = solvable_arbitrary_ports_impl ?max_expansions ?pool p in
+      let result = solvable_arbitrary_ports_impl ?pool p in
       Trace.counters
         [
           ("zeroround.clique_calls", stats.clique_calls);

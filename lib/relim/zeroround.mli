@@ -39,15 +39,15 @@ val solvable_mirrored : Problem.t -> Multiset.t option
     instances this explores subtrees beyond the witness-bearing one,
     so [bk_expansions] / [maximal_cliques] can exceed what a search
     that stops at the first witness would report.
-    @param max_expansions bound on the Bron–Kerbosch recursion-tree
-    size (default 10⁶); the number of maximal cliques can be
-    exponential in pathological graphs.  The budget is shared across
-    subtrees through an atomic counter, so whether it trips is a
-    property of the instance, not of the schedule.
+
+    The Bron–Kerbosch recursion tree is bounded at a fixed 10⁶ nodes;
+    the number of maximal cliques can be exponential in pathological
+    graphs.  The budget is shared across subtrees through an atomic
+    counter, so whether it trips is a property of the instance, not of
+    the schedule.
     @raise Budget.Budget_exceeded when the bound is exceeded. *)
 val solvable_arbitrary_ports :
-  ?max_expansions:int -> ?pool:Parallel.Pool.t -> Problem.t ->
-  Multiset.t option
+  ?pool:Parallel.Pool.t -> Problem.t -> Multiset.t option
 
 (** [find_maximal_clique ~pool compat n f] runs the Bron–Kerbosch
     search {!solvable_arbitrary_ports} decides with, on the

@@ -51,8 +51,6 @@ let create ?(node_limit = 2_000_000) ~nbits () =
     next_id = 2;
   }
 
-let nbits m = m.nbits
-
 let bit_of m v = 1 lsl (m.nbits - 1 - v)
 
 let var_of_label m l =
@@ -95,21 +93,17 @@ let op_inter = 1
 
 let op_diff = 2
 
-let op_join = 3
+let op_maximal = 3
 
-let op_meet = 4
+let op_subof = 4
 
-let op_maximal = 5
+let op_within = 5
 
-let op_subof = 6
+let op_onset = 6
 
-let op_within = 7
+let op_offset = 7
 
-let op_onset = 8
-
-let op_offset = 9
-
-let op_cofactor = 10
+let op_cofactor = 8
 
 let cached m op x y compute =
   let key = (op, x, y) in
@@ -151,37 +145,6 @@ let rec diff m a b =
     if a.var < b.var then mk m a.var (diff m a.lo b) a.hi
     else if b.var < a.var then diff m a b.lo
     else mk m a.var (diff m a.lo b.lo) (diff m a.hi b.hi)
-
-let rec join m a b =
-  if a == bot || b == bot then bot
-  else if a == top then b
-  else if b == top then a
-  else
-    let x, y = if a.id <= b.id then (a, b) else (b, a) in
-    cached m op_join x.id y.id @@ fun () ->
-    if a.var < b.var then mk m a.var (join m a.lo b) (join m a.hi b)
-    else if b.var < a.var then mk m b.var (join m b.lo a) (join m b.hi a)
-    else
-      mk m a.var
-        (join m a.lo b.lo)
-        (union m
-           (join m a.hi b.hi)
-           (union m (join m a.hi b.lo) (join m a.lo b.hi)))
-
-let rec meet m a b =
-  if a == bot || b == bot then bot
-  else if a == top || b == top then top
-  else
-    let x, y = if a.id <= b.id then (a, b) else (b, a) in
-    cached m op_meet x.id y.id @@ fun () ->
-    if a.var < b.var then union m (meet m a.lo b) (meet m a.hi b)
-    else if b.var < a.var then union m (meet m b.lo a) (meet m b.hi a)
-    else
-      mk m a.var
-        (union m
-           (meet m a.lo b.lo)
-           (union m (meet m a.hi b.lo) (meet m a.lo b.hi)))
-        (meet m a.hi b.hi)
 
 let onset m l f =
   let v = var_of_label m l in
@@ -375,9 +338,9 @@ let iter_ge m f ~from k =
   in
   if from = 0 then all f 0 else ge f 0 0
 
-let elements ?limit m f =
+let elements m f =
   let acc = ref [] in
-  iter ?limit m f (fun mask -> acc := mask :: !acc);
+  iter m f (fun mask -> acc := mask :: !acc);
   List.rev !acc
 
 (* --- Slotted (multi-slot) families -------------------------------- *)

@@ -40,8 +40,6 @@ val create : ?node_limit:int -> nbits:int -> unit -> manager
     size; {!Limit} is raised when an operation would exceed it.
     @raise Invalid_argument unless [0 <= nbits <= 62]. *)
 
-val nbits : manager -> int
-
 val bot : t
 (** The empty family, {}. *)
 
@@ -64,12 +62,6 @@ val union : manager -> t -> t -> t
 val inter : manager -> t -> t -> t
 
 val diff : manager -> t -> t -> t
-
-val join : manager -> t -> t -> t
-(** [join m a b] is [{ x ∪ y | x ∈ a, y ∈ b }]. *)
-
-val meet : manager -> t -> t -> t
-(** [meet m a b] is [{ x ∩ y | x ∈ a, y ∈ b }]. *)
 
 val onset : manager -> int -> t -> t
 (** [onset m l f]: the members of [f] containing label [l] (kept as
@@ -112,8 +104,8 @@ val iter_ge : manager -> t -> from:int -> (int -> unit) -> unit
     [from] — cost proportional to the output plus one root-to-leaf
     walk, not to the family size. *)
 
-val elements : ?limit:int -> manager -> t -> int list
-(** [iter] collected into a list (increasing order). *)
+val elements : manager -> t -> int list
+(** [iter] collected into a list (increasing order), with no limit. *)
 
 (** {1 Slotted (multi-slot) families}
 

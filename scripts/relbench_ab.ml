@@ -17,6 +17,14 @@
    metric's bound.  Every run is printed as well.  It stops and exits 1
    as soon as a run reports "correct": false or prints no result.
 
+   Under that table, one line per metric gives the run-order effect:
+   the median over pairs of second run / first run, whichever side ran
+   second, and in how many pairs the second run won.  Alternating the
+   order cancels this effect in the medians, but not in the per-pair
+   wins: if the second run of a pair is always faster, each side wins
+   exactly the pairs in which it ran second, so a real gain smaller
+   than that gap cannot win more than half of the pairs.
+
    It then reads each run's full result,
    relbench-out/result-W-seedS-trace0.json in that run's checkout, and
    for every operation under its "ops" (the per-job medians of `steps`
@@ -32,6 +40,8 @@ let pairs = 10
 let first_seed = 21
 
 type metric = { name : string; lower_is_better : bool; bound : float }
+
+let better m a b = if m.lower_is_better then a < b else a > b
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("relbench_ab: " ^ msg); exit 1) fmt
 
@@ -166,8 +176,7 @@ let () =
   List.iter
     (fun m ->
       let ps = List.map (fun (p, _) -> p m.name) runs and cs = List.map (fun (_, c) -> c m.name) runs in
-      let better a b = if m.lower_is_better then a < b else a > b in
-      let wins = List.length (List.filter (fun (p, c) -> better (c m.name) (p m.name)) runs) in
+      let wins = List.length (List.filter (fun (p, c) -> better m (c m.name) (p m.name)) runs) in
       let pm = quantile 0.5 ps and cm = quantile 0.5 cs in
       let iqr = quantile 0.75 ps -. quantile 0.25 ps in
       let within =
@@ -176,6 +185,17 @@ let () =
       Printf.printf "| %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %.3f | %d/%d | %b | %b (bound %g) |\n" m.name pm
         (quantile 0.25 ps) (quantile 0.75 ps) cm (quantile 0.25 cs) (quantile 0.75 cs) (cm /. pm) wins pairs
         (Float.abs (cm -. pm) > iqr) within m.bound)
+    metrics;
+  (* The run-order effect: pair k ran the parent first when k is even. *)
+  print_newline ();
+  List.iter
+    (fun m ->
+      let ordered =
+        List.mapi (fun k (p, c) -> if k mod 2 = 0 then (p m.name, c m.name) else (c m.name, p m.name)) runs
+      in
+      let ratio = quantile 0.5 (List.map (fun (first, second) -> second /. first) ordered) in
+      let wins = List.length (List.filter (fun (first, second) -> better m second first) ordered) in
+      Printf.printf "run order, %s: second/first median %.3f, second run won %d/%d\n" m.name ratio wins pairs)
     metrics;
   (* The per-operation table, in the order of the change's first run; an
      operation missing from any run stops the script. *)

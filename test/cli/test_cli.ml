@@ -258,32 +258,72 @@ let test_bad_problem_exits_2 () =
     ];
   Sys.remove bad
 
+(* A problem whose edge compatibility is the cocktail-party graph on
+   22 pairs: node "a0 a1", and for each i < 44 the edge line
+   "a<i> [every label but a<i xor 1>]".  Its 2^22 maximal cliques trip
+   the arbitrary-port decider's expansion budget. *)
+let clique_blowup =
+  let label = Printf.sprintf "a%d" in
+  let line i =
+    List.init 44 Fun.id
+    |> List.filter (fun j -> j <> i lxor 1)
+    |> List.map label |> String.concat " "
+    |> Printf.sprintf "%s [%s]" (label i)
+  in
+  Printf.sprintf "--node 'a0 a1' --edge '%s'"
+    (String.concat ";" (List.init 44 line))
+
 (* Engine work that cannot finish (a budget overrun, or an empty node
-   constraint after R) is not a usage error: step, fixed-point and
-   autopilot print "stopped: <message>" on stdout and exit 0, never
-   cmdliner's "internal error" exit 125.  RELIM_ZDD=0 pins the budget
-   the default engine trips. *)
+   constraint after R) is not a usage error: step, zero-round,
+   upper-bound, fixed-point, autopilot and lemmas --concrete print
+   "stopped: <message>" on stdout and exit 0, never cmdliner's
+   "internal error" exit 125.  RELIM_ZDD=0 pins the budget the default
+   engine trips. *)
 let test_engine_stops () =
   let empty = "Rounde.r: empty node constraint (no node line survived)" in
+  let cliques =
+    "budget exceeded: Zeroround: maximal-clique enumeration (limit 1000000)"
+  in
+  let stops (args, msg) =
+    let code, stdout, stderr = run ~env:[ ("RELIM_ZDD", "0") ] args in
+    let name = if String.length args > 60 then String.sub args 0 60 ^ "..." else args in
+    Alcotest.(check int) (name ^ ": exit code 0") 0 code;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stopped on stdout: %s" name stdout)
+      true
+      (contains ~sub:("\nstopped: " ^ msg ^ "\n") stdout);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: no internal error: %s" name stderr)
+      false
+      (contains ~sub:"internal error" stderr);
+    stdout
+  in
   List.iter
-    (fun (args, msg) ->
-      let code, stdout, stderr = run ~env:[ ("RELIM_ZDD", "0") ] args in
-      Alcotest.(check int) (args ^ ": exit code 0") 0 code;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: stopped on stdout: %s" args stdout)
-        true
-        (contains ~sub:("\nstopped: " ^ msg ^ "\n") stdout);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: no internal error: %s" args stderr)
-        false
-        (contains ~sub:"internal error" stderr))
+    (fun row -> ignore (stops row))
     [
       ( "fixed-point -p mis -d 3 --max-steps 3",
         "budget exceeded: Rounde.rbar: box enumeration work (limit 5000000)" );
       ("fixed-point --node 'A A' --edge 'B B'", empty);
       ("autopilot --node 'A A' --edge 'B B'", empty);
       ("step --node 'A A' --edge 'B B'", empty);
-    ]
+      ("zero-round " ^ clique_blowup, cliques);
+      ("upper-bound " ^ clique_blowup, cliques);
+    ];
+  (* Only the concrete line of lemmas stops; the 0-round lemmas still
+     print after it. *)
+  let stdout =
+    stops
+      ( "lemmas --delta 40 -a 30 -x 2 --concrete",
+        "budget exceeded: Rounde.rbar: node constraint expansion (limit \
+         2000000)" )
+  in
+  Alcotest.(check bool)
+    ("lemmas prints Lemma 12 and 15 after the stop: " ^ stdout)
+    true
+    (contains
+       ~sub:
+         "(limit 2000000)\nLemma 12 (not 0-round solvable): true\nLemma 15 "
+       stdout)
 
 let () =
   Alcotest.run "cli"

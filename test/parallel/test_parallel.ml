@@ -1,7 +1,7 @@
 (* Edge-case tests for the domain pool (lib/parallel): degenerate
    domain counts, exception propagation from either end of the index
    range, stopped-pool and nested-run fallbacks, and a property pinning
-   the parallel combinators to their sequential reference. *)
+   [run] with per-index result slots to its sequential reference. *)
 
 module Pool = Parallel.Pool
 
@@ -13,9 +13,20 @@ let check_bool = Alcotest.(check bool)
    written to pass (as sequential degradations) even on 1 core. *)
 let parallel_domains = max 2 (min 4 (Domain.recommended_domain_count ()))
 
+(* [run] with each index writing [f i arr.(i)] into its own slot. *)
+let slot_map ?chunk pool f arr =
+  let res = Array.make (Array.length arr) None in
+  Pool.run ?chunk pool ~n:(Array.length arr)
+    ~init:(fun () -> ())
+    ~body:(fun () i -> res.(i) <- f i arr.(i))
+    ~merge:ignore;
+  res
+
+let map pool f arr = Array.map Option.get (slot_map pool (fun _ x -> Some (f x)) arr)
+
 let test_domains_clamped () =
-  (* domains <= 1 clamps to 1 and never spawns; the combinators still
-     run every index, in order. *)
+  (* domains <= 1 clamps to 1 and never spawns; [run] still runs every
+     index, in order. *)
   List.iter
     (fun d ->
       let pool = Pool.create ~domains:d in
@@ -99,24 +110,24 @@ let test_merge_runs_on_failure () =
 
 let test_stopped_pool_degrades () =
   let pool = Pool.create ~domains:parallel_domains in
-  ignore (Pool.map pool (fun x -> x + 1) [| 1; 2; 3 |]);
+  ignore (map pool (fun x -> x + 1) [| 1; 2; 3 |]);
   Pool.shutdown pool;
-  (* After shutdown every combinator must still work, sequentially. *)
+  (* After shutdown [run] must still work, sequentially. *)
   let total = ref 0 in
   Pool.run pool ~n:10
     ~init:(fun () -> ref 0)
     ~body:(fun l i -> l := !l + i)
     ~merge:(fun l -> total := !total + !l);
   check_int "run on stopped pool" 45 !total;
-  Alcotest.(check (array int)) "map on stopped pool" [| 2; 4; 6 |]
-    (Pool.map pool (fun x -> 2 * x) [| 1; 2; 3 |])
+  Alcotest.(check (array int)) "slots on stopped pool" [| 2; 4; 6 |]
+    (map pool (fun x -> 2 * x) [| 1; 2; 3 |])
 
 let test_nested_run_falls_back () =
   let pool = Pool.create ~domains:parallel_domains in
   (* A body that itself calls the pool: the inner run must degrade to a
      sequential loop instead of deadlocking on busy workers. *)
   let results =
-    Pool.map pool
+    map pool
       (fun x ->
         let inner = ref 0 in
         Pool.run pool ~n:4
@@ -147,8 +158,9 @@ let test_worker_ids_partition () =
     (!locals <= Pool.domains pool);
   Pool.shutdown pool
 
-(* Property: filter_mapi and mapi agree with the sequential reference
-   for arbitrary inputs and chunk sizes (including chunk > n). *)
+(* Property: per-index result slots, read as a filter_mapi and as a
+   mapi, agree with the sequential reference for arbitrary inputs and
+   chunk sizes (including chunk > n). *)
 let combinators_qcheck =
   let gen =
     QCheck2.Gen.(
@@ -164,8 +176,12 @@ let combinators_qcheck =
         let f i x = if (x + i) mod 3 = 0 then Some ((2 * x) + i) else None in
         let g i x = (x * x) - i in
         let pool = Pool.create ~domains in
-        let got_filter = Pool.filter_mapi ~chunk pool f arr in
-        let got_map = Pool.mapi ~chunk pool g arr in
+        let got_filter =
+          List.filter_map Fun.id (Array.to_list (slot_map ~chunk pool f arr))
+        in
+        let got_map =
+          Array.map Option.get (slot_map ~chunk pool (fun i x -> Some (g i x)) arr)
+        in
         Pool.shutdown pool;
         let want_filter = List.mapi f items |> List.filter_map Fun.id in
         let want_map = Array.mapi g arr in

@@ -213,6 +213,18 @@ let test_constr_expand () =
   (* MO, PO, MP: the overlap MO appears once. *)
   check_int "deduplicated" 3 (List.length configs)
 
+(* Regression: an expansion past its limit surfaces as the typed
+   [Budget.Budget_exceeded] (echoing the configured limit), not as a
+   bare [Failure _]. *)
+let test_constr_budget_typed () =
+  let big = Constr.make [ Parse.line alpha5 "[MPOAX] [MPOAX] [MPOAX]" ] in
+  match Constr.expand ~limit:3. big with
+  | _ -> Alcotest.fail "expected Budget_exceeded"
+  | exception Budget.Budget_exceeded { budget; limit } ->
+      check_bool "names the expansion budget" true
+        (budget = "Constr.expand: constraint expansion");
+      check_bool "echoes the limit" true (limit = 3.)
+
 (* ------------------------------------------------------------------ *)
 (* Parse                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -453,159 +465,6 @@ let test_step_speedup_on_coloring () =
   check_bool "label growth" true (Problem.label_count next >= 3)
 
 (* ------------------------------------------------------------------ *)
-(* Relax                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_relax_reflexive () =
-  let m = Multiset.of_list [ 0; 1; 2 ] in
-  check_bool "reflexive" true
-    (Relax.multiset_relaxes ~leq:Relax.label_equal m m)
-
-let test_relax_with_order () =
-  (* 0 <= 1 <= 2 *)
-  let leq a b = a <= b in
-  let y = Multiset.of_list [ 0; 1 ] in
-  let z = Multiset.of_list [ 1; 2 ] in
-  check_bool "relaxes upward" true (Relax.multiset_relaxes ~leq y z);
-  check_bool "not downward" false (Relax.multiset_relaxes ~leq z y);
-  let z_bad = Multiset.of_list [ 0; 0 ] in
-  check_bool "no matching" false (Relax.multiset_relaxes ~leq y z_bad)
-
-let test_relax_constr () =
-  let c1 = Constr.make [ Parse.line alpha5 "M P" ] in
-  let c2 = Constr.make [ Parse.line alpha5 "[MP] [MP]" ] in
-  check_bool "into disjunction" true
-    (Relax.constr_relaxes ~leq:Relax.label_equal c1 c2);
-  check_bool "not conversely" false
-    (Relax.constr_relaxes ~leq:Relax.label_equal c2 c1)
-
-(* Regression: a disjunctive target line silently never matched under
-   the old slot-by-slot matcher; the precondition is now enforced. *)
-let test_relax_nonconcrete_rejected () =
-  let c = Constr.make [ Parse.line alpha5 "M [PO]" ] in
-  let y = Multiset.of_list [ 0; 1 ] in
-  Alcotest.check_raises "non-concrete line rejected"
-    (Invalid_argument
-       "Relax.multiset_relaxes_into_constr: constraint has a non-concrete \
-        line (disjunction group); expand it first or use constr_relaxes")
-    (fun () ->
-      ignore (Relax.multiset_relaxes_into_constr ~leq:Relax.label_equal y c))
-
-(* Regression: budget trips in the relaxation checker surface as the
-   typed [Budget.Budget_exceeded] (echoing the configured limit), not
-   as a bare [Failure _]. *)
-let test_relax_budget_typed () =
-  let big = Constr.make [ Parse.line alpha5 "[MPOAX] [MPOAX] [MPOAX]" ] in
-  match Relax.constr_relaxes ~limit:3. ~leq:Relax.label_equal big big with
-  | _ -> Alcotest.fail "expected Budget_exceeded"
-  | exception Budget.Budget_exceeded { budget; limit } ->
-      check_bool "names the expansion budget" true
-        (budget = "Constr.expand: constraint expansion");
-      check_bool "echoes the limit" true (limit = 3.)
-
-(* Property suite: the transport-based decision procedures pinned
-   against brute-force references — explicit permutation matching for
-   configurations, full expansion of both sides for constraints. *)
-let relax_qcheck =
-  (* Random preorders on {0..3}: reflexive-transitive closure of a
-     random relation encoded in 16 bits. *)
-  let order_of_bits bits =
-    let m = Array.make_matrix 4 4 false in
-    for a = 0 to 3 do
-      for b = 0 to 3 do
-        m.(a).(b) <- a = b || bits land (1 lsl ((4 * a) + b)) <> 0
-      done
-    done;
-    for k = 0 to 3 do
-      for a = 0 to 3 do
-        for b = 0 to 3 do
-          if m.(a).(k) && m.(k).(b) then m.(a).(b) <- true
-        done
-      done
-    done;
-    m
-  in
-  let ref_relaxes ~leq y z =
-    let ys = Multiset.to_list y and zs = Multiset.to_list z in
-    List.length ys = List.length zs
-    &&
-    let rec go ys zs =
-      match ys with
-      | [] -> true
-      | y :: rest ->
-          let rec pick acc = function
-            | [] -> false
-            | z :: more ->
-                (leq y z && go rest (List.rev_append acc more))
-                || pick (z :: acc) more
-          in
-          pick [] zs
-    in
-    go ys zs
-  in
-  let gen_bits = QCheck.(map (fun x -> x land 0xFFFF) small_nat) in
-  let gen_mset =
-    QCheck.(map Multiset.of_list (list_of_size Gen.(1 -- 4) (0 -- 3)))
-  in
-  let alpha4 = Alphabet.create [ "A"; "B"; "C"; "D" ] in
-  let group_text g =
-    let names = List.filteri (fun i _ -> g land (1 lsl i) <> 0) [ "A"; "B"; "C"; "D" ] in
-    match names with
-    | [ only ] -> only
-    | names -> "[" ^ String.concat "" names ^ "]"
-  in
-  (* A line is 2 slots, each a nonempty subset of {A..D}; a constraint
-     is 1-2 such lines.  Kept tiny so full expansion stays exact. *)
-  let gen_group = QCheck.(1 -- 15) in
-  let gen_line = QCheck.pair gen_group gen_group in
-  let gen_constr =
-    QCheck.(
-      map
-        (fun lines ->
-          Constr.make
-            (List.map
-               (fun (g1, g2) ->
-                 Parse.line alpha4 (group_text g1 ^ " " ^ group_text g2))
-               lines))
-        (list_of_size Gen.(1 -- 2) gen_line))
-  in
-  [
-    QCheck.Test.make ~name:"multiset_relaxes = permutation reference"
-      ~count:500
-      QCheck.(triple gen_bits gen_mset gen_mset)
-      (fun (bits, y, z) ->
-        let m = order_of_bits bits in
-        let leq a b = m.(a).(b) in
-        Relax.multiset_relaxes ~leq y z = ref_relaxes ~leq y z);
-    QCheck.Test.make ~name:"constr_relaxes = expand-both reference"
-      ~count:300
-      QCheck.(triple gen_bits gen_constr gen_constr)
-      (fun (bits, a, b) ->
-        let m = order_of_bits bits in
-        let leq x y = m.(x).(y) in
-        let ref_result =
-          let zs = Constr.expand b in
-          List.for_all
-            (fun y -> List.exists (fun z -> ref_relaxes ~leq y z) zs)
-            (Constr.expand a)
-        in
-        Relax.constr_relaxes ~leq a b = ref_result);
-    QCheck.Test.make ~name:"multiset_relaxes_into_constr = expand reference"
-      ~count:300
-      QCheck.(triple gen_bits gen_mset gen_constr)
-      (fun (bits, y, c) ->
-        let m = order_of_bits bits in
-        let leq a b = m.(a).(b) in
-        (* Concretize: one line per expanded configuration. *)
-        let concrete =
-          Constr.make
-            (List.map Line.of_multiset (Constr.expand c))
-        in
-        Relax.multiset_relaxes_into_constr ~leq y concrete
-        = List.exists (fun z -> ref_relaxes ~leq y z) (Constr.expand c));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Zeroround                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -749,6 +608,7 @@ let main_suites =
         [
           Alcotest.test_case "membership" `Quick test_constr;
           Alcotest.test_case "expand-dedup" `Quick test_constr_expand;
+          Alcotest.test_case "typed budget" `Quick test_constr_budget_typed;
         ] );
       ( "parse",
         [
@@ -777,15 +637,6 @@ let main_suites =
           Alcotest.test_case "empty node constraint" `Quick test_r_empty_node;
           Alcotest.test_case "coloring step" `Quick test_step_speedup_on_coloring;
         ] );
-      ( "relax",
-        [
-          Alcotest.test_case "reflexive" `Quick test_relax_reflexive;
-          Alcotest.test_case "ordered" `Quick test_relax_with_order;
-          Alcotest.test_case "constraints" `Quick test_relax_constr;
-          Alcotest.test_case "non-concrete rejected" `Quick
-            test_relax_nonconcrete_rejected;
-          Alcotest.test_case "typed budget" `Quick test_relax_budget_typed;
-        ] );
       ( "zeroround",
         [
           Alcotest.test_case "mis" `Quick test_zeroround_mis;
@@ -803,7 +654,6 @@ let main_suites =
           Alcotest.test_case "dot export" `Quick test_diagram_dot;
         ] );
       qsuite "engine-props" engine_qcheck;
-      qsuite "relax-props" relax_qcheck;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -2193,18 +2043,28 @@ let multiset_ref_qcheck =
 (* The domain pool and the engine's determinism across domain counts   *)
 (* ------------------------------------------------------------------ *)
 
+(* [run] with each index writing its result into its own slot: a map,
+   and a filter-map read off the slots in index order. *)
+let slot_map ?chunk pool f arr =
+  let res = Array.make (Array.length arr) None in
+  Parallel.Pool.run ?chunk pool ~n:(Array.length arr)
+    ~init:(fun () -> ())
+    ~body:(fun () i -> res.(i) <- f i arr.(i))
+    ~merge:ignore;
+  res
+
 let test_pool_map_order () =
   let pool = Parallel.Pool.create ~domains:4 in
   let arr = Array.init 1000 Fun.id in
   List.iter
     (fun chunk ->
-      let doubled = Parallel.Pool.map ~chunk pool (fun x -> 2 * x) arr in
+      let doubled = slot_map ~chunk pool (fun _ x -> Some (2 * x)) arr in
       Alcotest.(check (array int))
         (Printf.sprintf "map preserves order (chunk=%d)" chunk)
         (Array.map (fun x -> 2 * x) arr)
-        doubled;
+        (Array.map Option.get doubled);
       let odd_squares =
-        Parallel.Pool.filter_mapi ~chunk pool
+        slot_map ~chunk pool
           (fun i x -> if i land 1 = 1 then Some (x * x) else None)
           arr
       in
@@ -2213,29 +2073,26 @@ let test_pool_map_order () =
         (List.init 500 (fun k ->
              let i = (2 * k) + 1 in
              i * i))
-        odd_squares)
+        (List.filter_map Fun.id (Array.to_list odd_squares)))
     [ 1; 7; 64; 2048 ];
   Parallel.Pool.shutdown pool
 
 let test_pool_exception () =
   let pool = Parallel.Pool.create ~domains:4 in
+  let ident pool arr = Array.map Option.get (slot_map pool (fun _ x -> Some x) arr) in
   (match
-     Parallel.Pool.map pool
-       (fun x -> if x = 37 then failwith "boom" else x)
+     slot_map pool
+       (fun _ x -> if x = 37 then failwith "boom" else Some x)
        (Array.init 100 Fun.id)
    with
   | _ -> Alcotest.fail "expected the body's Failure to propagate"
   | exception Failure msg -> check Alcotest.string "failure message" "boom" msg);
   (* A failed job must not wedge the pool. *)
   let arr = Array.init 50 Fun.id in
-  Alcotest.(check (array int))
-    "pool reusable after a failure" arr
-    (Parallel.Pool.map pool Fun.id arr);
+  Alcotest.(check (array int)) "pool reusable after a failure" arr (ident pool arr);
   Parallel.Pool.shutdown pool;
   (* A stopped pool degrades to the sequential path. *)
-  Alcotest.(check (array int))
-    "stopped pool runs sequentially" arr
-    (Parallel.Pool.map pool Fun.id arr)
+  Alcotest.(check (array int)) "stopped pool runs sequentially" arr (ident pool arr)
 
 let test_pool_run_merge () =
   let pool = Parallel.Pool.create ~domains:3 in

@@ -29,16 +29,6 @@ let family_of_zdd mgr z = IntSet.of_list (Zdd.elements mgr z)
 let zdd_of_family mgr fam =
   IntSet.fold (fun m acc -> Zdd.union mgr acc (Zdd.of_mask mgr m)) fam Zdd.bot
 
-let ref_join a b =
-  IntSet.fold
-    (fun x acc -> IntSet.fold (fun y acc -> IntSet.add (x lor y) acc) b acc)
-    a IntSet.empty
-
-let ref_meet a b =
-  IntSet.fold
-    (fun x acc -> IntSet.fold (fun y acc -> IntSet.add (x land y) acc) b acc)
-    a IntSet.empty
-
 let ref_maximal fam =
   IntSet.filter
     (fun x ->
@@ -113,12 +103,6 @@ let zdd_qcheck =
         eq mgr (Zdd.union mgr za zb) (IntSet.union a b)
         && eq mgr (Zdd.inter mgr za zb) (IntSet.inter a b)
         && eq mgr (Zdd.diff mgr za zb) (IntSet.diff a b));
-    QCheck.Test.make ~name:"join/meet = pointwise or/and" ~count:300
-      (QCheck.pair gen_family gen_family) (fun (a, b) ->
-        let mgr = mk () in
-        let za = zdd_of_family mgr a and zb = zdd_of_family mgr b in
-        eq mgr (Zdd.join mgr za zb) (ref_join a b)
-        && eq mgr (Zdd.meet mgr za zb) (ref_meet a b));
     QCheck.Test.make ~name:"onset/offset = bit filters" ~count:300
       (QCheck.pair gen_family (QCheck.int_bound (nbits - 1)))
       (fun (a, l) ->

@@ -88,6 +88,10 @@ trace-smoke:
 # included, so a changed decision fails here.  mm's stdout carries
 # 3.4 MB of nested label names, so grep reads all of it (no -q, which
 # would stop at the first match) and prints only the verdict line.
+# Then the identity-only search behind upper-bound: SO Delta=3 closes a
+# certified cycle and prints the fixed-point line, and mis Delta=2 (no
+# cover to get past its third step's budget) reaches no 0-round
+# problem within 2 steps.
 autopilot-smoke:
 	dune build bin
 	dune exec bin/roundelim.exe -- autopilot -p so -d 3 --certify \
@@ -96,6 +100,10 @@ autopilot-smoke:
 	  | grep 'verdict: upper-bound (3 steps)  (7 candidates explored, 1 budget-skipped, 3 certified steps'
 	dune exec bin/roundelim.exe -- autopilot -p mm -d 3 --certify \
 	  | grep 'verdict: exhausted  (3 candidates explored, 0 budget-skipped, 3 certified steps'
+	dune exec bin/roundelim.exe -- upper-bound -p so -d 3 --certify \
+	  | grep 'no 0-round problem is ever reached: the speedup step closes a certified cycle of period 1'
+	dune exec bin/roundelim.exe -- upper-bound -p mis -d 2 \
+	  | grep 'no 0-round problem reached within 2 step(s)'
 
 # Certifier smoke through the CLI (scripts/certify_smoke.sh): the
 # certified step of Pi(8,6,1) must print its pinned summary line (both

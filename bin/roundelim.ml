@@ -409,6 +409,10 @@ let load_cmd =
 
 (* ---- upper-bound ---- *)
 
+(* The autopilot restricted to the identity relaxation (beam 0) is the
+   plain Rbar o R iteration, with every accepted step certified and
+   every state checked for a cycle.  Each step gets [Rounde.step]'s
+   default budgets, and no label cap below R's own width limit. *)
 let upper_bound preset delta a x node edge max_steps domains certify trace tfmt =
   if max_steps < 0 then usage_error "--max-steps must be at least 0";
   with_trace trace tfmt @@ fun () ->
@@ -416,13 +420,31 @@ let upper_bound preset delta a x node edge max_steps domains certify trace tfmt 
   let p = preset_problem preset delta a x node edge in
   with_certify certify @@ fun () ->
   or_stopped @@ fun () ->
-  match Relim.Upperbound.search ~max_steps ?pool p with
-  | Relim.Upperbound.Solvable_in k ->
+  let limits =
+    {
+      Autopilot.max_steps;
+      beam = 0;
+      expand_limit = 2e6;
+      rc_limit = 100_000;
+      max_labels = Relim.Labelset.max_label;
+    }
+  in
+  let report = Autopilot.search ~limits ?pool p in
+  match report.Autopilot.verdict with
+  | Autopilot.Upper_bound { steps } ->
       Format.printf
         "solvable in %d round(s) in the PN model (on high-girth Delta-regular instances)@."
-        k
-  | Relim.Upperbound.Unknown_after k ->
-      Format.printf "no 0-round problem reached within %d step(s) (budget/blow-up)@." k
+        steps
+  | Autopilot.Exhausted _ ->
+      Format.printf
+        "no 0-round problem reached within %d step(s) (budget/blow-up)@."
+        (List.length report.Autopilot.steps)
+  | Autopilot.Fixed_point { period; _ } ->
+      Format.printf
+        "no 0-round problem is ever reached: the speedup step closes a \
+         certified cycle of period %d (Omega(log n) deterministic and \
+         Omega(log log n) randomized LOCAL lower bounds)@."
+        period
 
 let upper_bound_cmd =
   let steps_t =
@@ -434,7 +456,10 @@ let upper_bound_cmd =
              0-round solvable.")
   in
   Cmd.v
-    (Cmd.info "upper-bound" ~doc:"Search for an upper bound by iterated speedup")
+    (Cmd.info "upper-bound"
+       ~doc:
+         "Search for a certified upper bound by iterated speedup (the \
+          autopilot with the identity relaxation only)")
     Term.(
       const upper_bound $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t
       $ steps_t $ domains_t $ certify_t $ trace_t $ trace_format_t)

@@ -187,11 +187,12 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
       wall_s = Unix.gettimeofday () -. t0;
     }
   in
-  let solvable p =
-    match Zeroround.solvable_arbitrary_ports ?pool p with
-    | Some _ -> true
-    | None -> false
-    | exception Budget.Budget_exceeded _ -> false
+  let solvable p = Zeroround.solvable_arbitrary_ports ?pool p <> None in
+  (* A candidate's check only ranks it, so a decider trip there reads as
+     "not solvable"; the current state's check in [go] lets it raise,
+     since searching on past an unknown answer would misreport it. *)
+  let ranks_solvable p =
+    try solvable p with Budget.Budget_exceeded _ -> false
   in
   let s0 = Simplify.normalize p0 in
   (* Normalized states on the path, newest first, each next to its
@@ -250,7 +251,7 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
                       norm;
                       hash = Iso.invariant_hash norm;
                       labels = Problem.label_count norm;
-                      solvable = solvable norm;
+                      solvable = ranks_solvable norm;
                     }
           in
           let accept v =
@@ -292,10 +293,12 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
           in
           (* The identity relaxation is the lossless exact step; when it
              fits the budgets there is nothing to search.  Covers are
-             walked only when it trips. *)
+             walked only when it trips, and never built with a beam of
+             0. *)
           let viables =
             match try_cand Identity with
             | Some v -> [ v ]
+            | None when limits.beam = 0 -> []
             | None ->
                 let covers = covers_of ~limits rp in
                 let rec walk acc tried = function

@@ -54,7 +54,11 @@
 
 type limits = {
   max_steps : int;  (** Search depth: accepted steps before giving up. *)
-  beam : int;  (** Candidate covers evaluated per step. *)
+  beam : int;
+      (** Candidate covers evaluated per step when the identity
+          relaxation trips a budget.  With [0] no cover is built, and
+          the search is the plain [R̄ ∘ R] iteration (certified and
+          cycle-checked), as [roundelim upper-bound] runs it. *)
   expand_limit : float;
       (** Per-candidate budget for [R̄]'s node-constraint expansion. *)
   rc_limit : int;
@@ -113,9 +117,17 @@ type report = {
     first; then a 0-round-solvable state, fewest labels first, which
     the next step turns into an {!Upper_bound}.
 
+    A budget trip of the 0-round decider on a candidate ranks it as
+    not 0-round solvable.  On the state the search stands on (the
+    normalized input, then each accepted state) the trip propagates:
+    the search cannot go past an unknown answer.  A [Failure] of the
+    engine (an empty constraint after [R] or [R̄]) propagates too.
+
     Emits [autopilot.*] trace spans, instants and counters when tracing
     is enabled.  [pool] feeds the engine's parallel hot paths (the
-    verdict is identical for every domain count). *)
+    verdict is identical for every domain count).
+    @raise Relim.Budget.Budget_exceeded when the 0-round decider trips
+    on the current state. *)
 val search :
   ?limits:limits -> ?pool:Parallel.Pool.t -> Relim.Problem.t -> report
 

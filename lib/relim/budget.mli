@@ -7,8 +7,8 @@
     empty constraint, a parse error): callers could only string-match
     the message.  Overruns now raise {!Budget_exceeded}, which names
     the budget that tripped and its limit, so search drivers (the
-    autopilot, [Upperbound.search], the fuzzer) can {e skip} oversized
-    instances while still crashing loudly on real bugs.
+    autopilot, the fuzzer) can {e skip} oversized instances while
+    still crashing loudly on real bugs.
 
     Genuine errors — an empty node/edge constraint after [R]/[R̄],
     malformed input — still raise [Failure]. *)

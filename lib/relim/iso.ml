@@ -35,34 +35,42 @@ let invariant_hash (p : Problem.t) =
       List.length (Constr.lines p.edge),
       sigs )
 
+(* Depth-first over [a]'s labels in index order, each tried against
+   [b]'s unused labels in index order, where a label may only go to one
+   of the same signature: the first full assignment under which the
+   constraints coincide is the lexicographically first renaming.  The
+   signature multisets are compared first, so a label with no partner
+   is refused before any search. *)
 let find_renaming (a : Problem.t) (b : Problem.t) =
-  let na = Alphabet.size a.alpha and nb = Alphabet.size b.alpha in
-  if na <> nb then None
+  let n = Alphabet.size a.alpha in
+  if n <> Alphabet.size b.alpha then None
   else begin
-    let sig_a = Array.init na (signature a) in
-    let sig_b = Array.init nb (signature b) in
-    let labels_a = List.init na Fun.id in
-    let labels_b = List.init nb Fun.id in
-    let found = ref None in
-    let check assoc =
-      let mapping = Array.make na (-1) in
-      List.iter (fun (la, lb) -> mapping.(la) <- lb) assoc;
-      let renamed = remap_problem a b.alpha mapping in
-      if Constr.equal renamed.node b.node && Constr.equal renamed.edge b.edge
-      then begin
-        found := Some assoc;
-        true
-      end
-      else false
+    let sig_a = Array.init n (signature a) in
+    let sig_b = Array.init n (signature b) in
+    let sorted sigs = List.sort compare (Array.to_list sigs) in
+    let mapping = Array.make n (-1) in
+    let used = Array.make n false in
+    let rec assign la =
+      if la = n then
+        let renamed = remap_problem a b.alpha mapping in
+        Constr.equal renamed.node b.node && Constr.equal renamed.edge b.edge
+      else
+        let rec try_from lb =
+          if lb = n then false
+          else if used.(lb) || sig_a.(la) <> sig_b.(lb) then try_from (lb + 1)
+          else begin
+            used.(lb) <- true;
+            mapping.(la) <- lb;
+            let found = assign (la + 1) in
+            used.(lb) <- false;
+            found || try_from (lb + 1)
+          end
+        in
+        try_from 0
     in
-    let compatible assoc =
-      List.for_all (fun (la, lb) -> sig_a.(la) = sig_b.(lb)) assoc
-    in
-    let _ =
-      Util.exists_bijection labels_a labels_b (fun assoc ->
-          compatible assoc && check assoc)
-    in
-    !found
+    if sorted sig_a = sorted sig_b && assign 0 then
+      Some (List.init n (fun la -> (la, mapping.(la))))
+    else None
   end
 
 let equal_up_to_renaming a b = find_renaming a b <> None

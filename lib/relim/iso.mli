@@ -18,9 +18,15 @@ val invariant_hash : Problem.t -> int
 (** [find_renaming a b] searches for a bijection σ from [a]'s labels to
     [b]'s labels such that applying σ to [a]'s node and edge
     constraints yields exactly [b]'s (as sets of configurations).
-    Returns the bijection as an association list of labels, or [None].
-    Backtracking with degree-signature pruning; alphabets beyond ~12
-    labels may be slow. *)
+    Returns the bijection as an association list of labels, in [a]'s
+    label order, or [None].  When several bijections fit, the one
+    returned is the lexicographically first (by the images of [a]'s
+    labels 0, 1, …).  The search backtracks over [a]'s labels in index
+    order and maps each only to a label of [b] with the same occurrence
+    signature (the group sizes and multiplicities it appears with), so
+    its cost grows with the sizes of the signature classes, not with
+    the alphabet: labels that share one signature are still tried in
+    every order. *)
 val find_renaming : Problem.t -> Problem.t -> (label * label) list option
 
 (** [equal_up_to_renaming a b] — convenience wrapper. *)

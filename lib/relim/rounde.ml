@@ -110,7 +110,17 @@ let neighbors nbr n s =
    from the singleton closures, joining each newly discovered closed
    set with every previously discovered one, visits each closed set
    exactly once.  The closure lattice is exponentially smaller than the
-   2^n subset lattice in practice. *)
+   2^n subset lattice in practice.
+
+   R's labels are the closed sets C with N(C) non-empty, and only the
+   full label set can have N(C) empty (then C = N(∅)).  So R's output
+   is too wide for [Labelset] as soon as [max_label + 2] distinct
+   closed sets are found, and the width budget trips there, before the
+   rest of the lattice is enumerated. *)
+let r_width_exceeded () =
+  Budget.exceeded ~budget:"Rounde.r: output alphabet width"
+    ~limit:(float_of_int Labelset.max_label)
+
 let closed_sets nbr n =
   let closure s = neighbors nbr n (neighbors nbr n s) in
   let visited = Hashtbl.create 64 in
@@ -121,6 +131,8 @@ let closed_sets nbr n =
       stats.closure_revisits <- stats.closure_revisits + 1
     else begin
       Hashtbl.add visited key ();
+      if Hashtbl.length visited > Labelset.max_label + 1 then
+        r_width_exceeded ();
       Queue.add s queue
     end
   in
@@ -222,9 +234,7 @@ let r_impl (p : Problem.t) =
     List.fold_left (fun acc (a, b) -> SS.add a (SS.add b acc)) SS.empty pairs
   in
   let denots = Array.of_list (SS.elements sets) in
-  if Array.length denots > Labelset.max_label then
-    Budget.exceeded ~budget:"Rounde.r: output alphabet width"
-      ~limit:(float_of_int Labelset.max_label);
+  if Array.length denots > Labelset.max_label then r_width_exceeded ();
   let alpha' = intern_sets p.alpha denots in
   let index_of =
     let tbl = Hashtbl.create 16 in

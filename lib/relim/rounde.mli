@@ -105,6 +105,16 @@ val observer :
     pairwise compatible in ℰ_Π; the node constraint is obtained by
     replacing every label with the disjunction of the new labels
     containing it.
+
+    The pairs come from the Galois-closed label sets, enumerated
+    output-sensitively.  Π' has a label for every closed set except at
+    most one (the full set, when no label is compatible with all of
+    it), so the enumeration stops as soon as it finds
+    [Labelset.max_label + 2] closed sets: Π' could not fit the label
+    width.  Only the closure counters in {!stats} of such a tripped
+    call depend on where it stopped.
+    @raise Budget.Budget_exceeded ["Rounde.r: output alphabet width"]
+    when Π' would have more than [Labelset.max_label] labels.
     @raise Failure if every node line dies (some group's labels all
     lack compatible partners), i.e. Π' would have an empty node
     constraint. *)

@@ -113,18 +113,3 @@ let multisets elems k f =
     in
     go 0 0
   end
-
-let exists_bijection xs ys f =
-  let rec go xs ys acc =
-    match xs with
-    | [] -> f (List.rev acc)
-    | x :: xs' ->
-        let rec try_each before = function
-          | [] -> false
-          | y :: after ->
-              go xs' (List.rev_append before after) ((x, y) :: acc)
-              || try_each (y :: before) after
-        in
-        try_each [] ys
-  in
-  if List.length xs <> List.length ys then false else go xs ys []

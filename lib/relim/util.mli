@@ -24,8 +24,3 @@ val choose_float : int -> int -> float
     list [elems], as sorted lists (non-decreasing by list position).
     The callback receives each multiset as a list of elements. *)
 val multisets : 'a list -> int -> ('a list -> unit) -> unit
-
-(** [bijections xs ys f] enumerates all bijections between two lists of
-    equal length, represented as association lists; stops early if [f]
-    returns [true] and returns [true] in that case. *)
-val exists_bijection : 'a list -> 'b list -> (('a * 'b) list -> bool) -> bool

@@ -3,7 +3,9 @@
    a certified relaxed cycle, the Pi(5,4,2) upper bound reached through
    a quotient cover where the plain speedup step trips its budget, the
    short names of a cover's relaxed labels and certificate
-   round-trips. *)
+   round-trips; and the identity-only search behind `roundelim
+   upper-bound`, checked against a plain iteration of the speedup
+   step. *)
 
 module A = Autopilot
 module Cert = Certify.Certificate
@@ -225,6 +227,172 @@ let test_cover_short_names () =
     r.A.steps;
   check_steps_certified r
 
+(* ------------------------------------------------------------------ *)
+(* Identity-only search (roundelim upper-bound)                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A beam of 0 tries only the identity relaxation, so each accepted
+   step is the plain Rbar o R step, under [Rounde.step]'s default
+   budgets and no label cap below R's own. *)
+let identity_only max_steps =
+  {
+    A.max_steps;
+    beam = 0;
+    expand_limit = 2e6;
+    rc_limit = 100_000;
+    max_labels = Relim.Labelset.max_label;
+  }
+
+let parse = Relim.Parse.problem
+let triv () = parse ~name:"t" ~node:"A A A" ~edge:"A A"
+let so2 () = parse ~name:"SO" ~node:"O [IO]^2" ~edge:"O I"
+let mis3 () = parse ~name:"MIS" ~node:"M M M\nP O O" ~edge:"M [PO]\nO O"
+
+let exhausted_after name want (r : A.report) =
+  match r.A.verdict with
+  | A.Exhausted _ ->
+      check_int (name ^ ": accepted steps") want (List.length r.A.steps)
+  | v ->
+      Alcotest.failf "%s: expected exhausted, got %s" name (A.verdict_string v)
+
+let test_ub_trivial () =
+  match (A.search ~limits:(identity_only 4) (triv ())).A.verdict with
+  | A.Upper_bound { steps } -> check_int "0-round solvable as given" 0 steps
+  | v ->
+      Alcotest.failf "expected upper-bound (0 steps), got %s"
+        (A.verdict_string v)
+
+(* SO is never 0-round solvable: the plain step closes a certified
+   period-1 cycle instead of running out of steps. *)
+let test_ub_so_unsolvable () =
+  let r = A.search ~limits:(identity_only 3) (so2 ()) in
+  (match r.A.verdict with
+  | A.Fixed_point { period; _ } -> check_int "period" 1 period
+  | v -> Alcotest.failf "expected a fixed point, got %s" (A.verdict_string v));
+  check_steps_certified r
+
+(* A search's [Upper_bound k] must agree with the 0-round decider on
+   the k-step image: [p1] is not 0-round solvable, and its image after
+   one step is; MIS Δ=3 reaches no bound within 2 steps. *)
+let test_ub_consistency () =
+  let p1 =
+    parse ~name:"p1" ~node:"A [BCD]\n[AB] D" ~edge:"B [ABD]\n[ABC] D"
+  in
+  let bound p =
+    match (A.search ~limits:(identity_only 2) p).A.verdict with
+    | A.Upper_bound { steps } -> Some steps
+    | A.Exhausted _ | A.Fixed_point _ -> None
+  in
+  Alcotest.(check (option int)) "p1" (Some 1) (bound p1);
+  Alcotest.(check (option int)) "MIS" None (bound (mis3 ()));
+  let solvable q = Relim.Zeroround.solvable_arbitrary_ports q <> None in
+  let p1 = Relim.Simplify.normalize p1 in
+  check_bool "p1 not 0-round solvable" false (solvable p1);
+  check_bool "its one-step image is" true
+    (solvable
+       (Relim.Simplify.normalize (Relim.Rounde.step p1).Relim.Rounde.problem))
+
+(* SO never becomes 0-round solvable and closes its cycle at step 2, so
+   a budget of 0 (no step: only the input's own 0-round check) or 1
+   stops exactly there. *)
+let test_ub_max_steps () =
+  exhausted_after "max_steps 0" 0 (A.search ~limits:(identity_only 0) (so2 ()));
+  exhausted_after "max_steps 1" 1 (A.search ~limits:(identity_only 1) (so2 ()))
+
+(* R(MIS) has more labels than a cap of 2, so the identity relaxation
+   is refused before R-bar runs and the search ends with no step.  The
+   cap is the autopilot's own, so every R-bar rung honours it (the
+   symbolic one ignores [expand_limit]). *)
+let test_ub_label_cap () =
+  let limits = { (identity_only 3) with A.max_labels = 2 } in
+  exhausted_after "label cap" 0 (A.search ~limits (mis3 ()))
+
+(* The verdict, counters and accepted steps are identical for every
+   domain count. *)
+let test_ub_pool () =
+  let pool = Parallel.Pool.create ~domains:3 in
+  let summary (r : A.report) =
+    ( A.verdict_string r.A.verdict,
+      r.A.candidates_explored,
+      r.A.budget_skips,
+      List.map
+        (fun (s : A.accepted) ->
+          (s.A.step_index, s.A.result_labels, Cert.to_text s.A.certificate))
+        r.A.steps )
+  in
+  List.iter
+    (fun p ->
+      let limits = identity_only 2 in
+      check_bool
+        (Printf.sprintf "report on %s" p.Relim.Problem.name)
+        true
+        (summary (A.search ~limits p) = summary (A.search ~limits ~pool p)))
+    [ triv (); so2 (); mis3 () ];
+  Parallel.Pool.shutdown pool
+
+(* Outcome of iterating the speedup step up to [max_steps] times. *)
+type reach =
+  | Solvable_after of int  (** A 0-round-solvable state after k steps. *)
+  | Not_reached  (** None within the steps, or a step tripped a budget. *)
+  | Decider_tripped  (** The 0-round decider tripped on a state. *)
+  | Engine_failure of string
+
+let reach_string = function
+  | Solvable_after k -> Printf.sprintf "solvable after %d" k
+  | Not_reached -> "not reached"
+  | Decider_tripped -> "decider tripped"
+  | Engine_failure m -> "failure: " ^ m
+
+(* The plain iteration, from its definition: normalize, then step and
+   normalize until a state is 0-round solvable. *)
+let plain_iteration ~max_steps p =
+  let rec go q k =
+    if Relim.Zeroround.solvable_arbitrary_ports q <> None then Solvable_after k
+    else if k = max_steps then Not_reached
+    else
+      match Relim.Rounde.step q with
+      | { Relim.Rounde.problem; _ } ->
+          go (Relim.Simplify.normalize problem) (k + 1)
+      | exception Relim.Budget.Budget_exceeded _ -> Not_reached
+  in
+  match go (Relim.Simplify.normalize p) 0 with
+  | r -> r
+  | exception Relim.Budget.Budget_exceeded _ -> Decider_tripped
+  | exception Failure m -> Engine_failure m
+
+let identity_search ~max_steps p =
+  match (A.search ~limits:(identity_only max_steps) p).A.verdict with
+  | A.Upper_bound { steps } -> Solvable_after steps
+  | A.Exhausted _ | A.Fixed_point _ -> Not_reached
+  | exception Relim.Budget.Budget_exceeded _ -> Decider_tripped
+  | exception Failure m -> Engine_failure m
+
+(* On 400 seeded random problems the identity-only search answers
+   exactly as the plain iteration: the same step count when it reaches
+   a 0-round-solvable state, no bound only when the iteration reaches
+   none, and the engine's [Failure] passed on.  Every kind of answer
+   occurs at least once. *)
+let test_ub_differential () =
+  let rng = Random.State.make [| 7 |] in
+  let max_steps = 3 in
+  let solvable = ref 0 and not_reached = ref 0 and failed = ref 0 in
+  for i = 1 to 400 do
+    let p = Certify.Fuzz.gen_problem rng in
+    let want = plain_iteration ~max_steps p in
+    let got = identity_search ~max_steps p in
+    if got <> want then
+      Alcotest.failf "problem %d: search %s, iteration %s\n%s" i
+        (reach_string got) (reach_string want) (Relim.Serialize.to_string p);
+    match got with
+    | Solvable_after k when k >= 1 -> incr solvable
+    | Not_reached -> incr not_reached
+    | Engine_failure _ -> incr failed
+    | Solvable_after _ | Decider_tripped -> ()
+  done;
+  check_bool "some problem needs a step" true (!solvable > 0);
+  check_bool "some problem is never solved" true (!not_reached > 0);
+  check_bool "some problem fails in the engine" true (!failed > 0)
+
 let () =
   (* The RELIM_CERTIFY and RELIM_TRACE test legs cover this suite too. *)
   Certify.Hooks.install_if_env ();
@@ -241,5 +409,19 @@ let () =
             test_pi_budget_wall;
           Alcotest.test_case "cover step labels get short names" `Quick
             test_cover_short_names;
+        ] );
+      ( "upperbound",
+        [
+          Alcotest.test_case "trivial is 0-round" `Quick test_ub_trivial;
+          Alcotest.test_case "SO stays unsolvable" `Quick test_ub_so_unsolvable;
+          Alcotest.test_case "bound confirmed by the 0-round decider" `Quick
+            test_ub_consistency;
+          Alcotest.test_case "max_steps caps the search" `Quick
+            test_ub_max_steps;
+          Alcotest.test_case "label cap budget verdict" `Quick
+            test_ub_label_cap;
+          Alcotest.test_case "sequential and pooled agree" `Quick test_ub_pool;
+          Alcotest.test_case "agrees with the plain iteration" `Quick
+            test_ub_differential;
         ] );
     ]

@@ -273,6 +273,18 @@ let clique_blowup =
   Printf.sprintf "--node 'a0 a1' --edge '%s'"
     (String.concat ";" (List.init 44 line))
 
+(* Sinkless orientation is never 0-round solvable: the upper-bound
+   search closes a certified period-1 cycle and says so, with the lower
+   bounds that follow, instead of reporting a budget or blow-up. *)
+let test_upper_bound_fixed_point () =
+  let code, stdout, _ = run "upper-bound -p so -d 3" in
+  Alcotest.(check int) "exit code 0" 0 code;
+  Alcotest.(check string) "fixed-point line"
+    "no 0-round problem is ever reached: the speedup step closes a \
+     certified cycle of period 1 (Omega(log n) deterministic and Omega(log \
+     log n) randomized LOCAL lower bounds)\n"
+    stdout
+
 (* Engine work that cannot finish (a budget overrun, or an empty node
    constraint after R) is not a usage error: step, zero-round,
    upper-bound, fixed-point, autopilot and lemmas --concrete print
@@ -306,8 +318,14 @@ let test_engine_stops () =
       ("fixed-point --node 'A A' --edge 'B B'", empty);
       ("autopilot --node 'A A' --edge 'B B'", empty);
       ("step --node 'A A' --edge 'B B'", empty);
+      ("upper-bound --node 'A A' --edge 'B B'", empty);
       ("zero-round " ^ clique_blowup, cliques);
       ("upper-bound " ^ clique_blowup, cliques);
+      ("autopilot " ^ clique_blowup, cliques);
+      (* R's closure lattice here is huge; the width budget trips as
+         soon as R's alphabet is known to exceed 60 labels. *)
+      ( "step " ^ clique_blowup,
+        "budget exceeded: Rounde.r: output alphabet width (limit 60)" );
     ];
   (* Only the concrete line of lemmas stops; the 0-round lemmas still
      print after it. *)
@@ -359,6 +377,11 @@ let () =
         [
           Alcotest.test_case "witness on one line" `Quick
             test_zero_round_witness_one_line;
+        ] );
+      ( "upper-bound",
+        [
+          Alcotest.test_case "SO prints the fixed-point line" `Quick
+            test_upper_bound_fixed_point;
         ] );
       ( "bad-input",
         [

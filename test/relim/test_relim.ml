@@ -523,6 +523,107 @@ let test_iso_negative () =
   let other = Parse.problem ~name:"x" ~node:"M M M\nP O O" ~edge:"M [PO]\nO O\nP P" in
   check_bool "different problems" false (Iso.equal_up_to_renaming mis3 other)
 
+(* [p] with each label [l] moved to index [perm.(l)], keeping its name:
+   an isomorphic copy whose alphabet order differs. *)
+let permute_labels (p : Problem.t) perm =
+  let n = Alphabet.size p.Problem.alpha in
+  let names = Array.make n "" in
+  Array.iteri (fun l l' -> names.(l') <- Alphabet.name p.Problem.alpha l) perm;
+  let remap s =
+    Labelset.fold (fun l acc -> Labelset.add perm.(l) acc) s Labelset.empty
+  in
+  let f = Constr.map_lines (Line.map_syms remap) in
+  Problem.make ~name:p.Problem.name
+    ~alpha:(Alphabet.create (Array.to_list names))
+    ~node:(f p.Problem.node) ~edge:(f p.Problem.edge)
+
+(* Π(5,4,2) after one normalized step has 14 labels.  A search that
+   compares label signatures only on complete bijections may visit up
+   to 14! of them here; each of these three copies took it more than
+   60 s. *)
+let test_iso_fourteen_labels () =
+  let pi542 = Core.Family.pi { Core.Family.delta = 5; a = 4; x = 2 } in
+  let p =
+    Simplify.normalize (Rounde.step (Simplify.normalize pi542)).Rounde.problem
+  in
+  check_int "labels" 14 (Problem.label_count p);
+  List.iter
+    (fun perm ->
+      let q = permute_labels p (Array.of_list perm) in
+      match Iso.find_renaming p q with
+      | None -> Alcotest.fail "relabelled copy not recognised"
+      | Some assoc ->
+          let mapping = Array.make 14 (-1) in
+          List.iter (fun (la, lb) -> mapping.(la) <- lb) assoc;
+          let back = permute_labels p mapping in
+          check_bool "renaming maps the constraints" true
+            (Constr.equal back.Problem.node q.Problem.node
+            && Constr.equal back.Problem.edge q.Problem.edge))
+    [
+      [ 13; 12; 11; 10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ];
+      [ 5; 6; 7; 8; 9; 10; 11; 12; 13; 0; 1; 2; 3; 4 ];
+      [ 9; 2; 13; 0; 7; 11; 4; 1; 12; 6; 3; 10; 8; 5 ];
+    ]
+
+(* The first bijection in lexicographic order (by the images of [a]'s
+   labels 0, 1, ...) that maps [a]'s constraints onto [b]'s, by trying
+   all n! of them. *)
+let brute_force_renaming (a : Problem.t) (b : Problem.t) =
+  let n = Alphabet.size a.Problem.alpha in
+  if n <> Alphabet.size b.Problem.alpha then None
+  else begin
+    let perm = Array.make n (-1) and used = Array.make n false in
+    let rec go la =
+      if la = n then
+        let r = permute_labels a perm in
+        Constr.equal r.Problem.node b.Problem.node
+        && Constr.equal r.Problem.edge b.Problem.edge
+      else
+        List.exists
+          (fun lb ->
+            (not used.(lb))
+            && begin
+                 used.(lb) <- true;
+                 perm.(la) <- lb;
+                 let found = go (la + 1) in
+                 used.(lb) <- false;
+                 found
+               end)
+          (List.init n Fun.id)
+    in
+    if go 0 then Some (List.init n (fun la -> (la, perm.(la)))) else None
+  end
+
+(* [find_renaming] returns exactly the brute force's renaming, on a
+   random problem against a relabelled copy of itself, against another
+   random problem, and against a relabelled copy of that one. *)
+let iso_qcheck =
+  let gen =
+    QCheck.make
+      ~print:(fun (p, _) -> Serialize.to_string p)
+      (fun rng ->
+        let problem () =
+          Certify.Fuzz.gen_problem ~max_labels:7 ~max_delta:3 rng
+        in
+        let shuffle p =
+          let n = Alphabet.size p.Problem.alpha in
+          let keys = Array.init n (fun l -> (Random.State.bits rng, l)) in
+          Array.sort compare keys;
+          let perm = Array.make n 0 in
+          Array.iteri (fun i (_, l) -> perm.(l) <- i) keys;
+          permute_labels p perm
+        in
+        let p = problem () and q = problem () in
+        (p, [ shuffle p; q; shuffle q ]))
+  in
+  [
+    QCheck.Test.make ~name:"find-renaming-equals-brute-force" ~count:150 gen
+      (fun (p, others) ->
+        List.for_all
+          (fun q -> Iso.find_renaming p q = brute_force_renaming p q)
+          others);
+  ]
+
 let test_diagram_dot () =
   let dot = Diagram.to_dot (Diagram.edge_diagram mis3) in
   check_bool "has edge" true
@@ -650,9 +751,12 @@ let main_suites =
           Alcotest.test_case "identity" `Quick test_iso_identity;
           Alcotest.test_case "renamed" `Quick test_iso_renamed;
           Alcotest.test_case "negative" `Quick test_iso_negative;
+          Alcotest.test_case "14 labels, three relabellings" `Quick
+            test_iso_fourteen_labels;
           Alcotest.test_case "apply" `Quick test_apply_renaming;
           Alcotest.test_case "dot export" `Quick test_diagram_dot;
         ] );
+      qsuite "iso-props" iso_qcheck;
       qsuite "engine-props" engine_qcheck;
   ]
 
@@ -2877,92 +2981,6 @@ let extra_suites =
       List.map (Qseed.to_alcotest) transport_qcheck );
     ( "invariants",
       List.map (Qseed.to_alcotest) invariant_qcheck );
-    ( "upperbound",
-      [
-        Alcotest.test_case "trivial is 0-round" `Quick (fun () ->
-            let triv = Parse.problem ~name:"t" ~node:"A A A" ~edge:"A A" in
-            match Upperbound.search triv with
-            | Upperbound.Solvable_in 0 -> ()
-            | Upperbound.Solvable_in k ->
-                Alcotest.failf "expected 0 steps, got %d" k
-            | Upperbound.Unknown_after _ -> Alcotest.fail "must be solvable");
-        Alcotest.test_case "SO stays unsolvable" `Quick (fun () ->
-            let so = Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I" in
-            match Upperbound.search ~max_steps:3 so with
-            | Upperbound.Unknown_after _ -> ()
-            | Upperbound.Solvable_in k ->
-                Alcotest.failf "SO cannot be %d-round solvable" k);
-        Alcotest.test_case "consistency with the 0-round decider" `Quick
-          (fun () ->
-            (* Whenever the search answers Solvable_in k with k >= 1,
-               re-deriving the k-step image must confirm it. *)
-            let p =
-              Parse.problem ~name:"p" ~node:"M M M\nP O O" ~edge:"M [PO]\nO O"
-            in
-            match Upperbound.search ~max_steps:2 p with
-            | Upperbound.Solvable_in k ->
-                let rec image q i =
-                  if i = 0 then q
-                  else image (Simplify.normalize (Rounde.step q).Rounde.problem) (i - 1)
-                in
-                check_bool "image solvable" true
-                  (Zeroround.solvable_arbitrary_ports (image p k) <> None)
-            | Upperbound.Unknown_after _ -> ());
-        Alcotest.test_case "max_steps clamps the search" `Quick (fun () ->
-            (* SO is never 0-round solvable, so the search must stop
-               exactly at the budget — including a budget of 0, which
-               forbids any speedup step. *)
-            let so = Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I" in
-            (match Upperbound.search ~max_steps:0 so with
-            | Upperbound.Unknown_after 0 -> ()
-            | Upperbound.Unknown_after k ->
-                Alcotest.failf "budget 0 but ran %d step(s)" k
-            | Upperbound.Solvable_in k ->
-                Alcotest.failf "SO cannot be %d-round solvable" k);
-            match Upperbound.search ~max_steps:2 so with
-            | Upperbound.Unknown_after 2 -> ()
-            | Upperbound.Unknown_after k ->
-                Alcotest.failf "budget 2 but stopped after %d step(s)" k
-            | Upperbound.Solvable_in k ->
-                Alcotest.failf "SO cannot be %d-round solvable" k);
-        Alcotest.test_case "expand_limit budget verdict" `Quick (fun () ->
-            (* A tiny expansion budget makes the first speedup step fail
-               its guard, so a not-0-round-solvable problem must come
-               back Unknown_after 0 instead of raising.  [~zdd:false]
-               pins the explicit path: expand_limit is its guard — the
-               symbolic rung never expands, so it does not consult it. *)
-            let mis =
-              Parse.problem ~name:"MIS" ~node:"M M M\nP O O" ~edge:"M [PO]\nO O"
-            in
-            match Upperbound.search ~max_steps:3 ~expand_limit:1. ~zdd:false mis with
-            | Upperbound.Unknown_after 0 -> ()
-            | Upperbound.Unknown_after k ->
-                Alcotest.failf "budget verdict after %d step(s), expected 0" k
-            | Upperbound.Solvable_in k ->
-                Alcotest.failf "cannot certify Solvable_in %d without steps" k);
-        Alcotest.test_case "pool and sequential agree" `Quick (fun () ->
-            (* The search verdict is part of the engine's determinism
-               contract: a parallel pool must reproduce the sequential
-               answer exactly on every pinned problem. *)
-            let pool = Parallel.Pool.create ~domains:3 in
-            let problems =
-              [
-                Parse.problem ~name:"t" ~node:"A A A" ~edge:"A A";
-                Parse.problem ~name:"SO" ~node:"O [IO]^2" ~edge:"O I";
-                Parse.problem ~name:"p" ~node:"M M M\nP O O"
-                  ~edge:"M [PO]\nO O";
-              ]
-            in
-            List.iter
-              (fun p ->
-                let seq = Upperbound.search ~max_steps:2 p in
-                let par = Upperbound.search ~max_steps:2 ~pool p in
-                check_bool
-                  (Printf.sprintf "verdict on %s" p.Problem.name)
-                  true (seq = par))
-              problems;
-            Parallel.Pool.shutdown pool);
-      ] );
   ]
 
 let () =

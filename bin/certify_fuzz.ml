@@ -14,18 +14,13 @@
 
 open Cmdliner
 
-(* A limit outside what the generator supports is a usage error: print
-   the message and exit 2, as roundelim does, instead of letting
-   cmdliner report an uncaught exception with exit 125. *)
-let usage_error msg =
-  Format.eprintf "certify_fuzz: %s@." msg;
-  exit 2
+let prog = "certify_fuzz"
 
 let fuzz count seed max_labels max_delta domains self_test =
   (* [Fuzz.gen_problem] names label i by the i-th capital letter. *)
   if max_labels < 1 || max_labels > 26 then
-    usage_error "--max-labels must be between 1 and 26";
-  if max_delta < 1 then usage_error "--max-delta must be at least 1";
+    Frontend.usage_error ~prog "--max-labels must be between 1 and 26";
+  Frontend.at_least ~prog "--max-delta" 1 max_delta;
   let mutate_r =
     if not self_test then None
     else
@@ -103,10 +98,5 @@ let fuzz_cmd =
       $ self_test_t)
 
 let () =
-  (match Trace.setup_from_env () with
-  | () -> ()
-  | exception Sys_error msg ->
-      Format.eprintf "certify_fuzz: %s: cannot open trace file: %s@."
-        Trace.env_var msg;
-      exit 2);
+  Frontend.trace_from_env ~prog;
   exit (Cmd.eval fuzz_cmd)

@@ -12,6 +12,8 @@
 
 open Cmdliner
 
+let prog = "relimsweep"
+
 let families_t =
   Arg.(
     value
@@ -126,16 +128,6 @@ let fixed_clock_t =
 let quiet_t =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-cell progress lines.")
 
-(* A bad argument prints [relimsweep: <message>] and exits 2.  [run]
-   must exit itself: [Cmd.eval] turns an exception escaping it into an
-   "internal error" with exit 125. *)
-let usage_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Format.eprintf "relimsweep: %s@." msg;
-      exit 2)
-    fmt
-
 let run families deltas a_values x_values label_counts zdds domain_counts
     certifies out expand_limit rc_limit fp_steps ap_steps ap_beam max_cells
     fixed_clock quiet =
@@ -144,10 +136,16 @@ let run families deltas a_values x_values label_counts zdds domain_counts
       (fun s ->
         match Sweep.family_of_string s with
         | Ok f -> f
-        | Error msg -> usage_error "%s" msg)
+        | Error msg -> Frontend.usage_error ~prog "%s" msg)
       families
   in
-  if fp_steps < 1 then usage_error "--fp-steps must be at least 1";
+  Frontend.at_least ~prog "--fp-steps" 1 fp_steps;
+  Frontend.at_least ~prog "--ap-steps" 1 ap_steps;
+  Frontend.at_least ~prog "--ap-beam" 0 ap_beam;
+  List.iter
+    (Frontend.at_least ~prog "--domain-counts entries" 1)
+    domain_counts;
+  Frontend.at_least ~prog "--max-cells" 0 max_cells;
   let engines =
     List.concat_map
       (fun zdd ->
@@ -173,7 +171,8 @@ let run families deltas a_values x_values label_counts zdds domain_counts
   let s =
     match Sweep.run ~clock ?max_cells ~log ~budgets ~out grid with
     | s -> s
-    | exception Sweep.Foreign_journal msg -> usage_error "%s" msg
+    | exception Sweep.Foreign_journal msg ->
+        Frontend.usage_error ~prog "%s" msg
   in
   Printf.printf
     "sweep: %d cells (%d served, %d ran) — %d ok, %d budget, %d skipped%s%s \
@@ -199,10 +198,5 @@ let cmd =
       $ max_cells_t $ fixed_clock_t $ quiet_t)
 
 let () =
-  (match Trace.setup_from_env () with
-  | () -> ()
-  | exception Sys_error msg ->
-      Format.eprintf "relimsweep: %s: cannot open trace file: %s@."
-        Trace.env_var msg;
-      exit 2);
+  Frontend.trace_from_env ~prog;
   exit (Cmd.eval cmd)

@@ -12,27 +12,23 @@
 
 open Cmdliner
 
+let prog = "roundelim"
+
 (* Input the user got wrong (an unknown preset, label, diagram or
    algorithm, bad parameters, a parse error, a file that cannot be read
-   or written) is a usage error: print the message and exit 2, as a bad
-   --trace path does, instead of letting cmdliner report an uncaught
-   exception with exit 125.  [or_usage_error] wraps only argument and
-   file checks, never engine work. *)
-let usage_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Format.eprintf "roundelim: %s@." msg;
-      exit 2)
-    fmt
-
+   or written) is a usage error ([Frontend.usage_error]: the message and
+   exit 2).  [or_usage_error] wraps only argument and file checks, never
+   engine work. *)
 let or_usage_error f =
-  try f () with Failure msg | Invalid_argument msg | Sys_error msg -> usage_error "%s" msg
+  try f ()
+  with Failure msg | Invalid_argument msg | Sys_error msg ->
+    Frontend.usage_error ~prog "%s" msg
 
 (* [chain], [certify] and [verify-all] build Lemma 13's chain over the
    Π_Δ(a,x) family, which needs Δ ≥ 1. *)
-let check_delta delta = if delta < 1 then usage_error "--delta must be at least 1"
+let check_delta = Frontend.at_least ~prog "--delta" 1
 
-let preset_problem preset delta a x node edge =
+let preset_problem preset delta a x node edge () =
   or_usage_error @@ fun () ->
   match (preset, node, edge) with
   | Some "mis", _, _ -> Lcl.Encodings.mis ~delta
@@ -51,9 +47,6 @@ let preset_problem preset delta a x node edge =
 
 (* ---- common flags ---- *)
 
-let preset_t =
-  Arg.(value & opt (some string) None & info [ "preset"; "p" ] ~doc:"Problem preset: mis, so, mm, weak2col, pi, pi-plus, r-pi.")
-
 let delta_t =
   Arg.(value & opt int 3 & info [ "delta"; "d" ] ~doc:"Maximum degree / node arity Delta.")
 
@@ -61,25 +54,18 @@ let a_t = Arg.(value & opt int 3 & info [ "a" ] ~doc:"Family parameter a (owned 
 
 let x_t = Arg.(value & opt int 0 & info [ "x" ] ~doc:"Family parameter x (allowed outdegree).")
 
-let node_t =
-  Arg.(value & opt (some string) None & info [ "node" ] ~doc:"Node constraint; configurations separated by ';'.")
-
-let edge_t =
-  Arg.(value & opt (some string) None & info [ "edge" ] ~doc:"Edge constraint; configurations separated by ';'.")
-
-let domains_t =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ]
-        ~doc:
-          "Worker domains for the engine's parallel hot paths (results are \
-           identical for every count).  0 (the default) defers to the \
-           RELIM_DOMAINS environment variable; 1 forces sequential.")
-
-(* [None] (from --domains 0) lets the engine fall back to the
-   RELIM_DOMAINS-driven default pool. *)
-let pool_of_domains d =
-  if d >= 1 then Some (Parallel.Pool.create ~domains:d) else None
+(* The problem of the nine problem commands: a preset with its
+   parameters, or --node and --edge.  A command builds it by calling
+   it, after its own count checks. *)
+let problem_t =
+  let text names doc = Arg.(value & opt (some string) None & info names ~doc) in
+  Term.(
+    const preset_problem
+    $ text [ "preset"; "p" ]
+        "Problem preset: mis, so, mm, weak2col, pi, pi-plus, r-pi."
+    $ delta_t $ a_t $ x_t
+    $ text [ "node" ] "Node constraint; configurations separated by ';'."
+    $ text [ "edge" ] "Edge constraint; configurations separated by ';'.")
 
 let zdd_t =
   Arg.(
@@ -93,9 +79,6 @@ let zdd_t =
            materialized, so instances past the explicit path's budgets may \
            finish here.  Also enabled by RELIM_ZDD=1.")
 
-(* [false] (flag absent) defers to the RELIM_ZDD environment variable. *)
-let zdd_opt flag = if flag then Some true else None
-
 let certify_t =
   Arg.(
     value & flag
@@ -105,39 +88,6 @@ let certify_t =
            against the definitions with the independent certificate checker \
            (lib/certify) while the command runs; a divergence aborts with a \
            Violation.  Also enabled by RELIM_CERTIFY=1.")
-
-let trace_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write a structured execution trace (spans + counters for every \
-           engine phase) to $(docv).  See $(b,--trace-format).  Tracing is \
-           also enabled by RELIM_TRACE=<path> (format from \
-           RELIM_TRACE_FORMAT).")
-
-let trace_format_t =
-  Arg.(
-    value
-    & opt (enum [ ("jsonl", Trace.Jsonl); ("chrome", Trace.Chrome) ]) Trace.Jsonl
-    & info [ "trace-format" ] ~docv:"FORMAT"
-        ~doc:
-          "Trace output format: $(b,jsonl) (one event per line) or \
-           $(b,chrome) (trace_event JSON for about://tracing / Perfetto).")
-
-(* The sink is opened before any work runs: an unwritable path must
-   abort immediately, not after minutes of computation. *)
-let with_trace trace fmt f =
-  match trace with
-  | None -> f ()
-  | Some path ->
-      (match Trace.enable ~path ~format:fmt with
-      | () -> ()
-      | exception Sys_error msg ->
-          Format.eprintf "roundelim: --trace: cannot open trace file: %s@." msg;
-          exit 2);
-      Fun.protect ~finally:Trace.close f
 
 (* Run [f] with the certificate checkers installed when requested,
    printing a one-line certification summary afterwards. *)
@@ -168,6 +118,22 @@ let or_stopped f =
       Format.printf "@.stopped: %s@." (Relim.Budget.message ~budget ~limit)
   | Failure msg -> Format.printf "@.stopped: %s@." msg
 
+(* The five engine commands ([step], [zero-round], [upper-bound],
+   [fixed-point], [autopilot]) run their work [f] through this one
+   wrapper, after checking their own counts: --domains is checked and
+   the pool built, the trace sink opens before any work, the problem
+   is read, and the work runs under [with_certify] and [or_stopped]. *)
+let engine_t =
+  let run domains certify trace trace_format problem f =
+    let pool = Frontend.pool_of_domains ~prog domains in
+    Frontend.with_trace ~prog trace trace_format @@ fun () ->
+    let p = problem () in
+    with_certify certify @@ fun () -> or_stopped @@ fun () -> f pool p
+  in
+  Term.(
+    const run $ Frontend.domains_t $ certify_t $ Frontend.trace_t
+    $ Frontend.trace_format_t $ problem_t)
+
 let stats_t =
   Arg.(
     value & flag
@@ -197,8 +163,8 @@ let print_engine_stats () =
 
 (* ---- show ---- *)
 
-let show preset delta a x node edge diagrams =
-  let p = preset_problem preset delta a x node edge in
+let show problem diagrams =
+  let p = problem () in
   Format.printf "%a@." Relim.Problem.pp p;
   if diagrams then begin
     Format.printf "@.edge diagram:@.%a@." Relim.Diagram.pp
@@ -213,20 +179,17 @@ let show_cmd =
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print a problem and optionally its diagrams")
-    Term.(const show $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t $ diagrams_t)
+    Term.(const show $ problem_t $ diagrams_t)
 
 (* ---- step ---- *)
 
-let step preset delta a x node edge steps domains zdd stats certify trace tfmt
-    =
-  if steps < 0 then usage_error "--steps must be at least 0";
-  with_trace trace tfmt @@ fun () ->
-  let pool = pool_of_domains domains in
-  let zdd = zdd_opt zdd in
-  let p = ref (preset_problem preset delta a x node edge) in
-  Format.printf "%a@." Relim.Problem.pp !p;
-  with_certify certify (fun () ->
-      or_stopped @@ fun () ->
+let step run steps zdd stats =
+  Frontend.at_least ~prog "--steps" 0 steps;
+  (* [None] (flag absent) defers to the RELIM_ZDD environment variable. *)
+  let zdd = if zdd then Some true else None in
+  run (fun pool p ->
+      Format.printf "%a@." Relim.Problem.pp p;
+      let p = ref p in
       for i = 1 to steps do
         let { Relim.Rounde.problem = next; _ } =
           Relim.Rounde.step ?pool ?zdd !p
@@ -247,45 +210,37 @@ let step_cmd =
   in
   Cmd.v
     (Cmd.info "step" ~doc:"Apply round-elimination speedup steps (Rbar o R)")
-    Term.(
-      const step $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t $ steps_t
-      $ domains_t $ zdd_t $ stats_t $ certify_t $ trace_t $ trace_format_t)
+    Term.(const step $ engine_t $ steps_t $ zdd_t $ stats_t)
 
 (* ---- zero-round ---- *)
 
-let zero_round preset delta a x node edge domains certify trace tfmt =
-  with_trace trace tfmt @@ fun () ->
-  let pool = pool_of_domains domains in
-  let p = preset_problem preset delta a x node edge in
-  with_certify certify (fun () ->
-      or_stopped @@ fun () ->
-      (match Relim.Zeroround.solvable_mirrored p with
-      | Some w ->
-          Format.printf "0-round solvable under mirrored ports, witness: %s@."
-            (Relim.Multiset.to_string p.alpha w)
-      | None -> Format.printf "NOT 0-round solvable under mirrored ports@.");
-      (match Relim.Zeroround.solvable_arbitrary_ports ?pool p with
-      | Some w ->
-          Format.printf "0-round solvable under arbitrary ports, witness: %s@."
-            (Relim.Multiset.to_string p.alpha w)
-      | None -> Format.printf "NOT 0-round solvable under arbitrary ports@.");
-      match Relim.Zeroround.randomized_failure_bound p with
-      | Some b ->
-          Format.printf "randomized 0-round failure probability >= %g@." b
-      | None -> ())
+let zero_round run =
+  run @@ fun pool (p : Relim.Problem.t) ->
+  (match Relim.Zeroround.solvable_mirrored p with
+  | Some w ->
+      Format.printf "0-round solvable under mirrored ports, witness: %s@."
+        (Relim.Multiset.to_string p.alpha w)
+  | None -> Format.printf "NOT 0-round solvable under mirrored ports@.");
+  (match Relim.Zeroround.solvable_arbitrary_ports ?pool p with
+  | Some w ->
+      Format.printf "0-round solvable under arbitrary ports, witness: %s@."
+        (Relim.Multiset.to_string p.alpha w)
+  | None -> Format.printf "NOT 0-round solvable under arbitrary ports@.");
+  match Relim.Zeroround.randomized_failure_bound p with
+  | Some b -> Format.printf "randomized 0-round failure probability >= %g@." b
+  | None -> ()
 
 let zero_round_cmd =
   Cmd.v
     (Cmd.info "zero-round" ~doc:"Decide 0-round solvability in the PN model")
-    Term.(
-      const zero_round $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t
-      $ domains_t $ certify_t $ trace_t $ trace_format_t)
+    Term.(const zero_round $ engine_t)
 
 (* ---- chain ---- *)
 
 let chain delta k verify =
   check_delta delta;
-  if k < 0 || k > delta then usage_error "-k must be between 0 and --delta";
+  if k < 0 || k > delta then
+    Frontend.usage_error ~prog "-k must be between 0 and --delta";
   let chain = Core.Sequence.build ~delta ~x0:k in
   Format.printf "%a@." Core.Sequence.pp_chain chain;
   Format.printf "port-numbering lower bound for %d-outdegree dominating sets: %d rounds@."
@@ -345,22 +300,26 @@ let lemmas_cmd =
 
 (* ---- simplify ---- *)
 
-let simplify preset delta a x node edge merge_from merge_into =
-  let p = preset_problem preset delta a x node edge in
+let simplify problem merge_from merge_into =
+  let p = problem () in
   let p =
     match (merge_from, merge_into) with
     | Some f, Some i ->
         List.iter
           (fun l ->
             if not (Relim.Alphabet.mem_name p.Relim.Problem.alpha l) then
-              usage_error "unknown label %s" l)
+              Frontend.usage_error ~prog "unknown label %s" l)
           [ f; i ];
-        if f = i then usage_error "--merge-from and --merge-into name the same label";
+        if f = i then
+          Frontend.usage_error ~prog
+            "--merge-from and --merge-into name the same label";
         Format.printf "merge %s -> %s sound: %b@." f i
           (Relim.Simplify.merge_is_sound p ~from_:f ~into_:i);
         Relim.Simplify.merge p ~from_:f ~into_:i
     | None, None -> Relim.Simplify.merge_equivalent p
-    | _ -> usage_error "provide both --merge-from and --merge-into, or neither"
+    | _ ->
+        Frontend.usage_error ~prog
+          "provide both --merge-from and --merge-into, or neither"
   in
   Format.printf "%a@." Relim.Problem.pp (Relim.Simplify.normalize p)
 
@@ -373,12 +332,12 @@ let simplify_cmd =
   in
   Cmd.v
     (Cmd.info "simplify" ~doc:"Merge labels / drop redundant configurations")
-    Term.(const simplify $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t $ from_t $ into_t)
+    Term.(const simplify $ problem_t $ from_t $ into_t)
 
 (* ---- save / load ---- *)
 
-let save preset delta a x node edge file =
-  let p = preset_problem preset delta a x node edge in
+let save problem file =
+  let p = problem () in
   let oc = or_usage_error (fun () -> open_out file) in
   output_string oc (Relim.Serialize.to_string p);
   close_out oc;
@@ -388,7 +347,7 @@ let save_cmd =
   let file_t = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "save" ~doc:"Serialize a problem to a file")
-    Term.(const save $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t $ file_t)
+    Term.(const save $ problem_t $ file_t)
 
 let load file diagrams =
   let p =
@@ -413,13 +372,9 @@ let load_cmd =
    plain Rbar o R iteration, with every accepted step certified and
    every state checked for a cycle.  Each step gets [Rounde.step]'s
    default budgets, and no label cap below R's own width limit. *)
-let upper_bound preset delta a x node edge max_steps domains certify trace tfmt =
-  if max_steps < 0 then usage_error "--max-steps must be at least 0";
-  with_trace trace tfmt @@ fun () ->
-  let pool = pool_of_domains domains in
-  let p = preset_problem preset delta a x node edge in
-  with_certify certify @@ fun () ->
-  or_stopped @@ fun () ->
+let upper_bound run max_steps =
+  Frontend.at_least ~prog "--max-steps" 0 max_steps;
+  run @@ fun pool p ->
   let limits =
     {
       Autopilot.max_steps;
@@ -460,19 +415,13 @@ let upper_bound_cmd =
        ~doc:
          "Search for a certified upper bound by iterated speedup (the \
           autopilot with the identity relaxation only)")
-    Term.(
-      const upper_bound $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t
-      $ steps_t $ domains_t $ certify_t $ trace_t $ trace_format_t)
+    Term.(const upper_bound $ engine_t $ steps_t)
 
 (* ---- fixed-point ---- *)
 
-let fixed_point preset delta a x node edge max_steps domains certify trace tfmt =
-  if max_steps < 1 then usage_error "--max-steps must be at least 1";
-  with_trace trace tfmt @@ fun () ->
-  let pool = pool_of_domains domains in
-  let p = preset_problem preset delta a x node edge in
-  with_certify certify @@ fun () ->
-  or_stopped @@ fun () ->
+let fixed_point run max_steps =
+  Frontend.at_least ~prog "--max-steps" 1 max_steps;
+  run @@ fun pool p ->
   let verdict = Relim.Fixedpoint.detect ~max_steps ?pool p in
   (match verdict with
   | Relim.Fixedpoint.Fixed_point (p0, _) ->
@@ -493,21 +442,14 @@ let fixed_point_cmd =
   in
   Cmd.v
     (Cmd.info "fixed-point" ~doc:"Search for a round-elimination fixed point")
-    Term.(
-      const fixed_point $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t
-      $ steps_t $ domains_t $ certify_t $ trace_t $ trace_format_t)
+    Term.(const fixed_point $ engine_t $ steps_t)
 
 (* ---- autopilot ---- *)
 
-let autopilot preset delta a x node edge max_steps beam domains certify trace
-    tfmt =
-  if max_steps < 1 then usage_error "--max-steps must be at least 1";
-  if beam < 0 then usage_error "--beam must be at least 0";
-  with_trace trace tfmt @@ fun () ->
-  let pool = pool_of_domains domains in
-  let p = preset_problem preset delta a x node edge in
-  with_certify certify @@ fun () ->
-  or_stopped @@ fun () ->
+let autopilot run max_steps beam =
+  Frontend.at_least ~prog "--max-steps" 1 max_steps;
+  Frontend.at_least ~prog "--beam" 0 beam;
+  run @@ fun pool p ->
   let limits =
     { Autopilot.default_limits with Autopilot.max_steps; beam }
   in
@@ -565,9 +507,7 @@ let autopilot_cmd =
        ~doc:
          "Search for a certified relaxed fixed point (or upper bound) by \
           quotient-cover relaxation")
-    Term.(
-      const autopilot $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t
-      $ steps_t $ beam_t $ domains_t $ certify_t $ trace_t $ trace_format_t)
+    Term.(const autopilot $ engine_t $ steps_t $ beam_t)
 
 (* ---- certify ---- *)
 
@@ -589,12 +529,12 @@ let certify_cmd =
 
 (* ---- dot ---- *)
 
-let dot preset delta a x node edge which =
-  let p = preset_problem preset delta a x node edge in
+let dot problem which =
+  let p = problem () in
   match which with
   | "edge" -> print_string (Relim.Diagram.to_dot ~name:(p.Relim.Problem.name ^ "-edge") (Relim.Diagram.edge_diagram p))
   | "node" -> print_string (Relim.Diagram.to_dot ~name:(p.Relim.Problem.name ^ "-node") (Relim.Diagram.node_diagram p))
-  | other -> usage_error "unknown diagram %s (edge|node)" other
+  | other -> Frontend.usage_error ~prog "unknown diagram %s (edge|node)" other
 
 let dot_cmd =
   let which_t =
@@ -602,7 +542,7 @@ let dot_cmd =
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit a GraphViz rendering of a label-strength diagram")
-    Term.(const dot $ preset_t $ delta_t $ a_t $ x_t $ node_t $ edge_t $ which_t)
+    Term.(const dot $ problem_t $ which_t)
 
 (* ---- verify-all ---- *)
 
@@ -624,7 +564,7 @@ let verify_all_cmd =
 (* ---- simulate ---- *)
 
 let simulate algo nodes max_degree seed k =
-  if nodes < 1 then usage_error "--nodes must be at least 1";
+  Frontend.at_least ~prog "--nodes" 1 nodes;
   let g =
     or_usage_error (fun () -> Dsgraph.Tree_gen.random ~n:nodes ~max_degree ~seed)
   in
@@ -644,7 +584,8 @@ let simulate algo nodes max_degree seed k =
         k
         (count res.Distalgo.Kods.selected)
         nodes res.Distalgo.Kods.rounds res.Distalgo.Kods.palette
-  | other -> usage_error "unknown algorithm %s (luby|cv-mis|kods)" other
+  | other ->
+      Frontend.usage_error ~prog "unknown algorithm %s (luby|cv-mis|kods)" other
 
 let simulate_cmd =
   let algo_t =
@@ -682,14 +623,8 @@ let main_cmd =
 
 let () =
   (* RELIM_TRACE=<path> traces engine calls from any subcommand, even
-     those without a --trace flag; like --trace, a bad path aborts
-     before any work runs. *)
-  (match Trace.setup_from_env () with
-  | () -> ()
-  | exception Sys_error msg ->
-      Format.eprintf "roundelim: %s: cannot open trace file: %s@."
-        Trace.env_var msg;
-      exit 2);
+     those without a --trace flag. *)
+  Frontend.trace_from_env ~prog;
   (* RELIM_CERTIFY=1 certifies engine calls from any subcommand, even
      those without a --certify flag (lemmas, verify-all, chain, ...). *)
   Certify.Hooks.install_if_env ();

@@ -14,6 +14,8 @@
 
 open Cmdliner
 
+let prog = "roundelimd"
+
 let socket_t =
   Arg.(
     value
@@ -39,52 +41,6 @@ let store_t =
            and re-validated again on load; omitting the flag runs without \
            persistence.")
 
-let domains_t =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ]
-        ~doc:
-          "Worker domains for the engine's parallel hot paths (results are \
-           identical for every count).  0 (the default) defers to the \
-           RELIM_DOMAINS environment variable.")
-
-let trace_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write a structured execution trace (per-batch and per-request \
-           spans, store hit/miss counters) to $(docv).")
-
-let trace_format_t =
-  Arg.(
-    value
-    & opt (enum [ ("jsonl", Trace.Jsonl); ("chrome", Trace.Chrome) ]) Trace.Jsonl
-    & info [ "trace-format" ] ~docv:"FORMAT"
-        ~doc:"Trace output format: $(b,jsonl) or $(b,chrome).")
-
-let with_trace trace fmt f =
-  match trace with
-  | None ->
-      (match Trace.setup_from_env () with
-      | () -> ()
-      | exception Sys_error msg ->
-          Format.eprintf "roundelimd: RELIM_TRACE: cannot open trace file: %s@."
-            msg;
-          exit 2);
-      Fun.protect ~finally:Trace.close f
-  | Some path ->
-      (match Trace.enable ~path ~format:fmt with
-      | () -> ()
-      | exception Sys_error msg ->
-          Format.eprintf "roundelimd: --trace: cannot open trace file: %s@." msg;
-          exit 2);
-      Fun.protect ~finally:Trace.close f
-
-let pool_of_domains d =
-  if d >= 1 then Some (Parallel.Pool.create ~domains:d) else None
-
 (* ---- serve ---- *)
 
 let serve socket tcp store domains trace trace_format =
@@ -92,17 +48,19 @@ let serve socket tcp store domains trace trace_format =
     (match socket with Some p -> [ Store.Daemon.Unix_socket p ] | None -> [])
     @ match tcp with Some p -> [ Store.Daemon.Tcp p ] | None -> []
   in
-  if listen = [] then begin
-    Format.eprintf "roundelimd: provide --socket PATH and/or --tcp PORT@.";
-    exit 2
-  end;
-  with_trace trace trace_format @@ fun () ->
+  if listen = [] then
+    Frontend.usage_error ~prog "provide --socket PATH and/or --tcp PORT";
+  let pool = Frontend.pool_of_domains ~prog domains in
+  (* [serve] is the one command that honours RELIM_TRACE, and only
+     without --trace. *)
+  if trace = None then Frontend.trace_from_env ~prog;
+  Frontend.with_trace ~prog trace trace_format @@ fun () ->
   let config =
     {
       Store.Daemon.default_config with
       Store.Daemon.listen;
       store_dir = store;
-      pool = pool_of_domains domains;
+      pool;
     }
   in
   (match socket with
@@ -118,8 +76,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the daemon until a shutdown request arrives.")
     Term.(
-      const serve $ socket_t $ tcp_t $ store_t $ domains_t $ trace_t
-      $ trace_format_t)
+      const serve $ socket_t $ tcp_t $ store_t $ Frontend.domains_t
+      $ Frontend.trace_t $ Frontend.trace_format_t)
 
 (* ---- client ---- *)
 
@@ -132,13 +90,10 @@ let client socket tcp =
     | Some p, _ -> `Unix p
     | None, Some p -> `Tcp p
     | None, None ->
-        Format.eprintf "roundelimd: provide --socket PATH or --tcp PORT@.";
-        exit 2
+        Frontend.usage_error ~prog "provide --socket PATH or --tcp PORT"
   in
   match Store.Client.connect ~retries:40 target with
-  | Error msg ->
-      Format.eprintf "roundelimd: cannot connect: %s@." msg;
-      exit 2
+  | Error msg -> Frontend.usage_error ~prog "cannot connect: %s" msg
   | Ok conn ->
       let failures = ref 0 in
       (try
@@ -182,9 +137,7 @@ let strict_t =
 
 let validate_store store strict =
   match store with
-  | None ->
-      Format.eprintf "roundelimd: provide --store DIR@.";
-      exit 2
+  | None -> Frontend.usage_error ~prog "provide --store DIR"
   | Some dir ->
       let t = Store.Disk.open_dir dir in
       let total, ok, rejects = Store.Disk.validate_all t in

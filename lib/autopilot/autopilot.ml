@@ -157,10 +157,10 @@ type viable = {
   norm : Problem.t;
   hash : int;
   labels : int;
-  solvable : bool;
+  solvable : bool option;  (* [None]: the 0-round decider tripped *)
 }
 
-let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
+let search ?(limits = default_limits) ?pool ?zdd (p0 : Problem.t) =
   let t0 = Unix.gettimeofday () in
   let explored = ref 0 and skips = ref 0 and certified = ref 0 in
   let accepted = ref [] in
@@ -188,12 +188,11 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
     }
   in
   let solvable p = Zeroround.solvable_arbitrary_ports ?pool p <> None in
-  (* A candidate's check only ranks it, so a decider trip there reads as
-     "not solvable"; the current state's check in [go] lets it raise,
-     since searching on past an unknown answer would misreport it. *)
-  let ranks_solvable p =
-    try solvable p with Budget.Budget_exceeded _ -> false
-  in
+  (* A candidate's answer ranks it, a decider trip ([None]) as "not
+     solvable", and is kept for the state the search accepts.  There a
+     trip must raise, since searching on past an unknown answer would
+     misreport it, so only a tripped answer is asked again. *)
+  let decide p = try Some (solvable p) with Budget.Budget_exceeded _ -> None in
   let s0 = Simplify.normalize p0 in
   (* Normalized states on the path, newest first, each next to its
      [Iso.invariant_hash]; cycle detection prefilters by hash before the
@@ -208,8 +207,8 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
     in
     scan 1 !states
   in
-  let rec go s i =
-    if solvable s then finish (Upper_bound { steps = i - 1 })
+  let rec go s s_solvable i =
+    if s_solvable then finish (Upper_bound { steps = i - 1 })
     else if i > limits.max_steps then finish (Exhausted { last = s })
     else
       Trace.with_span "autopilot.step"
@@ -236,7 +235,7 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
             else
               match
                 Rounde.rbar ~expand_limit:limits.expand_limit
-                  ~rc_limit:limits.rc_limit ?pool q
+                  ~rc_limit:limits.rc_limit ?pool ?zdd q
               with
               | exception Budget.Budget_exceeded _ ->
                   incr skips;
@@ -251,7 +250,7 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
                       norm;
                       hash = Iso.invariant_hash norm;
                       labels = Problem.label_count norm;
-                      solvable = ranks_solvable norm;
+                      solvable = decide norm;
                     }
           in
           let accept v =
@@ -319,7 +318,7 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
           let rank v =
             match cycle_of v with
             | Some period -> (0, period)
-            | None -> ((if v.solvable then 2 else 1), v.labels)
+            | None -> ((if v.solvable = Some true then 2 else 1), v.labels)
           in
           match
             List.stable_sort
@@ -334,6 +333,9 @@ let search ?(limits = default_limits) ?pool (p0 : Problem.t) =
                   finish (Fixed_point { problem = v.norm; period })
               | true, _ ->
                   states := (v.hash, v.norm) :: !states;
-                  go v.norm (i + 1)))
+                  let s_solvable =
+                    match v.solvable with Some b -> b | None -> solvable v.norm
+                  in
+                  go v.norm s_solvable (i + 1)))
   in
-  go s0 1
+  go s0 (solvable s0) 1

@@ -117,19 +117,27 @@ type report = {
     first; then a 0-round-solvable state, fewest labels first, which
     the next step turns into an {!Upper_bound}.
 
-    A budget trip of the 0-round decider on a candidate ranks it as
-    not 0-round solvable.  On the state the search stands on (the
-    normalized input, then each accepted state) the trip propagates:
-    the search cannot go past an unknown answer.  A [Failure] of the
-    engine (an empty constraint after [R] or [R̄]) propagates too.
+    The 0-round decider runs once per state: an accepted candidate's
+    answer is the answer for the state it becomes.  A budget trip of
+    the decider on a candidate ranks it as not 0-round solvable.  On
+    the state the search stands on (the normalized input, then each
+    accepted state) the trip propagates: the search cannot go past an
+    unknown answer, so an accepted candidate whose decider tripped is
+    decided again, and that trip raises.  A [Failure] of the engine (an
+    empty constraint after [R] or [R̄]) propagates too.
 
     Emits [autopilot.*] trace spans, instants and counters when tracing
     is enabled.  [pool] feeds the engine's parallel hot paths (the
-    verdict is identical for every domain count).
+    verdict is identical for every domain count).  [zdd] picks the R̄
+    rung of every candidate's {!Relim.Rounde.rbar} (default:
+    [RELIM_ZDD]); wherever both rungs complete the verdict is the
+    same, but a budget skip can differ, since the rungs trip distinct
+    budgets.
     @raise Relim.Budget.Budget_exceeded when the 0-round decider trips
     on the current state. *)
 val search :
-  ?limits:limits -> ?pool:Parallel.Pool.t -> Relim.Problem.t -> report
+  ?limits:limits -> ?pool:Parallel.Pool.t -> ?zdd:bool -> Relim.Problem.t ->
+  report
 
 (** One-line rendering of a verdict, e.g. for CLIs and logs. *)
 val verdict_string : verdict -> string

@@ -16,39 +16,17 @@ let corollary2_rand ~delta ~n =
 
 let best_delta_det ~n = Float.pow 2. (sqrt (log2 n))
 
-let best_delta_rand ~n = Float.pow 2. (sqrt (log2 (Float.max 2. (log2 n))))
-
-let max_k ?(epsilon = 0.25) ~delta () = Float.pow delta epsilon
-
 let loglog x = log2 (Float.max 2. (log2 x))
-
-let logloglog x = log2 (Float.max 2. (loglog x))
 
 let bbo20_det ~delta ~n =
   Float.min
     (log2 delta /. Float.max 1. (loglog delta))
     (sqrt (log2 n /. Float.max 1. (loglog n)))
 
-let bbo20_rand ~delta ~n =
-  Float.min
-    (log2 delta /. Float.max 1. (loglog delta))
-    (sqrt (loglog n /. Float.max 1. (logloglog n)))
-
 let bbhors_det ~delta ~b ~n =
   Float.min (delta /. b) (log2 n /. Float.max 1. (loglog n))
-
-let bbhors_rand ~delta ~b ~n =
-  Float.min (delta /. b) (loglog n /. Float.max 1. (logloglog n))
 
 let upper_mis ~delta ~n = delta +. float_of_int (log_star n)
 
 let upper_kods ~delta ~k ~n =
   (delta /. Float.max 1. k) +. float_of_int (log_star n)
-
-let upper_kdeg ~delta ~k ~n =
-  let ratio = delta /. Float.max 1. k in
-  Float.min delta (ratio *. ratio) +. float_of_int (log_star n)
-
-let upper_mis_trees_det ~n = log2 n /. Float.max 1. (loglog n)
-
-let upper_mis_trees_rand ~n = sqrt (log2 n)

@@ -31,30 +31,15 @@ val corollary2_rand : delta:float -> n:float -> float
     [2^√(log n)]. *)
 val best_delta_det : n:float -> float
 
-val best_delta_rand : n:float -> float
-
-(** Largest [k] for which Theorem 1 applies, [Δ^ε] with the paper's
-    [ε]; exposed with [ε] as a parameter (default [1/4], a value for
-    which the chain construction demonstrably works — see
-    {!Sequence}). *)
-val max_k : ?epsilon:float -> delta:float -> unit -> float
-
 (** {1 Prior work} *)
 
 (** MIS on trees, Balliu–Brandt–Olivetti FOCS'20 [5], deterministic:
     [min(log Δ / log log Δ, √(log n / log log n))]. *)
 val bbo20_det : delta:float -> n:float -> float
 
-(** [5], randomized:
-    [min(log Δ / log log Δ, √(log log n / log log log n))]. *)
-val bbo20_rand : delta:float -> n:float -> float
-
 (** General graphs / b-matching lower bound of [4, 15], deterministic:
     [min(Δ/b, log n / log log n)] (for MIS set [b = 1]). *)
 val bbhors_det : delta:float -> b:float -> n:float -> float
-
-(** [4, 15] randomized: [min(Δ/b, log log n / log log log n)]. *)
-val bbhors_rand : delta:float -> b:float -> n:float -> float
 
 (** {1 Upper bounds (Section 1.1)} *)
 
@@ -63,13 +48,3 @@ val upper_mis : delta:float -> n:float -> float
 
 (** k-outdegree dominating sets in [O(Δ/k + log* n)]. *)
 val upper_kods : delta:float -> k:float -> n:float -> float
-
-(** k-degree dominating sets in [O(min(Δ, (Δ/k)²) + log* n)]. *)
-val upper_kdeg : delta:float -> k:float -> n:float -> float
-
-(** Deterministic MIS on trees in [O(log n / log log n)]
-    [Barenboim–Elkin '10]. *)
-val upper_mis_trees_det : n:float -> float
-
-(** Randomized MIS on trees in [O(√(log n))] [Ghaffari '16]. *)
-val upper_mis_trees_rand : n:float -> float

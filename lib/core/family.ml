@@ -5,8 +5,6 @@ let check_params { delta; a; x } =
   if a < 0 || a > delta then invalid_arg "Family: need 0 <= a <= delta";
   if x < 0 || x > delta then invalid_arg "Family: need 0 <= x <= delta"
 
-let pi_label_names = [ "M"; "P"; "O"; "A"; "X" ]
-
 (* The paper's formulas naturally produce empty groups (e.g. X^0 when
    x = 0); the parser rejects an explicit ^0, so omit them when
    rendering.  A configuration must keep at least one group. *)

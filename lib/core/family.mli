@@ -54,6 +54,3 @@ val pi_rel_node_lines : params -> (string list * int) list list
     labels: [(MUBQ ↦ M); (XMOUABPQ ↦ X); (PQ ↦ P); (OUABPQ ↦ O);
     (ABPQ ↦ A); (UBPQ ↦ C)]. *)
 val pi_rel_renaming : (string list * string) list
-
-(** The label names of Π, in canonical order M, P, O, A, X. *)
-val pi_label_names : string list

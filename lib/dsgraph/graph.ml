@@ -63,12 +63,6 @@ let back_port g v p = g.back.(v).(p)
 
 let endpoints g e = g.ends.(e)
 
-let other_endpoint g e v =
-  let u, w = g.ends.(e) in
-  if v = u then w
-  else if v = w then u
-  else invalid_arg "Graph.other_endpoint: node not on edge"
-
 let port_of g v u =
   let d = degree g v in
   let rec go p =
@@ -197,13 +191,6 @@ let permute_ports g perms =
       back
   in
   { g with adj; adj_edge; back }
-
-let pp fmt g =
-  Format.fprintf fmt "graph(n=%d, m=%d, edges=[%a])" g.n (m g)
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       (fun fmt (u, v) -> Format.fprintf fmt "%d-%d" u v))
-    (edges g)
 
 let to_dot ?(name = "graph") ?edge_colors ?highlight g =
   let buf = Buffer.create 1024 in

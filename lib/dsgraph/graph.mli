@@ -35,10 +35,6 @@ val back_port : t -> int -> int -> int
 (** Endpoints of an edge id, as given at construction. *)
 val endpoints : t -> int -> int * int
 
-(** [other_endpoint g e v] — the endpoint of [e] that is not [v].
-    @raise Invalid_argument if [v] is not an endpoint of [e]. *)
-val other_endpoint : t -> int -> int -> int
-
 (** [port_of g v u] — the port of [v] leading to neighbor [u].
     @raise Not_found if they are not adjacent. *)
 val port_of : t -> int -> int -> int
@@ -72,8 +68,6 @@ val girth : t -> int option
     [perms.(v).(p)] refers to the edge formerly at port [p].
     @raise Invalid_argument if some [perms.(v)] is not a permutation. *)
 val permute_ports : t -> int array array -> t
-
-val pp : Format.formatter -> t -> unit
 
 (** GraphViz rendering; optional per-edge colors become edge labels and
     a node predicate highlights a selection (e.g. a dominating set). *)

@@ -5,12 +5,3 @@ type ('input, 'state, 'msg, 'out) t = {
   recv : Ctx.t -> 'state -> round:int -> 'msg array -> 'state;
   output : 'state -> 'out option;
 }
-
-let map_output f algo =
-  {
-    name = algo.name;
-    init = algo.init;
-    send = algo.send;
-    recv = algo.recv;
-    output = (fun s -> Option.map f (algo.output s));
-  }

@@ -21,6 +21,3 @@ type ('input, 'state, 'msg, 'out) t = {
           that port sent across the shared edge. *)
   output : 'state -> 'out option;
 }
-
-(** [map_output f algo] post-processes outputs. *)
-val map_output : ('a -> 'b) -> ('i, 's, 'm, 'a) t -> ('i, 's, 'm, 'b) t

@@ -22,22 +22,22 @@ let clear_cache () = ()
 let sample_counters () =
   Trace.counters [ ("fixedpoint.steps_applied", stats.steps_applied) ]
 
-let step_normalized ?expand_limit ?pool (p : Problem.t) =
+let step_normalized ?expand_limit ?pool ?zdd (p : Problem.t) =
   Trace.with_span "fixedpoint.step"
     ~attrs:[ ("problem", p.Problem.name) ]
   @@ fun () ->
   Fun.protect ~finally:sample_counters @@ fun () ->
   stats.steps_applied <- stats.steps_applied + 1;
-  let { Rounde.problem = next; _ } = Rounde.step ?expand_limit ?pool p in
+  let { Rounde.problem = next; _ } = Rounde.step ?expand_limit ?pool ?zdd p in
   Simplify.normalize next
 
-let detect ?(max_steps = 5) ?expand_limit ?pool (p : Problem.t) =
+let detect ?(max_steps = 5) ?expand_limit ?pool ?zdd (p : Problem.t) =
   Trace.with_span "fixedpoint.detect"
     ~attrs:
       [ ("problem", p.Problem.name); ("max_steps", string_of_int max_steps) ]
   @@ fun () ->
   let p0 = Simplify.normalize p in
-  let first = step_normalized ?expand_limit ?pool p0 in
+  let first = step_normalized ?expand_limit ?pool ?zdd p0 in
   match Iso.find_renaming first p0 with
   | Some assoc ->
       notify_fixed_point p0;
@@ -49,7 +49,7 @@ let detect ?(max_steps = 5) ?expand_limit ?pool (p : Problem.t) =
       let rec iterate prev i =
         if i > max_steps then No_fixed_point_found prev
         else begin
-          let next = step_normalized ?expand_limit ?pool prev in
+          let next = step_normalized ?expand_limit ?pool ?zdd prev in
           if Iso.equal_up_to_renaming next prev then begin
             notify_fixed_point prev;
             Reaches_fixed_point (i, prev)

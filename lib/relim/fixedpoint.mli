@@ -22,7 +22,7 @@ type verdict =
       (** Not stabilized within the step budget; the last problem
           reached is returned. *)
 
-(** [detect ?max_steps ?expand_limit ?pool p] iterates [R̄ ∘ R]
+(** [detect ?max_steps ?expand_limit ?pool ?zdd p] iterates [R̄ ∘ R]
     (normalizing after each step) on [Simplify.normalize p], looking for
     stabilization up to renaming.  [max_steps] (default 5) counts
     [R̄ ∘ R] applications; the first application always runs, whatever
@@ -31,14 +31,15 @@ type verdict =
 
     Every call computes its steps afresh, so the verdict, and the
     problems it carries, depend only on the arguments: on [p] itself,
-    not on an isomorphic problem seen by an earlier call.  [pool] is
-    passed through to {!Rounde.step} (defaulting to {!Parctl.default});
-    results are identical for every domain count.
+    not on an isomorphic problem seen by an earlier call.  [pool] and
+    [zdd] are passed through to every {!Rounde.step} (defaulting to
+    {!Parctl.default} and to [RELIM_ZDD]); results are identical for
+    every domain count and, wherever both complete, for either R̄ rung.
     @raise Budget.Budget_exceeded if a step exceeds the engine's
     budgets. *)
 val detect :
   ?max_steps:int -> ?expand_limit:float -> ?pool:Parallel.Pool.t ->
-  Problem.t -> verdict
+  ?zdd:bool -> Problem.t -> verdict
 
 (** [steps_applied] counts [R̄ ∘ R] applications since the last
     {!reset_stats}; a [Reaches_fixed_point (i, _)] verdict adds [i].

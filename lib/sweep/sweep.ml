@@ -137,21 +137,7 @@ let problem_of_cell c =
             Core.Family.pi_plus
               { Core.Family.delta = c.delta; a = c.a; x = c.x })
 
-(* ---- per-cell environment pinning -------------------------------- *)
-
-(* The ZDD toggle is consulted from the environment by every engine
-   entry point that lacks a [?zdd] argument (fixed-point detection,
-   the autopilot's internal steps), so the cell's configuration is
-   pinned by overriding RELIM_ZDD for the cell's duration.  putenv
-   cannot unset, but "0" and unset read identically (both disable). *)
-let with_zdd_env zdd f =
-  let prev = Sys.getenv_opt Relim.Parctl.zdd_env_var in
-  Unix.putenv Relim.Parctl.zdd_env_var (if zdd then "1" else "0");
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv Relim.Parctl.zdd_env_var
-        (Option.value ~default:"0" prev))
-    f
+(* ---- per-cell engine configuration ------------------------------- *)
 
 let with_pool domains f =
   if domains <= 1 then f Parallel.Pool.sequential
@@ -219,7 +205,6 @@ let run_cell ?(clock = Unix.gettimeofday) ~budgets c =
   | Ok p ->
       let t0 = clock () in
       reset_engine_state ();
-      with_zdd_env c.engine.zdd @@ fun () ->
       with_pool c.engine.domains @@ fun pool ->
       with_certify c.engine.certify @@ fun () ->
       (* Phases run in a fixed order; a budget overrun voids only its
@@ -343,7 +328,7 @@ let run_cell ?(clock = Unix.gettimeofday) ~budgets c =
         phase "fixed_point" (fun () ->
             let v =
               Relim.Fixedpoint.detect ~max_steps:budgets.fp_steps
-                ~expand_limit:budgets.expand_limit ~pool p
+                ~expand_limit:budgets.expand_limit ~pool ~zdd:c.engine.zdd p
             in
             let verdict =
               match v with
@@ -377,7 +362,7 @@ let run_cell ?(clock = Unix.gettimeofday) ~budgets c =
                 rc_limit = budgets.rc_limit;
               }
             in
-            let r = Autopilot.search ~limits ~pool p in
+            let r = Autopilot.search ~limits ~pool ~zdd:c.engine.zdd p in
             Obj
               [
                 ("verdict", String (Autopilot.verdict_string r.Autopilot.verdict));

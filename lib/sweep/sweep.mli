@@ -20,9 +20,11 @@
     and the resume tests do).  To make this hold the runner resets all
     engine statistics before every cell (the engine keeps no memo
     across calls, so nothing else carries over from earlier cells),
-    pins the worker pool and the ZDD toggle to the cell's own
-    engine configuration (the [RELIM_DOMAINS] / [RELIM_ZDD]
-    environment is overridden for the cell's duration), and records
+    passes the cell's own worker pool and R̄ rung to every phase as the
+    [~pool] and [~zdd] arguments (the environment is read for neither,
+    and never written; only the certifier's fixed-point replay, one
+    sequential [Rounde.step], runs on the process default rung, whose
+    verdict is the same wherever both rungs complete), and records
     [transport_cache_hits] — the one counter that depends on worker
     scheduling — only for single-domain cells ([null] otherwise).
 

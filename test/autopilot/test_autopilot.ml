@@ -64,9 +64,9 @@ type pinned = {
 (* Runs the search and requires [want] of its report.  The search must
    also apply no [Fixedpoint] step: the pick ranks the viable candidates
    by one key and never runs a fixed-point detection of its own. *)
-let check_pinned name ~limits p want =
+let check_pinned name ~limits ?zdd p want =
   Relim.Fixedpoint.reset_stats ();
-  let r = A.search ~limits p in
+  let r = A.search ~limits ?zdd p in
   let got =
     {
       verdict = A.verdict_string r.A.verdict;
@@ -330,6 +330,28 @@ let test_ub_pool () =
     [ triv (); so2 (); mis3 () ];
   Parallel.Pool.shutdown pool
 
+(* The 0-round decider runs once per state: upper-bound's search on
+   MIS Δ=2 stands on 3 states (the input and two accepted steps) and
+   decides each once, an accepted candidate's answer reused. *)
+let test_ub_decided_once () =
+  Relim.Zeroround.reset_stats ();
+  exhausted_after "mis Delta=2" 2
+    (A.search ~limits:(identity_only 3) (Lcl.Encodings.mis ~delta:2));
+  check_int "decider calls" 3 Relim.Zeroround.stats.Relim.Zeroround.clique_calls
+
+(* [?zdd] reaches every R-bar the search runs, in every test leg:
+   [~zdd:true] builds ZDD nodes and [~zdd:false] none, whatever
+   RELIM_ZDD says. *)
+let test_zdd_arg () =
+  let nodes zdd =
+    Zdd.reset_stats ();
+    ignore
+      (check_pinned "so Delta=3" ~limits:A.default_limits ~zdd (so ()) so_cycle);
+    Zdd.stats.Zdd.nodes
+  in
+  check_bool "~zdd:true builds nodes" true (nodes true > 0);
+  check_int "~zdd:false builds none" 0 (nodes false)
+
 (* Outcome of iterating the speedup step up to [max_steps] times. *)
 type reach =
   | Solvable_after of int  (** A 0-round-solvable state after k steps. *)
@@ -409,6 +431,7 @@ let () =
             test_pi_budget_wall;
           Alcotest.test_case "cover step labels get short names" `Quick
             test_cover_short_names;
+          Alcotest.test_case "?zdd picks the R-bar rung" `Quick test_zdd_arg;
         ] );
       ( "upperbound",
         [
@@ -421,6 +444,8 @@ let () =
           Alcotest.test_case "label cap budget verdict" `Quick
             test_ub_label_cap;
           Alcotest.test_case "sequential and pooled agree" `Quick test_ub_pool;
+          Alcotest.test_case "each state decided once" `Quick
+            test_ub_decided_once;
           Alcotest.test_case "agrees with the plain iteration" `Quick
             test_ub_differential;
         ] );

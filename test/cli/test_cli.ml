@@ -3,9 +3,11 @@
    interface, checked with the schema validator ($VALIDATE_TRACE), the
    --zdd flag, the fixed-point command's certified summary, the
    zero-round witness line, engine work that stops, and the exit code
-   of bad input, also for certify_fuzz ($CERTIFY_FUZZ).  The key
-   tracing regression: an unwritable --trace path must abort with a
-   clear error and exit code 2 before any engine work runs. *)
+   of bad input, also for the other binaries that share its front end:
+   certify_fuzz, roundelimd and relimsweep ($CERTIFY_FUZZ, $ROUNDELIMD,
+   $RELIMSWEEP).  The key tracing regression: an unwritable --trace
+   path or RELIM_TRACE must abort with a clear error and exit code 2
+   before any engine work runs. *)
 
 let exe var =
   match Sys.getenv_opt var with
@@ -14,6 +16,8 @@ let exe var =
 
 let roundelim = exe "ROUNDELIM"
 let certify_fuzz = exe "CERTIFY_FUZZ"
+let roundelimd = exe "ROUNDELIMD"
+let relimsweep = exe "RELIMSWEEP"
 let validate_trace = exe "VALIDATE_TRACE"
 
 let read_file path =
@@ -47,6 +51,21 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
+(* The arguments of a roundelimd serve run, behind a [timeout]: a check
+   that is missing fails the row (exit 124) instead of leaving a server
+   running.  Pass the result as [run ~bin:"timeout"]. *)
+let serve args =
+  let socket = Filename.concat (Filename.get_temp_dir_name ()) "cli_serve.sock" in
+  Printf.sprintf "10 %s serve --socket %s %s" (Filename.quote roundelimd)
+    (Filename.quote socket) args
+
+(* A journal path no file holds, for a relimsweep run that must not
+   write one. *)
+let fresh_journal () =
+  let path = Filename.temp_file "cli_sweep" ".jsonl" in
+  Sys.remove path;
+  path
+
 let test_unwritable_trace_path () =
   let code, stdout, stderr =
     run "step -p mis -d 3 --trace /nonexistent-dir/trace.jsonl"
@@ -57,15 +76,34 @@ let test_unwritable_trace_path () =
   (* The sink is opened before any engine work: no output was printed. *)
   Alcotest.(check string) "no work before the failure" "" stdout
 
+(* Each binary opens RELIM_TRACE where it honours it (every roundelim,
+   relimsweep and certify_fuzz command, roundelimd serve) before any
+   work: exit 2 and one line on stderr. *)
 let test_unwritable_env_trace_path () =
-  let code, _, stderr =
-    run
-      ~env:[ ("RELIM_TRACE", "/nonexistent-dir/trace.jsonl") ]
-      "step -p mis -d 3"
-  in
-  Alcotest.(check int) "exit code 2" 2 code;
-  Alcotest.(check bool) "names the env var" true
-    (contains ~sub:"RELIM_TRACE" stderr)
+  let path = "/nonexistent-dir/trace.jsonl" in
+  let journal = fresh_journal () in
+  List.iter
+    (fun (bin, prog, args) ->
+      let code, stdout, stderr = run ~env:[ ("RELIM_TRACE", path) ] ~bin args in
+      Alcotest.(check int) (prog ^ ": exit code 2") 2 code;
+      Alcotest.(check string)
+        (prog ^ ": one line naming the env var")
+        (Printf.sprintf
+           "%s: RELIM_TRACE: cannot open trace file: %s: No such file or \
+            directory\n"
+           prog path)
+        stderr;
+      Alcotest.(check string) (prog ^ ": nothing on stdout") "" stdout)
+    [
+      (roundelim, "roundelim", "step -p mis -d 3");
+      (certify_fuzz, "certify_fuzz", "--count 1");
+      ( relimsweep,
+        "relimsweep",
+        "--families so --deltas 3 --out " ^ Filename.quote journal );
+      ("timeout", "roundelimd", serve "");
+    ];
+  Alcotest.(check bool) "relimsweep wrote no journal" false
+    (Sys.file_exists journal)
 
 let test_trace_jsonl_written () =
   let path = Filename.temp_file "cli_trace" ".jsonl" in
@@ -195,9 +233,10 @@ let test_zero_round_witness_one_line () =
 (* Input the user got wrong (a problem, a label, a diagram or
    algorithm name, a count out of its range, a file that cannot be read
    or written, a fuzzing limit the generator cannot draw from) is a usage
-   error: exit 2, the message on stderr and nothing on stdout, never
-   cmdliner's "internal error" exit 125.  [load] reads a saved problem
-   whose edge line lost its closing bracket. *)
+   error in every binary that shares the front end: exit 2, the message
+   in one line on stderr and nothing on stdout (nor a relimsweep
+   journal), never cmdliner's "internal error" exit 125.  [load] reads
+   a saved problem whose edge line lost its closing bracket. *)
 let test_bad_problem_exits_2 () =
   let bad = Filename.temp_file "cli_bad" ".relim" in
   let oc = open_out bad in
@@ -210,6 +249,10 @@ let test_bad_problem_exits_2 () =
       (Printf.sprintf "%s: message on stderr: %s" args stderr)
       true
       (contains ~sub:(prog ^ ": " ^ msg) stderr);
+    Alcotest.(check int)
+      (args ^ ": one line on stderr")
+      (String.length stderr - 1)
+      (String.index stderr '\n');
     Alcotest.(check string) (args ^ ": nothing on stdout") "" stdout;
     Alcotest.(check bool) (args ^ ": no internal error") false
       (contains ~sub:"internal error" stderr)
@@ -256,6 +299,25 @@ let test_bad_problem_exits_2 () =
       ("--max-labels 0", "--max-labels must be between 1 and 26");
       ("--max-delta 0", "--max-delta must be at least 1");
     ];
+  usage_error "roundelim"
+    ("step -p mis -d 3 --domains=-1", "--domains must be at least 0");
+  usage_error ~bin:"timeout" "roundelimd"
+    (serve "--domains=-1", "--domains must be at least 0");
+  let journal = fresh_journal () in
+  List.iter
+    (fun (args, msg) ->
+      usage_error ~bin:relimsweep "relimsweep"
+        ( Printf.sprintf "--families so --deltas 3 --out %s %s"
+            (Filename.quote journal) args,
+          msg ))
+    [
+      ("--ap-steps=-2 --ap-beam=-5", "--ap-steps must be at least 1");
+      ("--ap-beam=-5", "--ap-beam must be at least 0");
+      ("--domain-counts 0,1,-3", "--domain-counts entries must be at least 1");
+      ("--max-cells=-1", "--max-cells must be at least 0");
+    ];
+  Alcotest.(check bool) "relimsweep wrote no journal" false
+    (Sys.file_exists journal);
   Sys.remove bad
 
 (* A problem whose edge compatibility is the cocktail-party graph on
@@ -284,6 +346,15 @@ let test_upper_bound_fixed_point () =
      certified cycle of period 1 (Omega(log n) deterministic and Omega(log \
      log n) randomized LOCAL lower bounds)\n"
     stdout
+
+(* The search decides each state's 0-round solvability once: MIS Δ=2
+   stands on 3 states, so 3 verdicts are certified. *)
+let test_upper_bound_decides_once () =
+  let code, _, stderr = run "upper-bound -p mis -d 2 --certify" in
+  Alcotest.(check int) "exit code 0" 0 code;
+  Alcotest.(check bool) ("3 zero-round verdicts: " ^ stderr) true
+    (contains ~sub:"certified: 5 R steps, 4 Rbar steps, 3 zero-round verdicts,"
+       stderr)
 
 (* Engine work that cannot finish (a budget overrun, or an empty node
    constraint after R) is not a usage error: step, zero-round,
@@ -382,6 +453,8 @@ let () =
         [
           Alcotest.test_case "SO prints the fixed-point line" `Quick
             test_upper_bound_fixed_point;
+          Alcotest.test_case "each state decided once" `Quick
+            test_upper_bound_decides_once;
         ] );
       ( "bad-input",
         [

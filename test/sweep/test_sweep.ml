@@ -52,21 +52,12 @@ let write_file path s =
 (* ------------------------------------------------------------------ *)
 
 (* The mega-suite pins engine counters, so the engine path must not
-   depend on the CI leg: the ZDD toggle is pinned off for its duration
-   (explicit-path counters are the ones in the golden; test/zdd pins
-   the cross-path identities), the pool is explicitly sequential, and
+   depend on the CI leg: every engine call passes its rung ([~zdd];
+   explicit-path counters are the ones in the golden; test/zdd pins
+   the cross-path identities) and an explicitly sequential pool, and
    counters are snapshotted the moment the step returns — before
    fixed-point detection, whose certifier replay (RELIM_CERTIFY=1)
    re-enters the engine. *)
-let with_zdd_pinned f =
-  let prev = Sys.getenv_opt Relim.Parctl.zdd_env_var in
-  Unix.putenv Relim.Parctl.zdd_env_var "0";
-  Fun.protect
-    ~finally:(fun () ->
-      (* putenv cannot unset; "0" is equivalent to unset here. *)
-      Unix.putenv Relim.Parctl.zdd_env_var (Option.value prev ~default:"0"))
-    f
-
 let mega_expand = 2e5
 let mega_rc = 20_000
 
@@ -218,7 +209,7 @@ let mega_row buf name p =
     (budget_str (fun () ->
          match
            Relim.Fixedpoint.detect ~max_steps:2 ~expand_limit:mega_expand
-             ~pool:seq p
+             ~pool:seq ~zdd:false p
          with
          | Relim.Fixedpoint.Fixed_point _ -> "fixed-point"
          | Relim.Fixedpoint.Reaches_fixed_point (i, _) ->
@@ -259,7 +250,6 @@ let mega_rows () =
       [ (4, 3, 1); (5, 4, 2) ]
 
 let test_megasuite () =
-  with_zdd_pinned @@ fun () ->
   let rows = mega_rows () in
   (* Self-check the acceptance floor before comparing: the table must
      pin at least 200 values across at least 4 distinct families. *)
@@ -497,6 +487,23 @@ let test_cross_engine_identity () =
         (tag ^ ": certified counters present") true
         (member "certified" certify1 <> J.Null))
     identity_cells
+
+(* RELIM_ZDD as the process started, before any test ran a cell. *)
+let zdd_env_at_start = Sys.getenv_opt Relim.Parctl.zdd_env_var
+
+(* A cell's rung reaches the engine as an argument, so running a ZDD
+   cell and an explicit one leaves RELIM_ZDD as the process found it,
+   unset included. *)
+let test_env_untouched () =
+  List.iter
+    (fun zdd ->
+      ignore
+        (record (mk_cell Sweep.So 2 0 { Sweep.zdd; domains = 1; certify = false }));
+      Alcotest.(check (option string))
+        (Printf.sprintf "RELIM_ZDD after a zdd=%b cell" zdd)
+        zdd_env_at_start
+        (Sys.getenv_opt Relim.Parctl.zdd_env_var))
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Part 4: CLI end-to-end (relimsweep / analyze_sweep)                 *)
@@ -740,6 +747,8 @@ let () =
         [
           Alcotest.test_case "explicit/zdd/domains/certify identity" `Quick
             test_cross_engine_identity;
+          Alcotest.test_case "cells leave RELIM_ZDD as found" `Quick
+            test_env_untouched;
         ] );
       ( "cli",
         [

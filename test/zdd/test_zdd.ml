@@ -768,6 +768,23 @@ let test_zdd_stats () =
   check_bool "lookups bound hits" true
     (Zdd.stats.Zdd.cache_hits <= Zdd.stats.Zdd.cache_lookups)
 
+(* [Fixedpoint.detect ?zdd] passes the rung to every step it runs, in
+   every test leg: [~zdd:true] builds ZDD nodes and [~zdd:false] none,
+   whatever RELIM_ZDD says.  SO Δ=3 reaches its fixed point on both. *)
+let test_fixedpoint_zdd_arg () =
+  let nodes zdd =
+    Zdd.reset_stats ();
+    (match
+       Fixedpoint.detect ~max_steps:2 ~zdd
+         (Lcl.Encodings.sinkless_orientation ~delta:3)
+     with
+    | Fixedpoint.Reaches_fixed_point _ -> ()
+    | _ -> Alcotest.fail "SO Delta=3 reaches its fixed point");
+    Zdd.stats.Zdd.nodes
+  in
+  check_bool "~zdd:true builds nodes" true (nodes true > 0);
+  check_int "~zdd:false builds none" 0 (nodes false)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -824,5 +841,7 @@ let () =
           Alcotest.test_case "RELIM_CERTIFY parsing" `Quick
             test_certify_env_parse;
           Alcotest.test_case "global stats" `Quick test_zdd_stats;
+          Alcotest.test_case "Fixedpoint.detect ?zdd picks the rung" `Quick
+            test_fixedpoint_zdd_arg;
         ] );
     ]
